@@ -1,7 +1,8 @@
 """Dense linear-algebra helpers.
 
-All solves go through one pivoted LU factorization so that every caller
-shares the same numerics (and the same near-singularity detection).
+Every shifted matrix A + e r is built by one function and factored by one
+checked pivoted LU, so that every caller shares the same numerics (and
+the same near-singularity detection); callers solve on that LU.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -19,10 +20,13 @@ from .errors import NearSingularError
 OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 
 
-def shifted_matrix(P: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Return I - P + e r for a row-stochastic P and row vector r."""
-    n = P.shape[0]
-    return np.eye(n) - P + np.outer(np.ones(n), r)
+def shifted_matrix(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Return A + e r for a row vector r.
+
+    A is I - P for a chain P (or a state-action chain PL) and the rate
+    matrix B itself for a continuous-time process.
+    """
+    return A + np.outer(np.ones(A.shape[0]), r)
 
 
 def lu_factor_checked(M: np.ndarray, pivot_tol: float):
@@ -30,6 +34,8 @@ def lu_factor_checked(M: np.ndarray, pivot_tol: float):
 
     The smallest |U_ii| is compared with pivot_tol * max(1, largest |U_ii|);
     below that the matrix is treated as singular to working precision.
+    The result goes to ``scipy.linalg.lu_solve``, with ``trans=1`` for
+    row-vector systems x M = b.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -43,35 +49,6 @@ def lu_factor_checked(M: np.ndarray, pivot_tol: float):
             min_pivot=float(pivots.min()),
         )
     return lu, piv
-
-
-def shifted_solve(P: np.ndarray, r: np.ndarray, rhs: np.ndarray,
-                  pivot_tol: float) -> np.ndarray:
-    """Solve (I - P + e r) x = rhs."""
-    lu_piv = lu_factor_checked(shifted_matrix(P, r), pivot_tol)
-    return scipy.linalg.lu_solve(lu_piv, rhs)
-
-
-def shifted_solve_transposed(P: np.ndarray, r: np.ndarray, rhs: np.ndarray,
-                             pivot_tol: float) -> np.ndarray:
-    """Solve (I - P + e r)^T x = rhs, i.e. x (I - P + e r) = rhs as rows."""
-    lu_piv = lu_factor_checked(shifted_matrix(P, r), pivot_tol)
-    return scipy.linalg.lu_solve(lu_piv, rhs, trans=1)
-
-
-def solve_checked(M: np.ndarray, rhs: np.ndarray, pivot_tol: float,
-                  transposed: bool = False) -> np.ndarray:
-    """Solve M x = rhs (or M^T x = rhs) through the checked factorization."""
-    lu_piv = lu_factor_checked(M, pivot_tol)
-    return scipy.linalg.lu_solve(lu_piv, rhs, trans=1 if transposed else 0)
-
-
-def inverse_by_columns(M: np.ndarray, pivot_tol: float) -> np.ndarray:
-    """Explicit inverse, assembled one identity column at a time."""
-    n = M.shape[0]
-    lu_piv = lu_factor_checked(M, pivot_tol)
-    cols = [scipy.linalg.lu_solve(lu_piv, np.eye(n)[:, j]) for j in range(n)]
-    return np.column_stack(cols)
 
 
 def one_norm_condition(M: np.ndarray, M_inv: np.ndarray) -> float:

@@ -163,13 +163,12 @@ def _cmd_validate(args, cfg: Tolerances):
             "period": d.period, "num_closed_classes": d.num_closed_classes,
         }
     if loaded.kind == "ctmc":
-        rate = min_uniformization_rate(loaded.generator)
-        d = diagnose_chain(uniformize(loaded.generator, rate + 1.0, cfg=cfg),
-                           cfg=cfg)
+        d = ctmc_mod._diagnose_generator(loaded.generator, cfg)
         return {
             "valid": True, "kind": "ctmc", "states": loaded.states,
             "max_correction": loaded.generator.max_correction,
-            "ergodic": d.irreducible, "min_uniformization_rate": rate,
+            "ergodic": d.irreducible,
+            "min_uniformization_rate": min_uniformization_rate(loaded.generator),
         }
     m = loaded.mdp
     dead = [[s, a] for s, a in np.argwhere(m.policy == 0.0).tolist()]
@@ -276,10 +275,12 @@ def _cmd_series(args, cfg: Tolerances):
 
 
 def _series_agreement_check(chain, r, cfg: Tolerances) -> CheckResult:
-    exact = gfm.fundamental_matrix(chain, r, cfg=cfg).Z
+    # the caller has run the structural gate, aperiodicity included
+    exact = gfm.fundamental_matrix(chain, r, allow_unchecked=True, cfg=cfg).Z
     terms = 64
     while terms <= 4096:
-        approx = gfm.series_fundamental(chain, r, terms, cfg=cfg)
+        approx = gfm.series_fundamental(chain, r, terms,
+                                        allow_unchecked=True, cfg=cfg)
         if approx.tail_norm < 1e-8:
             gap = float(np.abs(approx.Z - exact).max())
             return CheckResult("series_vs_solve", gap <= 1e-8, gap)
@@ -291,9 +292,10 @@ def _series_agreement_check(chain, r, cfg: Tolerances) -> CheckResult:
 def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
                  cfg: Tolerances) -> list[CheckResult]:
     chain, f = loaded.chain, loaded.rewards
+    d = gfm._require_irreducible(chain, cfg)
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = gfm.potentials(chain, f, r, cfg=cfg)
-    pi = gfm.stationary(chain, r, cfg=cfg)
+    sol = gfm.potentials(chain, f, r, allow_unchecked=True, cfg=cfg)
+    pi = gfm.stationary(chain, r, allow_unchecked=True, cfg=cfg)
     P = np.asarray(chain.matrix)
 
     checks = []
@@ -309,7 +311,6 @@ def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
     resid = float(abs(pi.pi.sum() - 1.0))
     checks.append(CheckResult("stationary_sums_to_one", resid <= 1e-8, resid))
     checks.extend(gfm.verify_spectral_shift(chain, r, cfg=cfg).checks)
-    d = diagnose_chain(chain, cfg=cfg)
     if d.aperiodic:
         checks.append(_series_agreement_check(chain, r, cfg))
     return checks

@@ -15,10 +15,11 @@ classical route (B - e pi) g = -f instead yields pi.g = +eta.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from . import _linalg
 from .config import DEFAULT, Tolerances
-from .errors import GammaTooSmallError, NearSingularError, NotErgodicError
+from .errors import GammaTooSmallError, NotErgodicError
 from .gfm import (
     NORM_ETA,
     NORM_MINUS_ETA,
@@ -26,8 +27,10 @@ from .gfm import (
     StationaryDistribution,
     _as_reference,
     _as_rewards,
+    _stationary_from,
 )
 from .model import (
+    ChainDiagnostics,
     GeneratorMatrix,
     diagnose_chain,
     min_uniformization_rate,
@@ -51,11 +54,15 @@ def _as_generator(B) -> GeneratorMatrix:
     return validate_generator(B)
 
 
-def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
+def _diagnose_generator(B: GeneratorMatrix, cfg: Tolerances) -> ChainDiagnostics:
     # the uniformized chain at gamma = max rate + 1 has strictly positive
     # diagonals, so irreducibility there is exactly ergodicity of B
     gamma = min_uniformization_rate(B) + 1.0
-    diag = diagnose_chain(uniformize(B, gamma, cfg=cfg), cfg=cfg)
+    return diagnose_chain(uniformize(B, gamma, cfg=cfg), cfg=cfg)
+
+
+def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
+    diag = _diagnose_generator(B, cfg)
     if not diag.irreducible:
         raise NotErgodicError(
             "generator is not ergodic "
@@ -63,9 +70,11 @@ def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
             num_closed_classes=diag.num_closed_classes)
 
 
-def _shifted_generator(B: GeneratorMatrix, r_values: np.ndarray) -> np.ndarray:
-    n = B.size
-    return np.asarray(B.matrix) + np.outer(np.ones(n), r_values)
+def _factor_generator(B: GeneratorMatrix, r_values: np.ndarray,
+                      cfg: Tolerances):
+    """Checked LU of B + e r."""
+    return _linalg.lu_factor_checked(
+        _linalg.shifted_matrix(B.matrix, r_values), cfg.pivot_tol)
 
 
 def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
@@ -75,22 +84,13 @@ def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, B.size, cfg)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    D = _shifted_generator(B, r.values)
-    pi = _linalg.solve_checked(D, r.values, cfg.pivot_tol, transposed=True)
-    tol = cfg.solve_tol_for(B.size)
-    low = float(pi.min(initial=0.0))
-    if low < -tol:
-        raise NearSingularError(
-            f"stationary solve produced entry {low:.3e} below -solve_tol; "
-            "the process is numerically reducible", min_entry=low)
-    pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
-    return StationaryDistribution(pi)
+    return _stationary_from(_factor_generator(B, r.values, cfg), r, cfg,
+                            "process")
 
 
 def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
                     cfg: Tolerances = DEFAULT) -> PotentialSolution:
-    """Process potentials from one solve of (B + e r) g = -f.
+    """Process potentials and pi from one factorization of B + e r.
 
     The returned g satisfies the continuous-time Poisson equation
     -B g = f - eta e with eta = pi.f, and is normalized by r.g = -eta
@@ -101,9 +101,9 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    D = _shifted_generator(B, r.values)
-    g = _linalg.solve_checked(D, -f.values, cfg.pivot_tol)
-    pi = ctmc_stationary(B, r, allow_unchecked=True, cfg=cfg)
+    lu_piv = _factor_generator(B, r.values, cfg)
+    g = scipy.linalg.lu_solve(lu_piv, -f.values)
+    pi = _stationary_from(lu_piv, r, cfg, "process")
     eta = float(pi.pi @ f.values)
     return PotentialSolution(g, eta, r, NORM_MINUS_ETA)
 
@@ -120,8 +120,7 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     if not allow_unchecked:
         _require_ergodic(B, cfg)
     pi = ctmc_stationary(B, None, allow_unchecked=True, cfg=cfg)
-    D = _shifted_generator(B, -pi.pi)
-    g = _linalg.solve_checked(D, -f.values, cfg.pivot_tol)
+    g = scipy.linalg.lu_solve(_factor_generator(B, -pi.pi, cfg), -f.values)
     eta = float(pi.pi @ f.values)
     r_pi = reference_vector(pi.pi, cfg=cfg)
     return PotentialSolution(g, eta, r_pi, NORM_ETA)
@@ -154,7 +153,7 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     checks.append(CheckResult("generator_zero_row_sums",
                               resid <= cfg.row_tol, resid))
 
-    D = _shifted_generator(B, r.values)
+    D = _linalg.shifted_matrix(B.matrix, r.values)
     resid = float(np.abs(D @ ones - r.dot_with_ones * ones).max())
     checks.append(CheckResult("ones_column_eigenvector",
                               resid <= cfg.solve_tol_for(n), resid))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import exp, log
 
 import numpy as np
+import scipy.linalg
 
 from . import _linalg
 from .config import DEFAULT, Tolerances
@@ -31,6 +32,7 @@ from .errors import (
     SeriesDivergentError,
 )
 from .model import (
+    ChainDiagnostics,
     ReferenceVector,
     RewardVector,
     StochasticMatrix,
@@ -150,7 +152,7 @@ def _as_rewards(f, n: int) -> RewardVector:
 
 
 def _require_irreducible(P: StochasticMatrix, cfg: Tolerances,
-                         need_aperiodic: bool = False) -> None:
+                         need_aperiodic: bool = False) -> ChainDiagnostics:
     diag = diagnose_chain(P, cfg=cfg)
     if not diag.irreducible:
         raise NotIrreducibleError(
@@ -160,11 +162,35 @@ def _require_irreducible(P: StochasticMatrix, cfg: Tolerances,
     if need_aperiodic and not diag.aperiodic:
         raise NotAperiodicError(
             f"chain is periodic with period {diag.period}", period=diag.period)
+    return diag
+
+
+def _factor_chain(P: np.ndarray, r_values: np.ndarray, cfg: Tolerances):
+    """Checked LU of I - P + e r for a row-stochastic array P."""
+    M = _linalg.shifted_matrix(np.eye(P.shape[0]) - P, r_values)
+    return _linalg.lu_factor_checked(M, cfg.pivot_tol)
+
+
+def _stationary_from(lu_piv, r: ReferenceVector, cfg: Tolerances,
+                     system: str) -> StationaryDistribution:
+    """pi from pi (A + e r) = r, given the factorization of A + e r.
+
+    Entries within solve tolerance below zero are clamped and the vector
+    renormalized; anything more negative signals numerical failure.
+    """
+    pi = scipy.linalg.lu_solve(lu_piv, r.values, trans=1)
+    low = float(pi.min(initial=0.0))
+    if low < -cfg.solve_tol_for(pi.shape[0]):
+        raise NearSingularError(
+            f"stationary solve produced entry {low:.3e} below -solve_tol; "
+            f"the {system} is numerically reducible", min_entry=low)
+    pi = np.maximum(pi, 0.0)
+    return StationaryDistribution(pi / pi.sum())
 
 
 def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
                        cfg: Tolerances = DEFAULT) -> FundamentalMatrix:
-    """Explicit inverse of I - P + e r, assembled column by column.
+    """Explicit inverse of I - P + e r, from one block solve against I.
 
     Exists for inspection and verification; bulk consumers should prefer
     the single solves in :func:`potentials` / :func:`stationary`.
@@ -173,8 +199,9 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    M = _linalg.shifted_matrix(P.matrix, r.values)
-    Z = _linalg.inverse_by_columns(M, cfg.pivot_tol)
+    M = _linalg.shifted_matrix(np.eye(P.size) - P.matrix, r.values)
+    lu_piv = _linalg.lu_factor_checked(M, cfg.pivot_tol)
+    Z = scipy.linalg.lu_solve(lu_piv, np.eye(P.size))
     cond = _linalg.one_norm_condition(M, Z)
     return FundamentalMatrix(Z, r, P, condition_estimate=cond)
 
@@ -192,17 +219,8 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    pi = _linalg.shifted_solve_transposed(P.matrix, r.values, r.values,
-                                          cfg.pivot_tol)
-    tol = cfg.solve_tol_for(P.size)
-    low = float(pi.min(initial=0.0))
-    if low < -tol:
-        raise NearSingularError(
-            f"stationary solve produced entry {low:.3e} below -solve_tol; "
-            "the chain is numerically reducible", min_entry=low)
-    pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
-    return StationaryDistribution(pi)
+    lu_piv = _factor_chain(P.matrix, r.values, cfg)
+    return _stationary_from(lu_piv, r, cfg, "chain")
 
 
 def potentials(P, f, r=None, *, allow_unchecked: bool = False,
@@ -217,7 +235,7 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, P.size)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    g = _linalg.shifted_solve(P.matrix, r.values, f.values, cfg.pivot_tol)
+    g = scipy.linalg.lu_solve(_factor_chain(P.matrix, r.values, cfg), f.values)
     eta = float(r.values @ g)
     return PotentialSolution(g, eta, r, NORM_ETA)
 
@@ -230,9 +248,11 @@ def potentials_classic(P, f, *, allow_unchecked: bool = False,
     pi.g = eta.
     """
     P = _as_chain(P)
-    pi = stationary(P, None, allow_unchecked=allow_unchecked, cfg=cfg)
+    if not allow_unchecked:
+        _require_irreducible(P, cfg)
+    pi = stationary(P, None, allow_unchecked=True, cfg=cfg)
     r_pi = reference_vector(pi.pi, cfg=cfg)
-    return potentials(P, f, r_pi, allow_unchecked=allow_unchecked, cfg=cfg)
+    return potentials(P, f, r_pi, allow_unchecked=True, cfg=cfg)
 
 
 def renormalize_potentials(sol: PotentialSolution, r_new, *,
@@ -360,7 +380,7 @@ def verify_spectral_shift(P, r=None, *, cfg: Tolerances = DEFAULT) -> Verificati
     n = P.size
     checks: list[CheckResult] = []
 
-    M = _linalg.shifted_matrix(P.matrix, r.values)
+    M = _linalg.shifted_matrix(np.eye(n) - P.matrix, r.values)
     ones = np.ones(n)
     resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
     tol = cfg.solve_tol_for(n)

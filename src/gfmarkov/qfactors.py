@@ -17,11 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import _linalg
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, stationary
-from .model import MdpModel, ReferenceVector, StochasticMatrix
+from .gfm import _as_reference, _factor_chain, stationary
+from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -80,12 +80,6 @@ class QSolution:
     induced_g: np.ndarray
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
 def build_policy_matrix(m: MdpModel) -> PolicyMatrix:
     """Exact block-diagonal construction of L from the policy rows."""
     S, A = m.states, m.actions
@@ -138,7 +132,7 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
     f = m.rewards.reshape(-1)
-    q = _linalg.shifted_solve(chain.matrix, r.values, f, cfg.pivot_tol)
+    q = scipy.linalg.lu_solve(_factor_chain(chain.matrix, r.values, cfg), f)
     eta = float(r.values @ q)
     induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
     return QSolution(q, eta, r, induced_g)

@@ -75,6 +75,19 @@ def random_mdp(rng: np.random.Generator, S: int, A: int, floor: float = 0.05):
     return validate_mdp(p, rewards, policy)
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name for the test; each call appends its arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def oracle_stationary(P: np.ndarray) -> np.ndarray:
     """Solve pi P = pi, pi e = 1 by least squares on the stacked system."""
     n = P.shape[0]

@@ -4,7 +4,10 @@ import sys
 
 import numpy as np
 
+from gfmarkov import cli, gfm
 from gfmarkov.cli import main
+
+from conftest import count_calls
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -97,9 +100,10 @@ class TestExitCodes:
         p.write_text(json.dumps({
             "kind": "dtmc", "states": 2,
             "P": [[1.0, 0.0], [0.5, 0.5]], "f": [0, 0]}))
-        code, out, _ = run_cli(capsys, "stationary", "--model", str(p))
-        assert code == 2
-        assert json.loads(out)["error"] == "NotIrreducible"
+        for command in ("stationary", "check"):
+            code, out, _ = run_cli(capsys, command, "--model", str(p))
+            assert code == 2, command
+            assert json.loads(out)["error"] == "NotIrreducible"
 
     def test_wrong_kind_exits_2(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "qfactors",
@@ -199,6 +203,20 @@ class TestCommands:
                                    "--model", str(models_dir / name))
             assert code == 0, (name, out)
             assert json.loads(out)["passed"] is True
+
+    def test_dtmc_check_runs_structural_gate_once(self, capsys, monkeypatch,
+                                                  models_dir):
+        gates = [count_calls(monkeypatch, module, "diagnose_chain")
+                 for module in (gfm, cli)]
+        for poisson in ([], ["--poisson"]):
+            for calls in gates:
+                calls.clear()
+            code, out, _ = run_cli(capsys, "check", *poisson, "--model",
+                                   str(models_dir / "two_state.json"))
+            assert code == 0
+            names = [c["name"] for c in json.loads(out)["checks"]]
+            assert poisson or "series_vs_solve" in names
+            assert sum(map(len, gates)) == 1, poisson
 
     def test_check_poisson_round_trip(self, capsys, models_dir):
         # potentials output independently re-verified by the check command

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gfmarkov import (
     NotErgodicError,
@@ -17,7 +18,12 @@ from gfmarkov import (
 )
 from gfmarkov.gfm import NORM_MINUS_ETA
 
-from conftest import random_generator_matrix, random_reference, spectra_gap
+from conftest import (
+    count_calls,
+    random_generator_matrix,
+    random_reference,
+    spectra_gap,
+)
 
 FLIP = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
 E1 = reference_vector([1.0, 0.0])
@@ -102,6 +108,17 @@ class TestCtmcPotentials:
             diff = s1.g - s2.g
             assert diff.max() - diff.min() <= 1e-8
             assert abs(s1.eta - s2.eta) <= 1e-8
+
+    def test_g_and_pi_share_one_factorization(self, monkeypatch):
+        rng = np.random.default_rng(109)
+        B = random_generator_matrix(rng, 7)
+        r = reference_vector(random_reference(rng, 7))
+        f = rng.uniform(size=7)
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        sol = ctmc_potentials(B, f, r, allow_unchecked=True)
+        assert len(factors) == 1
+        # the shared LU gives the same pi as the stand-alone solve, bit for bit
+        assert sol.eta == float(ctmc_stationary(B, r).pi @ f)
 
 
 class TestCtmcPotentialsClassic:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gfmarkov import (
     NotAperiodicError,
@@ -23,6 +24,7 @@ from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
 
 from conftest import (
+    count_calls,
     oracle_potentials,
     oracle_stationary,
     random_chain,
@@ -90,6 +92,14 @@ class TestFundamentalMatrix:
         P = validate_stochastic([[1, 0], [0.5, 0.5]])
         fm = fundamental_matrix(P, E1, allow_unchecked=True)
         assert np.isfinite(fm.Z).all()
+
+    def test_one_factorization_and_one_block_solve(self, monkeypatch):
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        solves = count_calls(monkeypatch, scipy.linalg, "lu_solve")
+        P = random_chain(np.random.default_rng(37), 6)
+        fundamental_matrix(P, uniform_reference(6))
+        assert len(factors) == 1
+        assert len(solves) == 1
 
 
 class TestStationary:
