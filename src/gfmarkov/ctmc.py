@@ -32,10 +32,9 @@ from .gfm import (
 from .model import (
     ChainDiagnostics,
     GeneratorMatrix,
-    diagnose_chain,
+    _support_diagnostics,
     min_uniformization_rate,
     reference_vector,
-    uniformize,
     validate_generator,
 )
 from .report import CheckResult, VerificationReport
@@ -55,10 +54,13 @@ def _as_generator(B) -> GeneratorMatrix:
 
 
 def _diagnose_generator(B: GeneratorMatrix, cfg: Tolerances) -> ChainDiagnostics:
-    # the uniformized chain at gamma = max rate + 1 has strictly positive
-    # diagonals, so irreducibility there is exactly ergodicity of B
+    # the support of the uniformized chain I + B / gamma at gamma = max
+    # rate + 1: its diagonal is strictly positive, so irreducibility there
+    # is exactly ergodicity of B
     gamma = min_uniformization_rate(B) + 1.0
-    return diagnose_chain(uniformize(B, gamma, cfg=cfg), cfg=cfg)
+    adj = np.asarray(B.matrix) / gamma > cfg.edge_tol
+    np.fill_diagonal(adj, True)
+    return _support_diagnostics(adj)
 
 
 def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:

@@ -9,12 +9,20 @@ which the library itself never uses.
 
 from __future__ import annotations
 
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from gfmarkov import validate_generator, validate_mdp, validate_stochastic
+from gfmarkov import (
+    ChainDiagnostics,
+    validate_generator,
+    validate_mdp,
+    validate_stochastic,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS = REPO_ROOT / "models"
@@ -86,6 +94,64 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _bfs_period(adj: np.ndarray, nodes: np.ndarray) -> int:
+    """gcd of cycle lengths inside one strongly connected component.
+
+    Breadth-first levels from the component's first state; every
+    in-component edge (u, v) contributes level(u) + 1 - level(v) to the
+    gcd. Returns 0 for a cycle-free component.
+    """
+    members = set(int(x) for x in nodes)
+    root = int(nodes[0])
+    level = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(adj[u])[0]:
+                v = int(v)
+                if v in members and v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in members:
+        for v in np.nonzero(adj[u])[0]:
+            v = int(v)
+            if v in members:
+                g = gcd(g, level[u] + 1 - level[v])
+    return abs(g)
+
+
+def reference_diagnose_chain(P) -> ChainDiagnostics:
+    """Loop-per-component, loop-per-edge diagnosis of a chain's support.
+
+    The breadth-first form the library's vectorized gate replaced: one
+    BFS per strongly connected component, a Python gcd per edge, and a
+    closed-class test per component.
+    """
+    adj = np.asarray(P.matrix) > 0.0
+    n_comp, labels = connected_components(
+        csr_matrix(adj), directed=True, connection="strong")
+    num_closed = 0
+    period = 0
+    for comp in range(n_comp):
+        nodes = np.nonzero(labels == comp)[0]
+        inside = labels == comp
+        if not adj[np.ix_(nodes, ~inside)].any():
+            num_closed += 1
+        p = _bfs_period(adj, nodes)
+        if p:
+            period = gcd(period, p)
+    period = period or 1
+    return ChainDiagnostics(
+        irreducible=bool(n_comp == 1),
+        aperiodic=period == 1,
+        period=int(period),
+        num_closed_classes=int(num_closed),
+    )
 
 
 def oracle_stationary(P: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 
-from gfmarkov import cli, gfm
+from gfmarkov import cli, ctmc, gfm
 from gfmarkov.cli import main
 
 from conftest import count_calls
@@ -217,6 +217,16 @@ class TestCommands:
             names = [c["name"] for c in json.loads(out)["checks"]]
             assert poisson or "series_vs_solve" in names
             assert sum(map(len, gates)) == 1, poisson
+
+    def test_ctmc_check_runs_ergodicity_gate_once(self, capsys, monkeypatch,
+                                                  models_dir):
+        calls = count_calls(monkeypatch, ctmc, "_diagnose_generator")
+        for poisson in ([], ["--poisson"]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "check", *poisson, "--model",
+                                 str(models_dir / "ctmc_two_state.json"))
+            assert code == 0
+            assert len(calls) == 1, poisson
 
     def test_check_poisson_round_trip(self, capsys, models_dir):
         # potentials output independently re-verified by the check command

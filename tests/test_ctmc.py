@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfmarkov import (
     NotErgodicError,
@@ -16,12 +18,15 @@ from gfmarkov import (
     validate_generator,
     verify_generator_spectrum,
 )
+from gfmarkov import ctmc
+from gfmarkov.config import DEFAULT
 from gfmarkov.gfm import NORM_MINUS_ETA
 
 from conftest import (
     count_calls,
     random_generator_matrix,
     random_reference,
+    reference_diagnose_chain,
     spectra_gap,
 )
 
@@ -210,3 +215,24 @@ class TestVerifyGeneratorSpectrum:
                 from gfmarkov._linalg import small_matrix_eigenvalues
                 assert spectra_gap(small_matrix_eigenvalues(D),
                                    np.linalg.eigvals(D)) < 1e-8
+
+
+class TestDiagnoseGenerator:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           density=st.floats(0.02, 0.5), ring=st.booleans())
+    def test_matches_uniformized_chain_diagnosis(self, seed, n, density, ring):
+        # rates log-uniform in [1e-3, 1e3]; a ring of rates makes B
+        # ergodic, a sparse support alone usually does not
+        rng = np.random.default_rng(seed)
+        rates = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n))
+        off = rates * (rng.random((n, n)) < density)
+        if ring:
+            off[np.arange(n), (np.arange(n) + 1) % n] += rates[:, 0]
+        np.fill_diagonal(off, 0.0)
+        B = validate_generator(off - np.diag(off.sum(axis=1)))
+        gamma = min_uniformization_rate(B) + 1.0
+        expected = reference_diagnose_chain(uniformize(B, gamma))
+        assert ctmc._diagnose_generator(B, DEFAULT) == expected
+        if ring and n > 1:
+            assert expected.irreducible

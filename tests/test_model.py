@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfmarkov import (
     GammaTooSmallError,
@@ -21,7 +23,13 @@ from gfmarkov.errors import (
     RowSumViolationError,
 )
 
-from conftest import random_chain, random_generator_matrix, random_reference
+from conftest import (
+    random_chain,
+    random_generator_matrix,
+    random_periodic_chain,
+    random_reference,
+    reference_diagnose_chain,
+)
 
 
 class TestValidateStochastic:
@@ -143,6 +151,75 @@ class TestDiagnoseChain:
         d = diagnose_chain(P)
         assert not d.irreducible
         assert d.aperiodic and d.period == 1
+
+    def test_period_is_gcd_across_closed_classes(self):
+        # closed cycles of lengths 2 and 3: gcd(2, 3) = 1
+        P = np.zeros((5, 5))
+        P[0, 1] = P[1, 0] = 1.0
+        P[2, 3] = P[3, 4] = P[4, 2] = 1.0
+        d = diagnose_chain(validate_stochastic(P))
+        assert not d.irreducible and d.num_closed_classes == 2
+        assert d.period == 1 and d.aperiodic
+
+    def test_transient_state_without_cycle_adds_nothing(self):
+        # 0 <-> 1 closed, 2 -> 0 transient with no self loop
+        d = diagnose_chain(validate_stochastic([[0, 1, 0], [1, 0, 0], [1, 0, 0]]))
+        assert not d.irreducible and d.num_closed_classes == 1
+        assert d.period == 2 and not d.aperiodic
+
+    def test_one_state(self):
+        d = diagnose_chain(validate_stochastic([[1.0]]))
+        assert d.irreducible and d.aperiodic and d.period == 1
+        assert d.num_closed_classes == 1
+
+    def test_long_cycle(self):
+        d = diagnose_chain(random_periodic_chain(500))
+        assert d.irreducible and d.period == 500 and not d.aperiodic
+
+
+def _random_support(seed: int, n: int, density: float, kind: str,
+                    period: int) -> np.ndarray:
+    """Boolean support of one of three shapes; every row has an edge.
+
+    "sparse": independent edges. "cyclic": states split into `period`
+    nonempty classes, edges only from a class to the next one.
+    "reducible": one to three closed blocks plus transient states that
+    each reach a closed block.
+    """
+    rng = np.random.default_rng(seed)
+    pick = rng.random((n, n))
+    if kind == "sparse":
+        allowed = np.ones((n, n), dtype=bool)
+    elif kind == "cyclic":
+        d = min(period, n)
+        cls = rng.permutation(np.arange(n) % d)
+        allowed = cls[None, :] == (cls[:, None] + 1) % d
+    else:
+        closed = int(rng.integers(1, n + 1))
+        block = np.full(n, -1)
+        block[:closed] = rng.integers(0, 3, size=closed)
+        allowed = (block[:, None] == block[None, :]) | (block[:, None] < 0)
+    adj = allowed & (pick < density)
+    empty = ~adj.any(axis=1)
+    adj[empty, np.argmax(pick * allowed, axis=1)[empty]] = True
+    if kind == "reducible":
+        adj[np.arange(closed, n), rng.integers(0, closed, size=n - closed)] = True
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+class TestDiagnoseChainMatchesOracle:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           density=st.floats(0.02, 0.5),
+           kind=st.sampled_from(["sparse", "cyclic", "reducible"]),
+           period=st.integers(2, 5))
+    def test_random_supports(self, seed, n, density, kind, period):
+        adj = _random_support(seed, n, density, kind, period)
+        weights = adj * (np.random.default_rng(seed).random((n, n)) + 0.1)
+        P = validate_stochastic(weights / weights.sum(axis=1, keepdims=True))
+        assert np.array_equal(P.matrix > 0, adj)
+        assert diagnose_chain(P) == reference_diagnose_chain(P)
 
 
 class TestUniformize:
