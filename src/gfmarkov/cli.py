@@ -119,7 +119,8 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
         return e1_reference(n, cfg=cfg)
     if text == "stationary":
         if loaded.kind == "dtmc":
-            pi = gfm.stationary(loaded.chain, cfg=cfg).pi
+            # _dtmc_reference has run the structural gate
+            pi = gfm.stationary(loaded.chain, allow_unchecked=True, cfg=cfg).pi
         elif loaded.kind == "ctmc":
             pi = ctmc_mod.ctmc_stationary(loaded.generator, cfg=cfg).pi
         else:
@@ -139,6 +140,21 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
         except ValueError as e:
             raise ModelFormatError(f"cannot parse reference literal {text!r}") from e
     return reference_vector(values, cfg=cfg)
+
+
+def _dtmc_reference(args, loaded: LoadedModel, cfg: Tolerances,
+                    need_aperiodic: bool = False):
+    """--reference of a dtmc command, and whether the chain is gated.
+
+    A stationary reference solves on the chain before the command does,
+    so the structural gate runs here, once, with the command's own
+    aperiodicity need, and the command's solve may skip it.
+    """
+    gated = args.reference == "stationary"
+    if gated:
+        gfm._require_irreducible(loaded.chain, cfg, need_aperiodic)
+    return (_resolve_reference(args.reference, loaded.states, loaded, cfg),
+            gated)
 
 
 def _require_kind(loaded: LoadedModel, kind: str, command: str) -> None:
@@ -182,16 +198,17 @@ def _cmd_validate(args, cfg: Tolerances):
 def _cmd_stationary(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
     _require_kind(loaded, "dtmc", "stationary")
-    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    pi = gfm.stationary(loaded.chain, r, cfg=cfg)
+    r, gated = _dtmc_reference(args, loaded, cfg)
+    pi = gfm.stationary(loaded.chain, r, allow_unchecked=gated, cfg=cfg)
     return {"pi": _vector(pi.pi)}
 
 
 def _cmd_potentials(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
     _require_kind(loaded, "dtmc", "potentials")
-    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    sol = gfm.potentials(loaded.chain, loaded.rewards, r, cfg=cfg)
+    r, gated = _dtmc_reference(args, loaded, cfg)
+    sol = gfm.potentials(loaded.chain, loaded.rewards, r,
+                         allow_unchecked=gated, cfg=cfg)
     return {"g": _vector(sol.g), "eta": sol.eta,
             "normalization": sol.normalization}
 
@@ -239,7 +256,7 @@ def _parse_schedule(text: str) -> StepSchedule:
 def _cmd_estimate(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
     _require_kind(loaded, "dtmc", "estimate")
-    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
+    r, gated = _dtmc_reference(args, loaded, cfg, need_aperiodic=True)
     schedule = _parse_schedule(args.schedule)
     seeds = ([int(s) for s in args.seeds.split(",") if s.strip()]
              if args.seeds else [args.seed])
@@ -253,7 +270,8 @@ def _cmd_estimate(args, cfg: Tolerances):
                                epsilon=args.epsilon,
                                check_interval=args.check_interval)
         trace = online_potentials(loaded.chain, loaded.rewards, r, schedule,
-                                  sim, s0=args.s0, tolerances=cfg)
+                                  sim, s0=args.s0, allow_unchecked=gated,
+                                  tolerances=cfg)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 write_trace_csv(trace, fh)
@@ -268,8 +286,9 @@ def _cmd_estimate(args, cfg: Tolerances):
 def _cmd_series(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
     _require_kind(loaded, "dtmc", "series")
-    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    fm = gfm.series_fundamental(loaded.chain, r, args.terms, cfg=cfg)
+    r, gated = _dtmc_reference(args, loaded, cfg, need_aperiodic=True)
+    fm = gfm.series_fundamental(loaded.chain, r, args.terms,
+                                allow_unchecked=gated, cfg=cfg)
     return {"Z": [_vector(row) for row in fm.Z], "terms": fm.terms,
             "tail_norm": fm.tail_norm}
 

@@ -10,6 +10,11 @@ Its fixed point is the solution of (I - P + e r) g = f, the same vector
 the direct solve returns, normalized by r.g = eta. Convergence is
 statistical, never per-seed guaranteed.
 
+Because one component moves per step, sum_i r(i) ghat(i) is carried as
+a running sum (each step adds r(s) alpha_t z_t), so a step costs O(1),
+not O(n). The sum is recomputed exactly at the first step of every
+check interval, which bounds its rounding drift.
+
 Randomness comes from numpy's PCG64 bit generator, which has a
 documented, platform-stable 64-bit stream: identical seeds reproduce
 identical paths and traces bit for bit.
@@ -234,8 +239,13 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
 
     ``source`` is either a StochasticMatrix (a path of cfg.max_steps
     transitions is simulated with cfg.seed) or a precomputed integer
-    state path. Every step recomputes sum_i r(i) ghat(i) with the current
-    estimate and updates the single component ghat(s).
+    state path. Every step updates the single component ghat(s) and adds
+    r(s) alpha_t z_t to a running sum_i r(i) ghat(i), so a step is O(1).
+    The steps run in chunks of cfg.check_interval: the first step of a
+    chunk records the sample row and resets the running sum to the exact
+    O(n) value, so its rounding drift never spans more than one chunk;
+    the end of a full chunk records the history delta and tests the
+    stopping rule.
 
     Stops when the max-abs change of ghat over a check interval falls
     below cfg.epsilon, or at cfg.max_steps. eta_hat = r.ghat at the end.
@@ -285,29 +295,40 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     zs = 0.0
     zss = 0.0
 
-    for t in range(steps):
-        s = st[t]
-        sp = st[t + 1]
+    # rdot is the running r.ghat; the first step of a chunk is the sample
+    # row and resets it to the exact sum
+    rdot = 0.0
+    for ri, gi in zip(rv, g):
+        rdot += ri * gi
+    for start in range(0, steps, interval):
+        end = min(start + interval, steps)
+        s = st[start]
+        z = fv[s] - rdot + g[st[start + 1]] - g[s]
+        g[s] += alphas[start] * z
         rdot = 0.0
         for ri, gi in zip(rv, g):
             rdot += ri * gi
-        z = fv[s] - rdot + g[sp] - g[s]
-        g[s] += alphas[t] * z
+        samples.append((start, s, fv[s], z, rdot))
         if track_residuals:
             zc += 1
             zs += z
             zss += z * z
-        if t % interval == 0:
-            eta_t = 0.0
-            for ri, gi in zip(rv, g):
-                eta_t += ri * gi
-            samples.append((t, s, fv[s], z, eta_t))
-        if (t + 1) % interval == 0:
+        for t in range(start + 1, end):
+            s = st[t]
+            z = fv[s] - rdot + g[st[t + 1]] - g[s]
+            dz = alphas[t] * z
+            g[s] += dz
+            rdot += rv[s] * dz
+            if track_residuals:
+                zc += 1
+                zs += z
+                zss += z * z
+        if end - start == interval:
             delta = max(abs(a - b) for a, b in zip(g, snapshot))
-            history.append((t + 1, delta))
+            history.append((end, delta))
             if delta < eps:
                 converged = True
-                steps_run = t + 1
+                steps_run = end
                 break
             snapshot = list(g)
 

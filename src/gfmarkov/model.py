@@ -334,10 +334,15 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     out, so a cycle-free component contributes nothing and an all-zero
     gcd means period 1.
     """
-    g = csr_matrix(adj)
-    n = g.shape[0]
-    u = np.repeat(np.arange(n, dtype=np.int32), np.diff(g.indptr))
-    v = g.indices
+    # CSR arrays straight from the dense support: flat indices are
+    # row-major, so they come sorted within each row
+    n = adj.shape[0]
+    counts = np.count_nonzero(adj, axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    v = (np.flatnonzero(adj) % n).astype(np.int32)
+    g = csr_matrix((np.ones(v.size, dtype=bool), v, indptr), shape=(n, n))
+    u = np.repeat(np.arange(n, dtype=np.int32), counts)
     n_comp, labels = connected_components(g, directed=True, connection="strong")
     cu, cv = labels[u], labels[v]
     inside = cu == cv

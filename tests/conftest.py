@@ -19,10 +19,18 @@ from scipy.sparse.csgraph import connected_components
 
 from gfmarkov import (
     ChainDiagnostics,
+    EstimateTrace,
+    SimulationConfig,
+    StepSchedule,
+    StochasticMatrix,
+    Tolerances,
     validate_generator,
     validate_mdp,
     validate_stochastic,
 )
+from gfmarkov.config import DEFAULT
+from gfmarkov.estimator import DEFAULT_SCHEDULE, _sample_states
+from gfmarkov.gfm import _as_reference, _as_rewards, _require_irreducible
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS = REPO_ROOT / "models"
@@ -151,6 +159,105 @@ def reference_diagnose_chain(P) -> ChainDiagnostics:
         aperiodic=period == 1,
         period=int(period),
         num_closed_classes=int(num_closed),
+    )
+
+
+def reference_online_potentials(source, f, r=None,
+                                schedule: StepSchedule | None = None,
+                                cfg: SimulationConfig | None = None, *,
+                                s0: int = 0, g0=None,
+                                track_residuals: bool = False,
+                                allow_unchecked: bool = False,
+                                tolerances: Tolerances = DEFAULT) -> EstimateTrace:
+    """O(n)-per-step online estimator: r.ghat recomputed at every step.
+
+    The loop the library's running-sum estimator replaced, kept as its
+    oracle: same path, same update, same checkpoints, but every step sums
+    r(i) ghat(i) over all n states.
+    """
+    schedule = schedule or DEFAULT_SCHEDULE
+    cfg = cfg or SimulationConfig()
+
+    if not isinstance(source, StochasticMatrix) and np.asarray(source).ndim == 2:
+        source = validate_stochastic(source)
+
+    if isinstance(source, StochasticMatrix):
+        if not allow_unchecked:
+            _require_irreducible(source, tolerances, need_aperiodic=True)
+        states = _sample_states(np.asarray(source.matrix), s0,
+                                cfg.max_steps, cfg.seed)
+        n = source.size
+    else:
+        states = np.asarray(source, dtype=np.int64)
+        if states.ndim != 1 or states.shape[0] < 2:
+            raise ValueError("state path must be 1-D with at least 2 entries")
+        n = np.asarray(f).reshape(-1).shape[0]
+        if states.min() < 0 or states.max() >= n:
+            raise ValueError("state path entries out of range for the rewards")
+
+    f = _as_rewards(f, n)
+    r = _as_reference(r, n, tolerances)
+    steps = states.shape[0] - 1
+    alphas = schedule.alphas(steps).tolist()
+
+    # hot loop in plain python floats; numpy scalar indexing is slower here
+    st = states.tolist()
+    fv = f.values.tolist()
+    rv = r.values.tolist()
+    g = [0.0] * n if g0 is None else [float(x) for x in np.asarray(g0).reshape(-1)]
+    if len(g) != n:
+        raise ValueError(f"g0 must have length {n}")
+
+    interval = cfg.check_interval
+    eps = cfg.epsilon
+    snapshot = list(g)
+    history: list[tuple[int, float]] = []
+    samples: list[tuple[int, int, float, float, float]] = []
+    converged = False
+    steps_run = steps
+    zc = 0
+    zs = 0.0
+    zss = 0.0
+
+    for t in range(steps):
+        s = st[t]
+        sp = st[t + 1]
+        rdot = 0.0
+        for ri, gi in zip(rv, g):
+            rdot += ri * gi
+        z = fv[s] - rdot + g[sp] - g[s]
+        g[s] += alphas[t] * z
+        if track_residuals:
+            zc += 1
+            zs += z
+            zss += z * z
+        if t % interval == 0:
+            eta_t = 0.0
+            for ri, gi in zip(rv, g):
+                eta_t += ri * gi
+            samples.append((t, s, fv[s], z, eta_t))
+        if (t + 1) % interval == 0:
+            delta = max(abs(a - b) for a, b in zip(g, snapshot))
+            history.append((t + 1, delta))
+            if delta < eps:
+                converged = True
+                steps_run = t + 1
+                break
+            snapshot = list(g)
+
+    g_arr = np.array(g)
+    eta_hat = float(r.values @ g_arr)
+    return EstimateTrace(
+        g_hat=g_arr,
+        eta_hat=eta_hat,
+        steps_run=steps_run,
+        converged=converged,
+        seed=int(cfg.seed),
+        history=tuple(history),
+        samples=tuple(samples),
+        residual_count=zc,
+        residual_sum=zs,
+        residual_sumsq=zss,
     )
 
 

@@ -105,6 +105,21 @@ class TestExitCodes:
             assert code == 2, command
             assert json.loads(out)["error"] == "NotIrreducible"
 
+    def test_stationary_reference_keeps_gate_errors(self, capsys, tmp_path):
+        chains = {"NotIrreducible": [[1.0, 0.0], [0.5, 0.5]],
+                  "NotAperiodic": [[0.0, 1.0], [1.0, 0.0]]}
+        for error, P in chains.items():
+            p = tmp_path / "chain.json"
+            p.write_text(json.dumps({"kind": "dtmc", "states": 2,
+                                     "P": P, "f": [0, 1]}))
+            commands = (["estimate", "series"] if error == "NotAperiodic"
+                        else ["stationary", "potentials", "estimate", "series"])
+            for command in commands:
+                code, out, _ = run_cli(capsys, command, "--model", str(p),
+                                       "--reference", "stationary")
+                assert code == 2, (error, command)
+                assert json.loads(out)["error"] == error, command
+
     def test_wrong_kind_exits_2(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "qfactors",
                                "--model", str(models_dir / "two_state.json"))
@@ -217,6 +232,21 @@ class TestCommands:
             names = [c["name"] for c in json.loads(out)["checks"]]
             assert poisson or "series_vs_solve" in names
             assert sum(map(len, gates)) == 1, poisson
+
+    def test_stationary_reference_gates_once(self, capsys, monkeypatch,
+                                             models_dir):
+        gates = [count_calls(monkeypatch, module, "diagnose_chain")
+                 for module in (gfm, cli)]
+        model = str(models_dir / "two_state.json")
+        for command, extra in (("stationary", []), ("potentials", []),
+                               ("estimate", ["--steps", "2000"]),
+                               ("series", [])):
+            for calls in gates:
+                calls.clear()
+            code, _, _ = run_cli(capsys, command, "--model", model,
+                                 "--reference", "stationary", *extra)
+            assert code == 0, command
+            assert sum(map(len, gates)) == 1, command
 
     def test_ctmc_check_runs_ergodicity_gate_once(self, capsys, monkeypatch,
                                                   models_dir):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfmarkov import (
     NotAperiodicError,
@@ -15,7 +17,12 @@ from gfmarkov import (
     write_trace_csv,
 )
 
-from conftest import random_periodic_chain
+from conftest import (
+    random_chain,
+    random_periodic_chain,
+    random_reference,
+    reference_online_potentials,
+)
 
 SYM = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
 E1 = reference_vector([1.0, 0.0])
@@ -169,3 +176,61 @@ class TestOnlinePotentials:
         assert len(lines) == 1 + len(tr.samples)
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] in {"0", "1"}
+
+
+class TestOnlinePotentialsMatchesOracle:
+    """The running-sum estimator against the O(n)-per-step oracle loop.
+
+    Integer outputs must match exactly; floats within 1e-10 max(1, |g|inf)
+    of the oracle's, and the sum of squared residuals within 1e-10
+    relative.
+    """
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           steps=st.integers(1, 2500),
+           schedule=st.sampled_from(["power", "constant"]),
+           interval=st.sampled_from([1, 7, 1000, "beyond"]),
+           source=st.sampled_from(["matrix", "path"]),
+           with_g0=st.booleans(), track=st.booleans(),
+           epsilon=st.sampled_from([1e-12, 1e-4, 1e-2]))
+    def test_random_chains(self, seed, n, steps, schedule, interval, source,
+                           with_g0, track, epsilon):
+        rng = np.random.default_rng(seed)
+        P = random_chain(rng, n)
+        f = rng.normal(size=n)
+        r = reference_vector(random_reference(rng, n))
+        if schedule == "power":
+            sched = StepSchedule.robbins_monro(rng.uniform(0.5, 2.0),
+                                               rng.uniform(10.0, 1000.0),
+                                               rng.uniform(0.55, 1.0))
+        else:
+            sched = StepSchedule.constant(rng.uniform(0.005, 0.1))
+        if interval == "beyond":
+            interval = steps + 1 + int(rng.integers(0, 100))
+        cfg = SimulationConfig(seed=seed, max_steps=steps, epsilon=epsilon,
+                               check_interval=interval)
+        s0 = int(rng.integers(0, n))
+        src = P if source == "matrix" else simulate_chain(P, f, s0, steps,
+                                                          seed + 1)[0]
+        kw = {"s0": s0, "track_residuals": track,
+              "g0": rng.normal(size=n) if with_g0 else None}
+
+        new = online_potentials(src, f, r, sched, cfg, **kw)
+        ref = reference_online_potentials(src, f, r, sched, cfg, **kw)
+
+        tol = 1e-10 * max(1.0, float(np.abs(ref.g_hat).max()))
+        assert new.steps_run == ref.steps_run
+        assert new.converged == ref.converged
+        assert new.residual_count == ref.residual_count
+        assert [t for t, _ in new.history] == [t for t, _ in ref.history]
+        assert [x[:3] for x in new.samples] == [x[:3] for x in ref.samples]
+        assert np.abs(new.g_hat - ref.g_hat).max() <= tol
+        assert abs(new.eta_hat - ref.eta_hat) <= tol
+        for (_, d_new), (_, d_ref) in zip(new.history, ref.history):
+            assert abs(d_new - d_ref) <= tol
+        for a, b in zip(new.samples, ref.samples):
+            assert abs(a[3] - b[3]) <= tol and abs(a[4] - b[4]) <= tol
+        assert abs(new.residual_sum - ref.residual_sum) <= tol
+        assert (abs(new.residual_sumsq - ref.residual_sumsq)
+                <= 1e-10 * max(1.0, ref.residual_sumsq))
