@@ -1,8 +1,10 @@
 """Dense linear-algebra helpers.
 
-Every shifted matrix A + e r is built by one function and factored by one
-checked pivoted LU, so that every caller shares the same numerics (and
-the same near-singularity detection); callers solve on that LU.
+Every shifted matrix A + e r is built by one function, and its pivoted LU
+is owned by one class, ``ShiftedSystem``: the pivot-floor check, the LU
+format and the transposed solves for row systems live only here, so every
+caller shares the same numerics and reads as many solutions (g, pi, the
+explicit inverse) from one factorization as it needs.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -29,26 +31,40 @@ def shifted_matrix(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     return A + np.outer(np.ones(A.shape[0]), r)
 
 
-def lu_factor_checked(M: np.ndarray, pivot_tol: float):
-    """Pivoted LU factorization, rejecting numerically singular inputs.
+class ShiftedSystem:
+    """M = shifted_matrix(A, r) with its pivoted LU; rejects singular M.
 
     The smallest |U_ii| is compared with pivot_tol * max(1, largest |U_ii|);
-    below that the matrix is treated as singular to working precision.
-    The result goes to ``scipy.linalg.lu_solve``, with ``trans=1`` for
-    row-vector systems x M = b.
+    below that M is treated as singular to working precision. Every solve
+    reuses the one factorization. M comes in built, so that a temporary
+    A (I - P) is already freed when the LU allocates.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M)
-    pivots = np.abs(np.diag(lu))
-    floor = pivot_tol * max(1.0, float(pivots.max(initial=0.0)))
-    if pivots.size and float(pivots.min()) <= floor:
-        raise NearSingularError(
-            "factorization pivot below tolerance; matrix is singular to "
-            f"working precision (min pivot {pivots.min():.3e})",
-            min_pivot=float(pivots.min()),
-        )
-    return lu, piv
+
+    def __init__(self, M: np.ndarray, pivot_tol: float):
+        self.matrix = M
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            self._lu_piv = scipy.linalg.lu_factor(self.matrix)
+        pivots = np.abs(np.diag(self._lu_piv[0]))
+        floor = pivot_tol * max(1.0, float(pivots.max(initial=0.0)))
+        if pivots.size and float(pivots.min()) <= floor:
+            raise NearSingularError(
+                "factorization pivot below tolerance; matrix is singular to "
+                f"working precision (min pivot {pivots.min():.3e})",
+                min_pivot=float(pivots.min()),
+            )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with M x = b."""
+        return scipy.linalg.lu_solve(self._lu_piv, b)
+
+    def solve_row(self, b: np.ndarray) -> np.ndarray:
+        """Row vector x with x M = b."""
+        return scipy.linalg.lu_solve(self._lu_piv, b, trans=1)
+
+    def inverse(self) -> np.ndarray:
+        """M^-1, from one block solve against I."""
+        return self.solve(np.eye(self.matrix.shape[0]))
 
 
 def one_norm_condition(M: np.ndarray, M_inv: np.ndarray) -> float:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _linalg, gfm
 from . import ctmc as ctmc_mod
-from . import gfm
 from . import qfactors as qf
 from .config import DEFAULT, Tolerances
 from .errors import GfmError, ModelFormatError, NumericalError
@@ -41,6 +41,18 @@ from .modelio import LoadedModel, dumps_document, format_csv, load_model
 from .report import CheckResult, VerificationReport
 
 __all__ = ["main", "build_parser"]
+
+
+def _ranged(convert, low, strict: bool = False):
+    """argparse type: convert the text, refuse values below low (or at it)."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _add_common(sub, reference: bool = True):
@@ -80,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--seeds", default=None,
                      help="comma-separated seeds; runs are ordered by seed")
-    est.add_argument("--steps", type=int, default=100_000)
-    est.add_argument("--epsilon", type=float, default=1e-4)
-    est.add_argument("--check-interval", type=int, default=1000)
+    est.add_argument("--steps", type=_ranged(int, 1), default=100_000)
+    est.add_argument("--epsilon", type=_ranged(float, 0.0, strict=True),
+                     default=1e-4)
+    est.add_argument("--check-interval", type=_ranged(int, 1), default=1000)
     est.add_argument("--schedule", default="power:1,10,1",
                      help="power:a,b,p for a/(b+t)^p, or constant:x")
     est.add_argument("--s0", type=int, default=0)
@@ -92,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     ser = subs.add_parser("series", help="truncated series form of the "
                                          "fundamental matrix")
     _add_common(ser)
-    ser.add_argument("--terms", type=int, default=50)
+    ser.add_argument("--terms", type=_ranged(int, 0), default=50)
 
     chk = subs.add_parser("check", help="run verification reports")
     _add_common(chk)
@@ -118,11 +131,12 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
     if text == "e1":
         return e1_reference(n, cfg=cfg)
     if text == "stationary":
+        # _load has run the structural gate
         if loaded.kind == "dtmc":
-            # _dtmc_reference has run the structural gate
             pi = gfm.stationary(loaded.chain, allow_unchecked=True, cfg=cfg).pi
         elif loaded.kind == "ctmc":
-            pi = ctmc_mod.ctmc_stationary(loaded.generator, cfg=cfg).pi
+            pi = ctmc_mod.ctmc_stationary(loaded.generator, allow_unchecked=True,
+                                          cfg=cfg).pi
         else:
             chain = qf.build_state_action_chain(loaded.mdp, cfg=cfg)
             pi = gfm.stationary(StochasticMatrix(chain.matrix), None,
@@ -142,26 +156,24 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
     return reference_vector(values, cfg=cfg)
 
 
-def _dtmc_reference(args, loaded: LoadedModel, cfg: Tolerances,
-                    need_aperiodic: bool = False):
-    """--reference of a dtmc command, and whether the chain is gated.
+def _load(args, cfg: Tolerances, kind: str | None,
+          need_aperiodic: bool = False):
+    """Load --model of `kind` (any if None) and run its structural gate once.
 
-    A stationary reference solves on the chain before the command does,
-    so the structural gate runs here, once, with the command's own
-    aperiodicity need, and the command's solve may skip it.
+    Model faults thus come before argument faults, and the command's solves
+    skip the gate. Returns the model and the dtmc gate's diagnostics.
     """
-    gated = args.reference == "stationary"
-    if gated:
-        gfm._require_irreducible(loaded.chain, cfg, need_aperiodic)
-    return (_resolve_reference(args.reference, loaded.states, loaded, cfg),
-            gated)
-
-
-def _require_kind(loaded: LoadedModel, kind: str, command: str) -> None:
-    if loaded.kind != kind:
+    loaded = load_model(args.model, cfg=cfg)
+    if kind is not None and loaded.kind != kind:
         raise ModelFormatError(
-            f"command {command!r} needs a {kind!r} model, got {loaded.kind!r}",
+            f"command {args.command!r} needs a {kind!r} model, got {loaded.kind!r}",
             expected=kind, got=loaded.kind)
+    diag = None
+    if loaded.kind == "dtmc":
+        diag = gfm._require_irreducible(loaded.chain, cfg, need_aperiodic)
+    elif loaded.kind == "ctmc":
+        ctmc_mod._require_ergodic(loaded.generator, cfg)
+    return loaded, diag
 
 
 def _vector(v: np.ndarray) -> list[float]:
@@ -196,26 +208,23 @@ def _cmd_validate(args, cfg: Tolerances):
 
 
 def _cmd_stationary(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "dtmc", "stationary")
-    r, gated = _dtmc_reference(args, loaded, cfg)
-    pi = gfm.stationary(loaded.chain, r, allow_unchecked=gated, cfg=cfg)
+    loaded, _ = _load(args, cfg, "dtmc")
+    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
+    pi = gfm.stationary(loaded.chain, r, allow_unchecked=True, cfg=cfg)
     return {"pi": _vector(pi.pi)}
 
 
 def _cmd_potentials(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "dtmc", "potentials")
-    r, gated = _dtmc_reference(args, loaded, cfg)
+    loaded, _ = _load(args, cfg, "dtmc")
+    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     sol = gfm.potentials(loaded.chain, loaded.rewards, r,
-                         allow_unchecked=gated, cfg=cfg)
+                         allow_unchecked=True, cfg=cfg)
     return {"g": _vector(sol.g), "eta": sol.eta,
             "normalization": sol.normalization}
 
 
 def _cmd_qfactors(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "mdp", "qfactors")
+    loaded, _ = _load(args, cfg, "mdp")
     n = loaded.mdp.states * loaded.mdp.actions
     r = _resolve_reference(args.reference, n, loaded, cfg)
     sol = qf.qfactors_solve(loaded.mdp, r, cfg=cfg)
@@ -224,18 +233,18 @@ def _cmd_qfactors(args, cfg: Tolerances):
 
 
 def _cmd_ctmc_stationary(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "ctmc", "ctmc-stationary")
+    loaded, _ = _load(args, cfg, "ctmc")
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    pi = ctmc_mod.ctmc_stationary(loaded.generator, r, cfg=cfg)
+    pi = ctmc_mod.ctmc_stationary(loaded.generator, r, allow_unchecked=True,
+                                  cfg=cfg)
     return {"pi": _vector(pi.pi)}
 
 
 def _cmd_ctmc_potentials(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "ctmc", "ctmc-potentials")
+    loaded, _ = _load(args, cfg, "ctmc")
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    sol = ctmc_mod.ctmc_potentials(loaded.generator, loaded.rewards, r, cfg=cfg)
+    sol = ctmc_mod.ctmc_potentials(loaded.generator, loaded.rewards, r,
+                                   allow_unchecked=True, cfg=cfg)
     return {"g": _vector(sol.g), "eta": sol.eta,
             "normalization": sol.normalization}
 
@@ -254,13 +263,15 @@ def _parse_schedule(text: str) -> StepSchedule:
 
 
 def _cmd_estimate(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "dtmc", "estimate")
-    r, gated = _dtmc_reference(args, loaded, cfg, need_aperiodic=True)
+    loaded, _ = _load(args, cfg, "dtmc", need_aperiodic=True)
+    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     schedule = _parse_schedule(args.schedule)
-    seeds = ([int(s) for s in args.seeds.split(",") if s.strip()]
-             if args.seeds else [args.seed])
-    seeds = sorted(seeds)
+    if not 0 <= args.s0 < loaded.states:
+        raise ModelFormatError(
+            f"--s0 {args.s0} is out of range [0, {loaded.states})",
+            states=loaded.states, got=args.s0)
+    seeds = sorted([int(s) for s in args.seeds.split(",") if s.strip()]
+                   if args.seeds else [args.seed])
     if args.trace and len(seeds) > 1:
         raise ModelFormatError("--trace needs a single seed")
 
@@ -270,7 +281,7 @@ def _cmd_estimate(args, cfg: Tolerances):
                                epsilon=args.epsilon,
                                check_interval=args.check_interval)
         trace = online_potentials(loaded.chain, loaded.rewards, r, schedule,
-                                  sim, s0=args.s0, allow_unchecked=gated,
+                                  sim, s0=args.s0, allow_unchecked=True,
                                   tolerances=cfg)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -284,18 +295,16 @@ def _cmd_estimate(args, cfg: Tolerances):
 
 
 def _cmd_series(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
-    _require_kind(loaded, "dtmc", "series")
-    r, gated = _dtmc_reference(args, loaded, cfg, need_aperiodic=True)
+    loaded, _ = _load(args, cfg, "dtmc", need_aperiodic=True)
+    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     fm = gfm.series_fundamental(loaded.chain, r, args.terms,
-                                allow_unchecked=gated, cfg=cfg)
+                                allow_unchecked=True, cfg=cfg)
     return {"Z": [_vector(row) for row in fm.Z], "terms": fm.terms,
             "tail_norm": fm.tail_norm}
 
 
-def _series_agreement_check(chain, r, cfg: Tolerances) -> CheckResult:
+def _series_agreement_check(chain, r, exact, cfg: Tolerances) -> CheckResult:
     # the caller has run the structural gate, aperiodicity included
-    exact = gfm.fundamental_matrix(chain, r, allow_unchecked=True, cfg=cfg).Z
     terms = 64
     while terms <= 4096:
         approx = gfm.series_fundamental(chain, r, terms,
@@ -308,45 +317,52 @@ def _series_agreement_check(chain, r, cfg: Tolerances) -> CheckResult:
                        note="tail bound did not reach 1e-8; skipped")
 
 
-def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
+def _dtmc_checks(loaded: LoadedModel, aperiodic: bool, poisson_only: bool,
                  cfg: Tolerances) -> list[CheckResult]:
+    # g, eta, pi and Z all come from one factorization of I - P + e r
     chain, f = loaded.chain, loaded.rewards
-    d = gfm._require_irreducible(chain, cfg)
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = gfm.potentials(chain, f, r, allow_unchecked=True, cfg=cfg)
-    pi = gfm.stationary(chain, r, allow_unchecked=True, cfg=cfg)
+    system = gfm._chain_system(chain.matrix, r.values, cfg)
+    g = system.solve(f.values)
+    eta = float(r.values @ g)
+    pi = gfm._stationary_from(system, r, cfg, "chain").pi
     P = np.asarray(chain.matrix)
 
     checks = []
-    resid = float(np.abs(sol.g - f.values + sol.eta - P @ sol.g).max())
+    resid = float(np.abs(g - f.values + eta - P @ g).max())
     checks.append(CheckResult("poisson_residual", resid <= cfg.poisson_tol, resid))
-    resid = float(abs(sol.eta - pi.pi @ f.values))
+    resid = float(abs(eta - pi @ f.values))
     checks.append(CheckResult("eta_vs_stationary_reward", resid <= 1e-8, resid))
     if poisson_only:
         return checks
 
-    resid = float(np.abs(pi.pi @ P - pi.pi).max())
+    resid = float(np.abs(pi @ P - pi).max())
     checks.append(CheckResult("stationary_row_identity", resid <= 1e-8, resid))
-    resid = float(abs(pi.pi.sum() - 1.0))
+    resid = float(abs(pi.sum() - 1.0))
     checks.append(CheckResult("stationary_sums_to_one", resid <= 1e-8, resid))
     checks.extend(gfm.verify_spectral_shift(chain, r, cfg=cfg).checks)
-    if d.aperiodic:
-        checks.append(_series_agreement_check(chain, r, cfg))
+    if aperiodic:
+        checks.append(_series_agreement_check(chain, r, system.inverse(), cfg))
     return checks
 
 
 def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
                  cfg: Tolerances) -> list[CheckResult]:
+    # g, pi and eta = pi.f all come from one factorization of B + e r
     gen, f = loaded.generator, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = ctmc_mod.ctmc_potentials(gen, f, r, cfg=cfg)
+    system = _linalg.ShiftedSystem(_linalg.shifted_matrix(gen.matrix, r.values),
+                                   cfg.pivot_tol)
+    g = system.solve(-f.values)
+    pi = gfm._stationary_from(system, r, cfg, "process").pi
+    eta = float(pi @ f.values)
     B = np.asarray(gen.matrix)
 
     checks = []
-    resid = float(np.abs(-B @ sol.g - (f.values - sol.eta)).max())
+    resid = float(np.abs(-B @ g - (f.values - eta)).max())
     checks.append(CheckResult("continuous_poisson_residual",
                               resid <= cfg.poisson_tol, resid))
-    resid = float(abs(r.values @ sol.g + sol.eta))
+    resid = float(abs(r.values @ g + eta))
     checks.append(CheckResult("normalization_r_g_minus_eta",
                               resid <= 1e-8, resid))
     if poisson_only:
@@ -354,12 +370,10 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
 
     rate = min_uniformization_rate(gen)
     base = rate if rate > 0 else 1.0
-    pi_proc = ctmc_mod.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg)
     for mult in (1.0, 2.0, 10.0):
-        g = base * mult
-        pi_chain = gfm.stationary(uniformize(gen, g, cfg=cfg), r,
+        pi_chain = gfm.stationary(uniformize(gen, base * mult, cfg=cfg), r,
                                   allow_unchecked=True, cfg=cfg)
-        resid = float(np.abs(pi_proc.pi - pi_chain.pi).max())
+        resid = float(np.abs(pi - pi_chain.pi).max())
         checks.append(CheckResult(f"uniformization_consistency_gamma_{mult:g}x",
                                   resid <= 1e-8, resid))
     checks.extend(ctmc_mod.verify_generator_spectrum(
@@ -368,9 +382,9 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
 
 
 def _cmd_check(args, cfg: Tolerances):
-    loaded = load_model(args.model, cfg=cfg)
+    loaded, diag = _load(args, cfg, None)
     if loaded.kind == "dtmc":
-        checks = _dtmc_checks(loaded, args.poisson, cfg)
+        checks = _dtmc_checks(loaded, diag.aperiodic, args.poisson, cfg)
     elif loaded.kind == "ctmc":
         checks = _ctmc_checks(loaded, args.poisson, args.gamma, cfg)
     else:

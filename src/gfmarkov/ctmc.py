@@ -15,7 +15,6 @@ classical route (B - e pi) g = -f instead yields pi.g = +eta.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import _linalg
 from .config import DEFAULT, Tolerances
@@ -72,13 +71,6 @@ def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
             num_closed_classes=diag.num_closed_classes)
 
 
-def _factor_generator(B: GeneratorMatrix, r_values: np.ndarray,
-                      cfg: Tolerances):
-    """Checked LU of B + e r."""
-    return _linalg.lu_factor_checked(
-        _linalg.shifted_matrix(B.matrix, r_values), cfg.pivot_tol)
-
-
 def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
                     cfg: Tolerances = DEFAULT) -> StationaryDistribution:
     """Stationary distribution of the process: pi solves pi (B + e r) = r."""
@@ -86,7 +78,8 @@ def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, B.size, cfg)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    return _stationary_from(_factor_generator(B, r.values, cfg), r, cfg,
+    M = _linalg.shifted_matrix(B.matrix, r.values)
+    return _stationary_from(_linalg.ShiftedSystem(M, cfg.pivot_tol), r, cfg,
                             "process")
 
 
@@ -103,9 +96,10 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    lu_piv = _factor_generator(B, r.values, cfg)
-    g = scipy.linalg.lu_solve(lu_piv, -f.values)
-    pi = _stationary_from(lu_piv, r, cfg, "process")
+    M = _linalg.shifted_matrix(B.matrix, r.values)
+    system = _linalg.ShiftedSystem(M, cfg.pivot_tol)
+    g = system.solve(-f.values)
+    pi = _stationary_from(system, r, cfg, "process")
     eta = float(pi.pi @ f.values)
     return PotentialSolution(g, eta, r, NORM_MINUS_ETA)
 
@@ -122,7 +116,8 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     if not allow_unchecked:
         _require_ergodic(B, cfg)
     pi = ctmc_stationary(B, None, allow_unchecked=True, cfg=cfg)
-    g = scipy.linalg.lu_solve(_factor_generator(B, -pi.pi, cfg), -f.values)
+    M = _linalg.shifted_matrix(B.matrix, -pi.pi)
+    g = _linalg.ShiftedSystem(M, cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)
     r_pi = reference_vector(pi.pi, cfg=cfg)
     return PotentialSolution(g, eta, r_pi, NORM_ETA)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import ScheduleInvalidError
-from .gfm import _as_reference, _as_rewards, _require_irreducible
-from .model import StochasticMatrix
+from .gfm import _as_chain, _as_reference, _as_rewards, _require_irreducible
+from .model import RewardVector, StochasticMatrix
 
 __all__ = [
     "StepSchedule",
@@ -204,9 +204,7 @@ def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not isinstance(P, StochasticMatrix):
-        from .model import validate_stochastic
-        P = validate_stochastic(P)
+    P = _as_chain(P)
     f = _as_rewards(f, P.size)
     states = _sample_states(np.asarray(P.matrix), s0, steps, seed)
     return states, f.values[states]
@@ -220,9 +218,7 @@ def truncated_accumulated_reward(P, f, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if not isinstance(P, StochasticMatrix):
-        from .model import validate_stochastic
-        P = validate_stochastic(P)
+    P = _as_chain(P)
     f = _as_rewards(f, P.size)
     acc = f.values.copy()
     for _ in range(horizon):
@@ -253,11 +249,8 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     schedule = schedule or DEFAULT_SCHEDULE
     cfg = cfg or SimulationConfig()
 
-    if not isinstance(source, StochasticMatrix) and np.asarray(source).ndim == 2:
-        from .model import validate_stochastic
-        source = validate_stochastic(source)
-
-    if isinstance(source, StochasticMatrix):
+    if isinstance(source, StochasticMatrix) or np.ndim(source) == 2:
+        source = _as_chain(source)
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
         states = _sample_states(np.asarray(source.matrix), s0,
@@ -267,7 +260,7 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
         states = np.asarray(source, dtype=np.int64)
         if states.ndim != 1 or states.shape[0] < 2:
             raise ValueError("state path must be 1-D with at least 2 entries")
-        n = np.asarray(f).reshape(-1).shape[0]
+        n = len(f) if isinstance(f, RewardVector) else np.size(f)
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")
 

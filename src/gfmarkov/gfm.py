@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import exp, log
 
 import numpy as np
-import scipy.linalg
 
 from . import _linalg
 from .config import DEFAULT, Tolerances
@@ -40,6 +39,7 @@ from .model import (
     reference_vector,
     reward_vector,
     uniform_reference,
+    validate_stochastic,
 )
 from .report import CheckResult, VerificationReport
 
@@ -125,7 +125,6 @@ class SpectralRadiusEstimate:
 def _as_chain(P) -> StochasticMatrix:
     if isinstance(P, StochasticMatrix):
         return P
-    from .model import validate_stochastic
     return validate_stochastic(P)
 
 
@@ -165,25 +164,26 @@ def _require_irreducible(P: StochasticMatrix, cfg: Tolerances,
     return diag
 
 
-def _factor_chain(P: np.ndarray, r_values: np.ndarray, cfg: Tolerances):
-    """Checked LU of I - P + e r for a row-stochastic array P."""
+def _chain_system(P: np.ndarray, r_values: np.ndarray,
+                  cfg: Tolerances) -> _linalg.ShiftedSystem:
+    """I - P + e r and its checked LU, for a row-stochastic array P."""
     M = _linalg.shifted_matrix(np.eye(P.shape[0]) - P, r_values)
-    return _linalg.lu_factor_checked(M, cfg.pivot_tol)
+    return _linalg.ShiftedSystem(M, cfg.pivot_tol)
 
 
-def _stationary_from(lu_piv, r: ReferenceVector, cfg: Tolerances,
-                     system: str) -> StationaryDistribution:
-    """pi from pi (A + e r) = r, given the factorization of A + e r.
+def _stationary_from(system: _linalg.ShiftedSystem, r: ReferenceVector,
+                     cfg: Tolerances, kind: str) -> StationaryDistribution:
+    """pi from pi (A + e r) = r, on the factored system A + e r.
 
     Entries within solve tolerance below zero are clamped and the vector
     renormalized; anything more negative signals numerical failure.
     """
-    pi = scipy.linalg.lu_solve(lu_piv, r.values, trans=1)
+    pi = system.solve_row(r.values)
     low = float(pi.min(initial=0.0))
     if low < -cfg.solve_tol_for(pi.shape[0]):
         raise NearSingularError(
             f"stationary solve produced entry {low:.3e} below -solve_tol; "
-            f"the {system} is numerically reducible", min_entry=low)
+            f"the {kind} is numerically reducible", min_entry=low)
     pi = np.maximum(pi, 0.0)
     return StationaryDistribution(pi / pi.sum())
 
@@ -199,10 +199,9 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    M = _linalg.shifted_matrix(np.eye(P.size) - P.matrix, r.values)
-    lu_piv = _linalg.lu_factor_checked(M, cfg.pivot_tol)
-    Z = scipy.linalg.lu_solve(lu_piv, np.eye(P.size))
-    cond = _linalg.one_norm_condition(M, Z)
+    system = _chain_system(P.matrix, r.values, cfg)
+    Z = system.inverse()
+    cond = _linalg.one_norm_condition(system.matrix, Z)
     return FundamentalMatrix(Z, r, P, condition_estimate=cond)
 
 
@@ -219,8 +218,8 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    lu_piv = _factor_chain(P.matrix, r.values, cfg)
-    return _stationary_from(lu_piv, r, cfg, "chain")
+    return _stationary_from(_chain_system(P.matrix, r.values, cfg), r, cfg,
+                            "chain")
 
 
 def potentials(P, f, r=None, *, allow_unchecked: bool = False,
@@ -235,7 +234,7 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, P.size)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    g = scipy.linalg.lu_solve(_factor_chain(P.matrix, r.values, cfg), f.values)
+    g = _chain_system(P.matrix, r.values, cfg).solve(f.values)
     eta = float(r.values @ g)
     return PotentialSolution(g, eta, r, NORM_ETA)
 

@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, _factor_chain, stationary
+from .gfm import _as_reference, _chain_system, stationary
 from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze
 from .report import CheckResult, VerificationReport
 
@@ -132,7 +131,7 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
     f = m.rewards.reshape(-1)
-    q = scipy.linalg.lu_solve(_factor_chain(chain.matrix, r.values, cfg), f)
+    q = _chain_system(chain.matrix, r.values, cfg).solve(f)
     eta = float(r.values @ q)
     induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
     return QSolution(q, eta, r, induced_g)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+import scipy.linalg
 
 from gfmarkov import cli, ctmc, gfm
 from gfmarkov.cli import main
@@ -119,6 +121,45 @@ class TestExitCodes:
                                        "--reference", "stationary")
                 assert code == 2, (error, command)
                 assert json.loads(out)["error"] == error, command
+
+    def test_model_faults_come_before_argument_faults(self, capsys, tmp_path):
+        models = {
+            "reducible": {"kind": "dtmc", "states": 2,
+                          "P": [[1.0, 0.0], [0.5, 0.5]], "f": [0, 1]},
+            "periodic": {"kind": "dtmc", "states": 3, "f": [1, 0, 0],
+                         "P": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
+            "non_ergodic": {"kind": "ctmc", "states": 2,
+                            "B": [[0.0, 0.0], [1.0, -1.0]], "f": [0, 1]},
+        }
+        cases = [
+            ("reducible", ["stationary", "--reference", "bogus"], "NotIrreducible"),
+            ("reducible", ["series", "--reference", "[1.5,1]"], "NotIrreducible"),
+            ("periodic", ["series", "--reference", "[1.5,1,1]"], "NotAperiodic"),
+            ("periodic", ["estimate", "--schedule", "bad:1"], "NotAperiodic"),
+            ("periodic", ["estimate", "--s0", "7"], "NotAperiodic"),
+            ("non_ergodic", ["ctmc-potentials", "--reference", "[1,1,1]"],
+             "NotErgodic"),
+        ]
+        for name, argv, error in cases:
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(models[name]))
+            code, out, _ = run_cli(capsys, *argv, "--model", str(p))
+            assert code == 2, argv
+            assert json.loads(out)["error"] == error, argv
+
+    def test_out_of_range_flags_exit_2(self, capsys, models_dir):
+        model = str(models_dir / "two_state.json")
+        for argv in (["series", "--terms", "-1"], ["estimate", "--steps", "0"],
+                     ["estimate", "--check-interval", "0"],
+                     ["estimate", "--epsilon", "0"], ["estimate", "--s0", "2"]):
+            try:
+                code = main([*argv, "--model", model])
+            except SystemExit as e:  # argparse usage error
+                code = e.code
+                assert argv[1] in capsys.readouterr().err
+            else:
+                assert json.loads(capsys.readouterr().out)["error"] == "ModelFormat"
+            assert code == 2, argv
 
     def test_wrong_kind_exits_2(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "qfactors",
@@ -251,12 +292,38 @@ class TestCommands:
     def test_ctmc_check_runs_ergodicity_gate_once(self, capsys, monkeypatch,
                                                   models_dir):
         calls = count_calls(monkeypatch, ctmc, "_diagnose_generator")
-        for poisson in ([], ["--poisson"]):
+        for argv in (["check"], ["check", "--poisson"],
+                     ["ctmc-stationary", "--reference", "stationary"],
+                     ["ctmc-potentials", "--reference", "stationary"]):
             calls.clear()
-            code, _, _ = run_cli(capsys, "check", *poisson, "--model",
+            code, _, _ = run_cli(capsys, *argv, "--model",
                                  str(models_dir / "ctmc_two_state.json"))
             assert code == 0
-            assert len(calls) == 1, poisson
+            assert len(calls) == 1, argv
+
+    def test_estimate_seeds_gate_once(self, capsys, monkeypatch, models_dir):
+        gates = [count_calls(monkeypatch, module, "diagnose_chain")
+                 for module in (gfm, cli)]
+        code, _, _ = run_cli(capsys, "estimate", "--seeds", "1,2,3",
+                             "--steps", "2000", "--model",
+                             str(models_dir / "two_state.json"))
+        assert code == 0
+        assert sum(map(len, gates)) == 1
+
+    @pytest.mark.parametrize("name, poisson, lus", [
+        ("two_state.json", [], 1), ("two_state.json", ["--poisson"], 1),
+        # B + e r once, then one chain per uniformization rate
+        ("ctmc_two_state.json", [], 4),
+        ("ctmc_two_state.json", ["--poisson"], 1),
+    ], ids=["dtmc", "dtmc-poisson", "ctmc", "ctmc-poisson"])
+    def test_check_factors_each_shifted_matrix_once(self, capsys, monkeypatch,
+                                                    models_dir, name, poisson,
+                                                    lus):
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        code, _, _ = run_cli(capsys, "check", *poisson, "--model",
+                             str(models_dir / name))
+        assert code == 0
+        assert len(factors) == lus
 
     def test_check_poisson_round_trip(self, capsys, models_dir):
         # potentials output independently re-verified by the check command

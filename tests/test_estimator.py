@@ -11,6 +11,7 @@ from gfmarkov import (
     online_potentials,
     potentials,
     reference_vector,
+    reward_vector,
     simulate_chain,
     truncated_accumulated_reward,
     validate_stochastic,
@@ -143,9 +144,11 @@ class TestOnlinePotentials:
     def test_path_source(self):
         states, _ = simulate_chain(SYM, F, 0, 50_000, 9)
         cfg = SimulationConfig(seed=9, max_steps=50_000, epsilon=1e-12)
-        from_path = online_potentials(states, F, E1, None, cfg)
         from_chain = online_potentials(SYM, F, E1, None, cfg)
-        assert np.array_equal(from_path.g_hat, from_chain.g_hat)
+        for f in (F, reward_vector(F)):
+            from_path = online_potentials(states, f, E1, None, cfg)
+            assert np.array_equal(from_path.g_hat, from_chain.g_hat)
+            assert from_path.samples == from_chain.samples
 
     def test_history_records_checkpoints(self):
         cfg = SimulationConfig(seed=2, max_steps=5000, epsilon=1e-12,
