@@ -274,6 +274,7 @@ def series_fundamental(P, r=None, terms: int = 50, *,
     Converges to the exact inverse iff the spectral radius of P - e r is
     below one, which for an irreducible aperiodic chain happens exactly
     when 0 < r.e < 2. The reported tail_norm is ||(P - e r)^(T+1)||_inf.
+    The sum is built by binary doubling in O(log T) matrix products.
     """
     P = _as_chain(P)
     r = _as_reference(r, P.size, cfg)
@@ -286,16 +287,19 @@ def series_fundamental(P, r=None, terms: int = 50, *,
             dot_with_ones=re)
     if not allow_unchecked:
         _require_irreducible(P, cfg, need_aperiodic=True)
-    n = P.size
-    M = P.matrix - np.outer(np.ones(n), r.values)
-    acc = np.eye(n)
-    term = np.eye(n)
-    for _ in range(terms):
-        term = term @ M
-        acc += term
-    tail = term @ M
-    tail_norm = float(np.abs(tail).sum(axis=1).max())
-    return FundamentalMatrix(acc, r, P, tail_norm=tail_norm, terms=terms)
+    M = P.matrix - r.values  # P - e r
+    # S = sum_{k<m} M^k and W = M^m, from m = 1 up to m = T + 1 along the
+    # binary digits of T + 1: each digit doubles m, a one digit adds 1
+    S = np.eye(P.size)
+    W = M
+    for digit in bin(terms + 1)[3:]:
+        S += W @ S
+        W = W @ W
+        if digit == "1":
+            S += W
+            W = W @ M
+    tail_norm = float(np.abs(W).sum(axis=1).max())
+    return FundamentalMatrix(S, r, P, tail_norm=tail_norm, terms=terms)
 
 
 def potentials_reference_level(P, f, r=None, horizon: int = 50, *,

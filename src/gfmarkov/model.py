@@ -194,6 +194,7 @@ def _validate_distribution_rows(a: np.ndarray, tol: float, what: str) -> np.ndar
             f"{what}: row {i} sums to {sums[i]:.17g}; |sum - 1| exceeds row_tol",
             row=i, row_sum=float(sums[i]))
     stale = np.abs(sums - 1.0) > _ROW_SUM_EXACT
+    # renormalizing `a` in place measured slower per solve op (page faults)
     out = a.copy()
     out[stale] = a[stale] / sums[stale, None]
     _settle_row_sums(out, stale)
@@ -214,7 +215,7 @@ def validate_stochastic(raw, row_tol: float | None = None, *,
         raise ValueError("row_tol must be positive")
     a = _require_square(raw, "transition matrix")
     out = _validate_distribution_rows(a, tol, "transition matrix")
-    correction = float(np.abs(out - np.asarray(raw, dtype=float)).max(initial=0.0))
+    correction = float(np.abs(out - a).max(initial=0.0))
     return StochasticMatrix(_freeze(out), correction)
 
 
@@ -230,7 +231,6 @@ def validate_generator(raw, row_tol: float | None = None, *,
     if tol <= 0:
         raise ValueError("row_tol must be positive")
     a = _require_square(raw, "generator matrix")
-    n = a.shape[0]
     off = a.copy()
     np.fill_diagonal(off, 0.0)
     if off.min(initial=0.0) < -tol:
@@ -239,17 +239,16 @@ def validate_generator(raw, row_tol: float | None = None, *,
             f"off-diagonal rate ({i},{j}) = {a[i, j]:.6g} is negative",
             row=int(i), col=int(j), value=float(a[i, j]))
     off = np.maximum(off, 0.0)
-    sums = off.sum(axis=1) + np.diag(a)
-    bad = np.abs(sums) > tol
-    if np.any(bad):
+    rates = off.sum(axis=1)
+    sums = rates + np.diag(a)
+    if np.any(np.abs(sums) > tol):
         i = int(np.argmax(np.abs(sums)))
         raise RowSumViolationError(
             f"row {i} sums to {sums[i]:.17g}; |sum| exceeds row_tol",
             row=i, row_sum=float(sums[i]))
-    out = off
-    out[np.arange(n), np.arange(n)] = -off.sum(axis=1)
-    correction = float(np.abs(out - np.asarray(raw, dtype=float)).max(initial=0.0))
-    return GeneratorMatrix(_freeze(out), correction)
+    np.fill_diagonal(off, -rates)
+    correction = float(np.abs(off - a).max(initial=0.0))
+    return GeneratorMatrix(_freeze(off), correction)
 
 
 def reward_vector(values, expected_len: int | None = None) -> RewardVector:

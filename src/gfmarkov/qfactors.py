@@ -96,9 +96,8 @@ def action_transition_matrix(m: MdpModel) -> ActionTransitionMatrix:
 
 def build_state_action_chain(m: MdpModel, *, cfg: Tolerances = DEFAULT) -> StateActionChain:
     """The state-action chain P L, re-checked for row stochasticity."""
-    P = action_transition_matrix(m).P
-    L = build_policy_matrix(m).L
-    tilde = P @ L
+    # L has one nonzero per column: PL((s,a),(s2,a2)) = p(s,a,s2) policy(s2,a2)
+    tilde = (m.transitions[..., None] * m.policy).reshape(m.policy.size, -1)
     sums = tilde.sum(axis=1)
     worst = float(np.abs(sums - 1.0).max(initial=0.0))
     if worst > cfg.row_tol:

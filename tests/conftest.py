@@ -9,6 +9,7 @@ which the library itself never uses.
 
 from __future__ import annotations
 
+import os
 from math import gcd
 from pathlib import Path
 
@@ -29,12 +30,24 @@ from gfmarkov import (
     validate_stochastic,
 )
 from gfmarkov.config import DEFAULT
+from gfmarkov.errors import SeriesDivergentError
 from gfmarkov.estimator import DEFAULT_SCHEDULE, _sample_states
-from gfmarkov.gfm import _as_reference, _as_rewards, _require_irreducible
+from gfmarkov.gfm import (
+    FundamentalMatrix,
+    _as_chain,
+    _as_reference,
+    _as_rewards,
+    _require_irreducible,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS = REPO_ROOT / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# pyproject's `pythonpath` puts src on this process's sys.path; child
+# interpreters (`python -m gfmarkov`) read it from the environment
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture
@@ -259,6 +272,37 @@ def reference_online_potentials(source, f, r=None,
         residual_sum=zs,
         residual_sumsq=zss,
     )
+
+
+def reference_series_fundamental(P, r=None, terms: int = 50, *,
+                                 allow_unchecked: bool = False,
+                                 cfg: Tolerances = DEFAULT) -> FundamentalMatrix:
+    """Term-by-term truncated series sum_{n=0}^{T} (P - e r)^n.
+
+    The loop the library's binary-doubling build replaced, kept as its
+    oracle: T + 1 matrix products, one power of P - e r at a time.
+    """
+    P = _as_chain(P)
+    r = _as_reference(r, P.size, cfg)
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
+    re = r.dot_with_ones
+    if not (cfg.series_margin < re < 2.0 - cfg.series_margin):
+        raise SeriesDivergentError(
+            f"series diverges: r.e = {re:.6g} is outside (0, 2)",
+            dot_with_ones=re)
+    if not allow_unchecked:
+        _require_irreducible(P, cfg, need_aperiodic=True)
+    n = P.size
+    M = P.matrix - np.outer(np.ones(n), r.values)
+    acc = np.eye(n)
+    term = np.eye(n)
+    for _ in range(terms):
+        term = term @ M
+        acc += term
+    tail = term @ M
+    tail_norm = float(np.abs(tail).sum(axis=1).max())
+    return FundamentalMatrix(acc, r, P, tail_norm=tail_norm, terms=terms)
 
 
 def oracle_stationary(P: np.ndarray) -> np.ndarray:

@@ -151,7 +151,10 @@ class TestExitCodes:
         model = str(models_dir / "two_state.json")
         for argv in (["series", "--terms", "-1"], ["estimate", "--steps", "0"],
                      ["estimate", "--check-interval", "0"],
-                     ["estimate", "--epsilon", "0"], ["estimate", "--s0", "2"]):
+                     ["estimate", "--epsilon", "0"], ["estimate", "--s0", "2"],
+                     ["check", "--reference", "e1"], ["estimate", "--seed", "-1"],
+                     ["estimate", "--seeds", "1,x"],
+                     ["estimate", "--seeds", "-2"]):
             try:
                 code = main([*argv, "--model", model])
             except SystemExit as e:  # argparse usage error
@@ -273,6 +276,27 @@ class TestCommands:
             names = [c["name"] for c in json.loads(out)["checks"]]
             assert poisson or "series_vs_solve" in names
             assert sum(map(len, gates)) == 1, poisson
+
+    @pytest.mark.parametrize("n, skipped", [(40, False), (50, True)])
+    def test_check_builds_series_once(self, capsys, monkeypatch, tmp_path, n,
+                                      skipped):
+        # lazy ring: P_ii = 1/2, neighbours 1/4; mixes too slowly at n=50
+        # for the tail bound to reach 1e-8 within the 4096-term cap
+        P = np.zeros((n, n))
+        i = np.arange(n)
+        P[i, i] = 0.5
+        P[i, (i + 1) % n] += 0.25
+        P[i, (i - 1) % n] += 0.25
+        path = tmp_path / "lazy_ring.json"
+        path.write_text(json.dumps({"kind": "dtmc", "states": n,
+                                    "P": P.tolist(), "f": [0.0] * n}))
+        builds = count_calls(monkeypatch, gfm, "series_fundamental")
+        code, out, _ = run_cli(capsys, "check", "--model", str(path))
+        assert code == 0
+        series = json.loads(out)["checks"][-1]
+        assert series["name"] == "series_vs_solve"
+        assert ("note" in series) == skipped
+        assert len(builds) == 1
 
     def test_stationary_reference_gates_once(self, capsys, monkeypatch,
                                              models_dir):

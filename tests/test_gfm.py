@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfmarkov import (
     NotAperiodicError,
@@ -30,6 +32,7 @@ from conftest import (
     random_chain,
     random_periodic_chain,
     random_reference,
+    reference_series_fundamental,
     spectra_gap,
 )
 
@@ -293,6 +296,37 @@ class TestSeriesFundamental:
                 fm = series_fundamental(P, r, terms)
                 if fm.tail_norm < 1e-8:
                     assert np.abs(fm.Z - exact).max() < 1e-8
+
+
+class TestSeriesFundamentalMatchesOracle:
+    """The binary-doubling series against the term-by-term oracle loop.
+
+    Both sum the same powers in a different order, so Z must agree within
+    4 eps (T+1) max(1, |M|inf) max(1, |Z|inf), and tail_norm within 1e-7
+    relative plus that same bound.
+    """
+
+    EDGES = sorted({2**k + d for k in range(10) for d in (-1, 0, 1)
+                    if 0 <= 2**k + d <= 600})
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           terms=st.one_of(st.integers(0, 600), st.sampled_from(EDGES)))
+    def test_random_chains(self, seed, n, terms):
+        rng = np.random.default_rng(seed)
+        P = random_chain(rng, n)
+        r = reference_vector(random_reference(rng, n))
+        new = series_fundamental(P, r, terms)
+        ref = reference_series_fundamental(P, r, terms)
+
+        M = P.matrix - np.outer(np.ones(n), r.values)
+        norm_m = float(np.abs(M).sum(axis=1).max())
+        norm_z = float(np.abs(ref.Z).sum(axis=1).max())
+        tol = (4 * np.finfo(float).eps * (terms + 1)
+               * max(1.0, norm_m) * max(1.0, norm_z))
+        assert new.terms == ref.terms == terms
+        assert float(np.abs(new.Z - ref.Z).max()) <= tol
+        assert abs(new.tail_norm - ref.tail_norm) <= 1e-7 * ref.tail_norm + tol
 
 
 class TestReferenceLevel:
