@@ -1,10 +1,11 @@
 """Dense linear-algebra helpers.
 
-Every shifted matrix A + e r is built by one function, and its pivoted LU
-is owned by one class, ``ShiftedSystem``: the pivot-floor check, the LU
-format and the transposed solves for row systems live only here, so every
-caller shares the same numerics and reads as many solutions (g, pi, the
-explicit inverse) from one factorization as it needs.
+``ShiftedSystem`` owns every shifted matrix A + e r: it writes the one
+column-major buffer (A = I - P for a chain, A = B for a rate matrix),
+factors it in place by pivoted LU, checks the pivot floor and does the
+transposed solves for row systems. Every caller shares the same numerics
+and reads as many solutions (g, pi, the explicit inverse) from one
+factorization as it needs.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -22,29 +23,21 @@ from .errors import NearSingularError
 OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 
 
-def shifted_matrix(A: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Return A + e r for a row vector r.
-
-    A is I - P for a chain P (or a state-action chain PL) and the rate
-    matrix B itself for a continuous-time process.
-    """
-    return A + np.outer(np.ones(A.shape[0]), r)
-
-
 class ShiftedSystem:
-    """M = shifted_matrix(A, r) with its pivoted LU; rejects singular M.
+    """Pivoted LU of M = A + e r; rejects singular M.
 
-    The smallest |U_ii| is compared with pivot_tol * max(1, largest |U_ii|);
-    below that M is treated as singular to working precision. Every solve
-    reuses the one factorization. M comes in built, so that a temporary
-    A (I - P) is already freed when the LU allocates.
+    Build through :meth:`for_chain` or :meth:`for_rates`. M is written
+    once in Fortran order, so LAPACK factors it in place and the LU is
+    the only n x n array the system keeps. The smallest |U_ii| is
+    compared with pivot_tol * max(1, largest |U_ii|); below that M is
+    treated as singular to working precision. Every solve reuses the one
+    factorization.
     """
 
     def __init__(self, M: np.ndarray, pivot_tol: float):
-        self.matrix = M
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu_piv = scipy.linalg.lu_factor(self.matrix)
+            self._lu_piv = scipy.linalg.lu_factor(M, overwrite_a=True)
         pivots = np.abs(np.diag(self._lu_piv[0]))
         floor = pivot_tol * max(1.0, float(pivots.max(initial=0.0)))
         if pivots.size and float(pivots.min()) <= floor:
@@ -53,6 +46,20 @@ class ShiftedSystem:
                 f"working precision (min pivot {pivots.min():.3e})",
                 min_pivot=float(pivots.min()),
             )
+
+    @classmethod
+    def for_chain(cls, P: np.ndarray, r: np.ndarray,
+                  pivot_tol: float) -> ShiftedSystem:
+        """I - P + e r for a chain or state-action chain P."""
+        M = np.subtract(r, P, out=np.empty(P.shape, order="F"))
+        np.fill_diagonal(M, (1.0 - np.diagonal(P)) + r)
+        return cls(M, pivot_tol)
+
+    @classmethod
+    def for_rates(cls, B: np.ndarray, r: np.ndarray,
+                  pivot_tol: float) -> ShiftedSystem:
+        """B + e r for a rate matrix B."""
+        return cls(np.add(B, r, out=np.empty(B.shape, order="F")), pivot_tol)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with M x = b."""
@@ -64,13 +71,7 @@ class ShiftedSystem:
 
     def inverse(self) -> np.ndarray:
         """M^-1, from one block solve against I."""
-        return self.solve(np.eye(self.matrix.shape[0]))
-
-
-def one_norm_condition(M: np.ndarray, M_inv: np.ndarray) -> float:
-    """Exact 1-norm condition number given the explicit inverse."""
-    norm = np.abs(M).sum(axis=0).max
-    return float(norm() * np.abs(M_inv).sum(axis=0).max())
+        return self.solve(np.eye(self._lu_piv[0].shape[0]))
 
 
 def _polish_root(x: complex, coeffs: tuple[float, ...]) -> complex:

@@ -69,10 +69,9 @@ def _add_common(sub, reference: bool = True):
                  "(JSON list or comma-separated numbers)")
     sub.add_argument("--output", choices=["json", "csv"], default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--row-tol", type=float, default=None)
-    sub.add_argument("--solve-tol", type=float, default=None)
-    sub.add_argument("--poisson-tol", type=float, default=None)
-    sub.add_argument("--re-tol", type=float, default=None)
+    for name in ("row", "solve", "poisson", "re"):
+        sub.add_argument(f"--{name}-tol", default=None,
+                         type=_ranged(float, 0.0, strict=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,11 +203,10 @@ def _cmd_validate(args, cfg: Tolerances):
             "min_uniformization_rate": min_uniformization_rate(loaded.generator),
         }
     m = loaded.mdp
-    dead = [[s, a] for s, a in np.argwhere(m.policy == 0.0).tolist()]
     return {
         "valid": True, "kind": "mdp", "states": m.states,
         "actions": m.actions, "state_action_pairs": m.states * m.actions,
-        "zero_probability_actions": dead,
+        "zero_probability_actions": qf._zero_probability_actions(m),
     }
 
 
@@ -323,7 +321,8 @@ def _dtmc_checks(loaded: LoadedModel, aperiodic: bool, poisson_only: bool,
     # g, eta, pi and Z all come from one factorization of I - P + e r
     chain, f = loaded.chain, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    system = gfm._chain_system(chain.matrix, r.values, cfg)
+    system = _linalg.ShiftedSystem.for_chain(chain.matrix, r.values,
+                                             cfg.pivot_tol)
     g = system.solve(f.values)
     eta = float(r.values @ g)
     pi = gfm._stationary_from(system, r, cfg, "chain").pi
@@ -352,8 +351,8 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     # g, pi and eta = pi.f all come from one factorization of B + e r
     gen, f = loaded.generator, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    system = _linalg.ShiftedSystem(_linalg.shifted_matrix(gen.matrix, r.values),
-                                   cfg.pivot_tol)
+    system = _linalg.ShiftedSystem.for_rates(gen.matrix, r.values,
+                                             cfg.pivot_tol)
     g = system.solve(-f.values)
     pi = gfm._stationary_from(system, r, cfg, "process").pi
     eta = float(pi @ f.values)

@@ -78,9 +78,8 @@ def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, B.size, cfg)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    M = _linalg.shifted_matrix(B.matrix, r.values)
-    return _stationary_from(_linalg.ShiftedSystem(M, cfg.pivot_tol), r, cfg,
-                            "process")
+    system = _linalg.ShiftedSystem.for_rates(B.matrix, r.values, cfg.pivot_tol)
+    return _stationary_from(system, r, cfg, "process")
 
 
 def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
@@ -96,8 +95,7 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    M = _linalg.shifted_matrix(B.matrix, r.values)
-    system = _linalg.ShiftedSystem(M, cfg.pivot_tol)
+    system = _linalg.ShiftedSystem.for_rates(B.matrix, r.values, cfg.pivot_tol)
     g = system.solve(-f.values)
     pi = _stationary_from(system, r, cfg, "process")
     eta = float(pi.pi @ f.values)
@@ -116,8 +114,8 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     if not allow_unchecked:
         _require_ergodic(B, cfg)
     pi = ctmc_stationary(B, None, allow_unchecked=True, cfg=cfg)
-    M = _linalg.shifted_matrix(B.matrix, -pi.pi)
-    g = _linalg.ShiftedSystem(M, cfg.pivot_tol).solve(-f.values)
+    g = _linalg.ShiftedSystem.for_rates(B.matrix, -pi.pi,
+                                        cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)
     r_pi = reference_vector(pi.pi, cfg=cfg)
     return PotentialSolution(g, eta, r_pi, NORM_ETA)
@@ -137,7 +135,7 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     B = _as_generator(B)
     gamma = float(gamma)
     rate = min_uniformization_rate(B)
-    if gamma <= 0.0 or gamma < rate:
+    if not np.isfinite(gamma) or gamma <= 0.0 or gamma < rate:
         raise GammaTooSmallError(
             f"gamma = {gamma:.6g} must be at least the largest exit rate "
             f"{rate:.6g}", gamma=gamma, min_rate=rate)
@@ -150,7 +148,7 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     checks.append(CheckResult("generator_zero_row_sums",
                               resid <= cfg.row_tol, resid))
 
-    D = _linalg.shifted_matrix(B.matrix, r.values)
+    D = B.matrix + r.values
     resid = float(np.abs(D @ ones - r.dot_with_ones * ones).max())
     checks.append(CheckResult("ones_column_eigenvector",
                               resid <= cfg.solve_tol_for(n), resid))

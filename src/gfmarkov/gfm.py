@@ -164,13 +164,6 @@ def _require_irreducible(P: StochasticMatrix, cfg: Tolerances,
     return diag
 
 
-def _chain_system(P: np.ndarray, r_values: np.ndarray,
-                  cfg: Tolerances) -> _linalg.ShiftedSystem:
-    """I - P + e r and its checked LU, for a row-stochastic array P."""
-    M = _linalg.shifted_matrix(np.eye(P.shape[0]) - P, r_values)
-    return _linalg.ShiftedSystem(M, cfg.pivot_tol)
-
-
 def _stationary_from(system: _linalg.ShiftedSystem, r: ReferenceVector,
                      cfg: Tolerances, kind: str) -> StationaryDistribution:
     """pi from pi (A + e r) = r, on the factored system A + e r.
@@ -199,9 +192,11 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    system = _chain_system(P.matrix, r.values, cfg)
-    Z = system.inverse()
-    cond = _linalg.one_norm_condition(system.matrix, Z)
+    Z = _linalg.ShiftedSystem.for_chain(P.matrix, r.values,
+                                        cfg.pivot_tol).inverse()
+    # the LU overwrote its own copy of M
+    M = np.eye(P.size) - P.matrix + r.values
+    cond = float(np.abs(M).sum(axis=0).max() * np.abs(Z).sum(axis=0).max())
     return FundamentalMatrix(Z, r, P, condition_estimate=cond)
 
 
@@ -218,8 +213,8 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    return _stationary_from(_chain_system(P.matrix, r.values, cfg), r, cfg,
-                            "chain")
+    system = _linalg.ShiftedSystem.for_chain(P.matrix, r.values, cfg.pivot_tol)
+    return _stationary_from(system, r, cfg, "chain")
 
 
 def potentials(P, f, r=None, *, allow_unchecked: bool = False,
@@ -234,7 +229,8 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, P.size)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    g = _chain_system(P.matrix, r.values, cfg).solve(f.values)
+    g = _linalg.ShiftedSystem.for_chain(P.matrix, r.values,
+                                        cfg.pivot_tol).solve(f.values)
     eta = float(r.values @ g)
     return PotentialSolution(g, eta, r, NORM_ETA)
 
@@ -383,7 +379,7 @@ def verify_spectral_shift(P, r=None, *, cfg: Tolerances = DEFAULT) -> Verificati
     n = P.size
     checks: list[CheckResult] = []
 
-    M = _linalg.shifted_matrix(np.eye(n) - P.matrix, r.values)
+    M = np.eye(n) - P.matrix + r.values
     ones = np.ones(n)
     resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
     tol = cfg.solve_tol_for(n)

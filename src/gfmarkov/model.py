@@ -393,7 +393,7 @@ def uniformize(B: GeneratorMatrix, gamma: float, *,
     """
     gamma = float(gamma)
     rate = min_uniformization_rate(B)
-    if gamma <= 0.0 or gamma < rate:
+    if not np.isfinite(gamma) or gamma <= 0.0 or gamma < rate:
         raise GammaTooSmallError(
             f"gamma = {gamma:.6g} must be positive and at least the largest "
             f"exit rate {rate:.6g}", gamma=gamma, min_rate=rate)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, _chain_system, stationary
+from .gfm import _as_reference, stationary
 from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze
 from .report import CheckResult, VerificationReport
 
@@ -130,7 +131,8 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
     f = m.rewards.reshape(-1)
-    q = _chain_system(chain.matrix, r.values, cfg).solve(f)
+    q = _linalg.ShiftedSystem.for_chain(chain.matrix, r.values,
+                                        cfg.pivot_tol).solve(f)
     eta = float(r.values @ q)
     induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
     return QSolution(q, eta, r, induced_g)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -303,6 +304,16 @@ def reference_series_fundamental(P, r=None, terms: int = 50, *,
     tail = term @ M
     tail_norm = float(np.abs(tail).sum(axis=1).max())
     return FundamentalMatrix(acc, r, P, tail_norm=tail_norm, terms=terms)
+
+
+def reference_shifted_lu(A: np.ndarray, r: np.ndarray):
+    """Pivoted LU of A + e r, built as a C-ordered sum with np.outer.
+
+    The literal build the library's in-place column-major one replaced,
+    kept as its oracle: A is I - P for a chain and B for a rate matrix.
+    """
+    M = A + np.outer(np.ones(A.shape[0]), r)
+    return scipy.linalg.lu_factor(M)
 
 
 def oracle_stationary(P: np.ndarray) -> np.ndarray:

@@ -154,7 +154,11 @@ class TestExitCodes:
                      ["estimate", "--epsilon", "0"], ["estimate", "--s0", "2"],
                      ["check", "--reference", "e1"], ["estimate", "--seed", "-1"],
                      ["estimate", "--seeds", "1,x"],
-                     ["estimate", "--seeds", "-2"]):
+                     ["estimate", "--seeds", "-2"],
+                     ["check", "--poisson-tol", "-1"],
+                     ["potentials", "--row-tol", "-1"],
+                     ["stationary", "--solve-tol", "nan"],
+                     ["estimate", "--re-tol", "0"]):
             try:
                 code = main([*argv, "--model", model])
             except SystemExit as e:  # argparse usage error

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfmarkov import (
+    GammaTooSmallError,
     NotErgodicError,
     ctmc_potentials,
     ctmc_potentials_classic,
@@ -201,6 +202,12 @@ class TestVerifyGeneratorSpectrum:
     def test_one_state_trivial(self):
         rep = verify_generator_spectrum(validate_generator([[0.0]]), 1.0)
         assert rep.passed
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_gamma_not_finite(self, gamma):
+        with pytest.raises(GammaTooSmallError) as e:
+            verify_generator_spectrum(FLIP, gamma, E1)
+        assert set(e.value.detail) == {"gamma", "min_rate"}
 
     def test_small_sizes_against_numpy(self):
         rng = np.random.default_rng(127)

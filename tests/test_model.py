@@ -236,6 +236,13 @@ class TestUniformize:
         with pytest.raises(GammaTooSmallError):
             uniformize(B, 1.5)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_gamma_not_finite(self, gamma):
+        B = validate_generator([[-2, 2], [1, -1]])
+        with pytest.raises(GammaTooSmallError) as e:
+            uniformize(B, gamma)
+        assert set(e.value.detail) == {"gamma", "min_rate"}
+
     def test_min_rate(self):
         assert min_uniformization_rate(validate_generator([[-1, 1], [1, -1]])) == 1.0
         assert min_uniformization_rate(validate_generator([[-3, 3], [0.5, -0.5]])) == 3.0
