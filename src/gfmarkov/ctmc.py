@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg
 from .config import DEFAULT, Tolerances
-from .errors import GammaTooSmallError, NotErgodicError
+from .errors import NotErgodicError
 from .gfm import (
     NORM_ETA,
     NORM_MINUS_ETA,
@@ -31,6 +31,7 @@ from .gfm import (
 from .model import (
     ChainDiagnostics,
     GeneratorMatrix,
+    _checked_gamma,
     _support_diagnostics,
     min_uniformization_rate,
     reference_vector,
@@ -133,12 +134,7 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     "boundary" note instead of silently passing the strict test.
     """
     B = _as_generator(B)
-    gamma = float(gamma)
-    rate = min_uniformization_rate(B)
-    if not np.isfinite(gamma) or gamma <= 0.0 or gamma < rate:
-        raise GammaTooSmallError(
-            f"gamma = {gamma:.6g} must be at least the largest exit rate "
-            f"{rate:.6g}", gamma=gamma, min_rate=rate)
+    gamma, rate = _checked_gamma(B, gamma)
     r = _as_reference(r, B.size, cfg)
     n = B.size
     ones = np.ones(n)

@@ -322,10 +322,73 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     )
 
 
+# below this many edges per row the frontier BFS walks many small levels
+# and the csgraph pass is faster
+_FRONTIER_MIN_EDGES_PER_ROW = 32
+# a dense strongly connected support is covered in a few levels; deeper
+# supports go to csgraph, so the frontier route costs at most this many levels
+_FRONTIER_MAX_LEVELS = 8
+
+
+def _frontier_levels(adj: np.ndarray, forward: bool) -> np.ndarray | None:
+    """BFS levels from state 0 along (or against) the edges of `adj`.
+
+    Each level is one whole-array step over the rows (or columns) of the
+    current frontier. None when some state is unreached, either because
+    the search ran dry or because it hit _FRONTIER_MAX_LEVELS.
+    """
+    n = adj.shape[0]
+    level = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.intp)
+    for depth in range(1, _FRONTIER_MAX_LEVELS + 1):
+        if seen.all():
+            return level
+        reach = adj[front].any(axis=0) if forward else adj[:, front].any(axis=1)
+        nxt = reach & ~seen
+        front = np.flatnonzero(nxt)
+        if front.size == 0:
+            return None
+        level[front] = depth
+        seen |= nxt
+    return level if seen.all() else None
+
+
+def _frontier_diagnostics(adj: np.ndarray) -> ChainDiagnostics | None:
+    """Diagnosis of an irreducible support by two frontier BFS; else None.
+
+    Strongly connected exactly when state 0 reaches every state along the
+    edges and against them (Sharir 1981). The period is 1 when a diagonal
+    entry is set, otherwise the gcd of level(u) + 1 - level(v) over every
+    edge, with the forward levels (Jarvis & Shier 1999). None means the
+    support is reducible or deeper than _FRONTIER_MAX_LEVELS.
+    """
+    level = _frontier_levels(adj, forward=True)
+    if level is None or _frontier_levels(adj, forward=False) is None:
+        return None
+    if adj.diagonal().any():
+        period = 1
+    else:
+        # edges out of level a reach the levels b listed here; the distinct
+        # a + 1 - b are all the gcd needs, with no n x n integer array
+        steps = [a + 1 - level[adj[level == a].any(axis=0)]
+                 for a in range(int(level.max()) + 1)]
+        period = abs(int(np.gcd.reduce(np.concatenate(steps)))) or 1
+    return ChainDiagnostics(irreducible=True, aperiodic=period == 1,
+                            period=period, num_closed_classes=1)
+
+
 def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     """Irreducibility, period, and closed-class count of a boolean support.
 
-    Whole-array work over the edge list (u, v): one strong-components
+    Two routes give the same answer. A support with at least
+    _FRONTIER_MIN_EDGES_PER_ROW edges per row on average first tries
+    :func:`_frontier_diagnostics`, which decides an irreducible support in
+    a few whole-array BFS levels.
+
+    Every other support, and a dense one the frontier route leaves open,
+    takes whole-array work over the edge list (u, v): one strong-components
     pass (Tarjan 1972), closed classes as the components that no edge
     leaves, and the period as the gcd over in-component edges of
     level(u) + 1 - level(v), with unweighted BFS levels from one root per
@@ -333,10 +396,14 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     out, so a cycle-free component contributes nothing and an all-zero
     gcd means period 1.
     """
-    # CSR arrays straight from the dense support: flat indices are
-    # row-major, so they come sorted within each row
     n = adj.shape[0]
     counts = np.count_nonzero(adj, axis=1)
+    if counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n:
+        diag = _frontier_diagnostics(adj)
+        if diag is not None:
+            return diag
+    # CSR arrays straight from the dense support: flat indices are
+    # row-major, so they come sorted within each row
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     v = (np.flatnonzero(adj) % n).astype(np.int32)
@@ -373,8 +440,12 @@ def diagnose_chain(P: StochasticMatrix, *, cfg: Tolerances = DEFAULT) -> ChainDi
     positive). The reported period is the gcd of all directed cycle
     lengths; for reducible chains that is the gcd across the components
     that contain cycles, so aperiodic <=> period == 1 by construction.
-    The gate is vectorized: O(n^2 + edges) numpy and scipy.sparse.csgraph
-    work with no Python loop over states, components or edges.
+    The gate is vectorized, with no Python loop over states, components
+    or edges. A dense irreducible support (at least 32 edges per row on
+    average) is decided by a forward and a backward frontier BFS from
+    state 0, in O(n^2) numpy work over at most 8 levels; every other
+    support takes one scipy.sparse.csgraph strong-components pass and a
+    BFS-level pass per component, O(n^2 + edges).
     """
     return _support_diagnostics(np.asarray(P.matrix) > cfg.edge_tol)
 
@@ -384,6 +455,21 @@ def min_uniformization_rate(B: GeneratorMatrix) -> float:
     return float(np.abs(np.diag(B.matrix)).max(initial=0.0))
 
 
+def _checked_gamma(B: GeneratorMatrix, gamma: float) -> tuple[float, float]:
+    """gamma as a float and the largest exit rate, after the one gamma guard.
+
+    GammaTooSmallError unless gamma is finite, positive and at least the
+    largest exit rate; uniformize and verify_generator_spectrum share it.
+    """
+    gamma = float(gamma)
+    rate = min_uniformization_rate(B)
+    if not np.isfinite(gamma) or gamma <= 0.0 or gamma < rate:
+        raise GammaTooSmallError(
+            f"gamma = {gamma:.6g} must be finite, positive and at least the "
+            f"largest exit rate {rate:.6g}", gamma=gamma, min_rate=rate)
+    return gamma, rate
+
+
 def uniformize(B: GeneratorMatrix, gamma: float, *,
                cfg: Tolerances = DEFAULT) -> StochasticMatrix:
     """Embed a rate matrix into the discrete chain P = I + B / gamma.
@@ -391,11 +477,6 @@ def uniformize(B: GeneratorMatrix, gamma: float, *,
     gamma must be at least the largest exit rate, otherwise the diagonal
     of P would go negative.
     """
-    gamma = float(gamma)
-    rate = min_uniformization_rate(B)
-    if not np.isfinite(gamma) or gamma <= 0.0 or gamma < rate:
-        raise GammaTooSmallError(
-            f"gamma = {gamma:.6g} must be positive and at least the largest "
-            f"exit rate {rate:.6g}", gamma=gamma, min_rate=rate)
+    gamma, _ = _checked_gamma(B, gamma)
     P = np.eye(B.size) + np.asarray(B.matrix) / gamma
     return validate_stochastic(P, cfg.row_tol, cfg=cfg)

@@ -12,13 +12,14 @@ doubles in decimal text.
 
 Output documents are emitted by a small JSON writer so the byte stream
 is fully pinned: floats use 17 significant digits (lossless round trip),
-keys keep insertion order, separators are compact. CSV output uses 12
-significant digits.
+a non-finite float is written as null, keys keep insertion order,
+separators are compact. CSV output uses 12 significant digits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,7 +134,9 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
+        # JSON has no NaN or infinity token
+        x = float(obj)
+        out.append(format(x, ".17g") if math.isfinite(x) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):

@@ -97,6 +97,21 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"] == "SeriesDivergent"
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_document_is_json(self, capsys, models_dir, gamma):
+        code, out, _ = run_cli(capsys, "check",
+                               "--model", str(models_dir / "ctmc_two_state.json"),
+                               "--gamma", gamma)
+        assert code == 2
+
+        def reject(token):  # json.loads would take NaN / Infinity tokens
+            raise ValueError(token)
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["error"] == "GammaTooSmall"
+        assert doc["detail"] == {"gamma": None, "min_rate": 1}
+        assert "must be finite, positive" in doc["message"]
+
     def test_reducible_chain_exits_2(self, capsys, tmp_path):
         p = tmp_path / "red.json"
         p.write_text(json.dumps({

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from gfmarkov import (
     GammaTooSmallError,
@@ -15,6 +17,8 @@ from gfmarkov import (
     validate_mdp,
     validate_stochastic,
 )
+from gfmarkov import ctmc, model
+from gfmarkov.config import DEFAULT
 from gfmarkov.ctmc import ctmc_stationary
 from gfmarkov.errors import (
     NegativeOffDiagonalError,
@@ -24,6 +28,7 @@ from gfmarkov.errors import (
 )
 
 from conftest import (
+    count_calls,
     random_chain,
     random_generator_matrix,
     random_periodic_chain,
@@ -220,6 +225,151 @@ class TestDiagnoseChainMatchesOracle:
         P = validate_stochastic(weights / weights.sum(axis=1, keepdims=True))
         assert np.array_equal(P.matrix > 0, adj)
         assert diagnose_chain(P) == reference_diagnose_chain(P)
+
+
+def _chain_on(adj: np.ndarray, seed: int = 0):
+    """A validated chain whose support is exactly `adj`."""
+    weights = adj * (np.random.default_rng(seed).random(adj.shape) + 0.1)
+    P = validate_stochastic(weights / weights.sum(axis=1, keepdims=True))
+    assert np.array_equal(P.matrix > 0, adj)
+    return P
+
+
+def _dense_support(seed: int, n: int, density: float, kind: str,
+                   period: int) -> np.ndarray:
+    """Dense boolean support of one of four shapes; every row has an edge.
+
+    "diagonal" / "no_diagonal": independent edges with the diagonal all
+    set / clear (n > 1). "cyclic": `period` classes with dense blocks from
+    each class to the next. "reducible": a closed block of 1 to n-1
+    states, which no edge leaves.
+    """
+    rng = np.random.default_rng(seed)
+    pick = rng.random((n, n))
+    allowed = np.ones((n, n), dtype=bool)
+    if kind == "cyclic":
+        d = min(period, n)
+        cls = rng.permutation(np.arange(n) % d)
+        allowed = cls[None, :] == (cls[:, None] + 1) % d
+    elif kind == "reducible":
+        closed = np.arange(n) < int(rng.integers(1, n))
+        allowed[closed[:, None] & ~closed[None, :]] = False
+    adj = allowed & (pick < density)
+    if kind == "diagonal":
+        np.fill_diagonal(adj, True)
+    elif kind == "no_diagonal":
+        np.fill_diagonal(adj, False)
+    empty = ~adj.any(axis=1)
+    if kind == "no_diagonal":
+        allowed &= ~np.eye(n, dtype=bool)
+    adj[empty, np.argmax(pick * allowed, axis=1)[empty]] = True
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+def _depth_from_state_0(adj: np.ndarray) -> float:
+    """Largest BFS distance from state 0 along or against the edges."""
+    g = csr_matrix(adj)
+    return max(shortest_path(g, indices=0, unweighted=True).max(),
+               shortest_path(g.T, indices=0, unweighted=True).max())
+
+
+class TestFrontierRouteMatchesOracle:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           density=st.floats(0.3, 1.0),
+           kind=st.sampled_from(["diagonal", "no_diagonal", "cyclic",
+                                 "reducible"]),
+           period=st.integers(2, 5))
+    def test_dense_supports(self, seed, n, density, kind, period):
+        if kind == "reducible":
+            n = max(n, 2)
+        adj = _dense_support(seed, n, density, kind, period)
+        expected = reference_diagnose_chain(_chain_on(adj, seed))
+        got = model._frontier_diagnostics(adj)
+        # it decides exactly the irreducible supports within its level cap
+        decides = (expected.irreducible
+                   and _depth_from_state_0(adj) <= model._FRONTIER_MAX_LEVELS)
+        assert (got is not None) == decides
+        if got is not None:
+            assert got == expected
+        if kind == "reducible":
+            assert got is None
+
+    def test_decides_dense_irreducible_supports(self):
+        n = 60
+        full = np.ones((n, n), dtype=bool)
+        hollow = ~np.eye(n, dtype=bool)
+        three = (np.arange(n)[None, :] % 3) == ((np.arange(n)[:, None] + 1) % 3)
+        for adj, period in ((full, 1), (hollow, 1), (three, 3)):
+            d = model._frontier_diagnostics(adj)
+            assert d == reference_diagnose_chain(_chain_on(adj))
+            assert d.irreducible and d.period == period
+
+
+def _ring(n: int, offsets) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n)[:, None], (np.arange(n)[:, None] + offsets) % n] = True
+    return adj
+
+
+def _clique_with_tail(clique: int, n: int) -> np.ndarray:
+    # a complete block whose last state starts a path through the other
+    # n - clique states and back to state 0: irreducible, ~46 edges per
+    # row at (300, 2000), but ~n - clique BFS levels deep
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:clique, :clique] = True
+    tail = np.arange(clique - 1, n)
+    adj[tail, (tail + 1) % n] = True
+    return adj
+
+
+def _reducible_dense(state_0_closed: bool) -> np.ndarray:
+    # two halves with self loops; edges run one way between them, so the
+    # forward (state 0 closed) or the backward (state 0 transient) BFS
+    # from state 0 misses a half
+    adj = np.random.default_rng(23).random((200, 200)) < 0.5
+    adj |= np.eye(200, dtype=bool)
+    if state_0_closed:
+        adj[:100, 100:] = False
+    else:
+        adj[100:, :100] = False
+    return adj
+
+
+_CSGRAPH_SUPPORTS = {
+    "solve_sparse_ring": lambda: _ring(600, np.arange(-5, 6)),
+    "cycle_500": lambda: _ring(500, [1]),
+    "lazy_ring_600": lambda: _ring(600, [0, 1]),
+    # ~9 edges per row but only a few BFS levels deep: only the density
+    # switch keeps it off the frontier route
+    "shallow_sparse_600": lambda: _ring(600, [1]) | (
+        np.random.default_rng(29).random((600, 600)) < 8 / 600),
+    "reducible_dense_0_closed": lambda: _reducible_dense(True),
+    "reducible_dense_0_transient": lambda: _reducible_dense(False),
+    "clique_with_tail": lambda: _clique_with_tail(300, 2000),
+}
+
+
+class TestGateRoute:
+    """Dense irreducible supports skip csgraph; every other support uses it."""
+
+    def test_dense_dtmc_and_ctmc_skip_csgraph(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        calls = count_calls(monkeypatch, model, "connected_components")
+        assert diagnose_chain(random_chain(rng, 60)).irreducible
+        B = random_generator_matrix(rng, 60)
+        assert ctmc._diagnose_generator(B, DEFAULT).irreducible
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(_CSGRAPH_SUPPORTS))
+    def test_other_supports_use_csgraph(self, monkeypatch, name):
+        P = _chain_on(_CSGRAPH_SUPPORTS[name]())
+        calls = count_calls(monkeypatch, model, "connected_components")
+        d = diagnose_chain(P)
+        assert len(calls) == 1
+        assert d.irreducible == (not name.startswith("reducible"))
+        assert d.period == (500 if name == "cycle_500" else 1)
 
 
 class TestUniformize:
