@@ -29,7 +29,6 @@ from .estimator import (
     write_trace_csv,
 )
 from .model import (
-    StochasticMatrix,
     diagnose_chain,
     e1_reference,
     min_uniformization_rate,
@@ -60,7 +59,8 @@ def _seed_list(text: str) -> list[int]:
     return [_ranged(int, 0)(s) for s in text.split(",") if s.strip()]
 
 
-def _add_common(sub, reference: bool = True):
+def _add_common(sub, reference: bool = True, tols=("row", "solve", "re")):
+    """Flags every command shares; tols names the --<name>-tol it reads."""
     sub.add_argument("--model", required=True, help="path to a model JSON file")
     if reference:
         sub.add_argument(
@@ -69,7 +69,7 @@ def _add_common(sub, reference: bool = True):
                  "(JSON list or comma-separated numbers)")
     sub.add_argument("--output", choices=["json", "csv"], default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    for name in ("row", "solve", "poisson", "re"):
+    for name in tols:
         sub.add_argument(f"--{name}-tol", default=None,
                          type=_ranged(float, 0.0, strict=True))
 
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = p.add_subparsers(dest="command", required=True)
 
     _add_common(subs.add_parser("validate", help="validate a model file"),
-                reference=False)
+                reference=False, tols=("row",))
     _add_common(subs.add_parser("stationary", help="stationary distribution"))
     _add_common(subs.add_parser("potentials", help="chain potentials"))
     _add_common(subs.add_parser("qfactors", help="Q-factors of an mdp model"))
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     ser.add_argument("--terms", type=_ranged(int, 0), default=50)
 
     chk = subs.add_parser("check", help="run verification reports")
-    _add_common(chk, reference=False)
+    _add_common(chk, reference=False, tols=("row", "solve", "poisson", "re"))
     chk.add_argument("--poisson", action="store_true",
                      help="only check Poisson-equation residuals")
     chk.add_argument("--gamma", type=float, default=None,
@@ -143,8 +143,7 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
                                           cfg=cfg).pi
         else:
             chain = qf.build_state_action_chain(loaded.mdp, cfg=cfg)
-            pi = gfm.stationary(StochasticMatrix(chain.matrix), None,
-                                allow_unchecked=True, cfg=cfg).pi
+            pi = gfm.stationary(chain, None, allow_unchecked=True, cfg=cfg).pi
         return reference_vector(pi, cfg=cfg)
     if text.strip().startswith("["):
         import json

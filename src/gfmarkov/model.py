@@ -172,33 +172,40 @@ def _settle_row_sums(m: np.ndarray, rows: np.ndarray) -> None:
             m[i, j] += 1.0 - s
 
 
-def _validate_distribution_rows(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _row_tol(row_tol: float | None, cfg: Tolerances) -> float:
+    tol = cfg.row_tol if row_tol is None else float(row_tol)
+    if tol <= 0:
+        raise ValueError("row_tol must be positive")
+    return tol
+
+
+def _validate_distribution_rows(a: np.ndarray, tol: float,
+                                what: str) -> tuple[np.ndarray, float]:
     """Clamp tiny negatives, reject real ones, renormalize rows to sum 1.
 
-    After renormalization every row sum is within a few ulp of 1; rows
-    already that close are not modified at all.
+    Takes a finite `a`; returns the new rows and the largest entry change.
+    Rows already within _ROW_SUM_EXACT of sum 1 are only clamped.
     """
-    if not np.all(np.isfinite(a)):
-        raise NonSquareError(f"{what}: entries must be finite")
     low = a.min(initial=0.0)
     if low < -tol:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NegativeEntryError(
             f"{what}: entry ({i},{j}) = {a[i, j]:.6g} is below -row_tol",
             row=int(i), col=int(j), value=float(a[i, j]))
-    a = np.maximum(a, 0.0)
-    sums = a.sum(axis=1)
+    out = np.maximum(a, 0.0)
+    sums = out.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > tol):
         i = int(np.argmax(np.abs(sums - 1.0)))
         raise RowSumViolationError(
             f"{what}: row {i} sums to {sums[i]:.17g}; |sum - 1| exceeds row_tol",
             row=i, row_sum=float(sums[i]))
     stale = np.abs(sums - 1.0) > _ROW_SUM_EXACT
-    # renormalizing `a` in place measured slower per solve op (page faults)
-    out = a.copy()
-    out[stale] = a[stale] / sums[stale, None]
+    out[stale] /= sums[stale, None]
     _settle_row_sums(out, stale)
-    return out
+    # a row left as it was changed only where a negative entry was clamped,
+    # by -a[i, j] <= -low; the leading 0.0 keeps a -0.0 out of the result
+    moved = float(np.abs(out[stale] - a[stale]).max(initial=0.0))
+    return out, max(0.0, -float(low), moved)
 
 
 def validate_stochastic(raw, row_tol: float | None = None, *,
@@ -210,12 +217,9 @@ def validate_stochastic(raw, row_tol: float | None = None, *,
     so downstream algebra sees machine-consistent stochasticity. Validating
     the output again returns it unchanged, bit for bit.
     """
-    tol = cfg.row_tol if row_tol is None else float(row_tol)
-    if tol <= 0:
-        raise ValueError("row_tol must be positive")
+    tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "transition matrix")
-    out = _validate_distribution_rows(a, tol, "transition matrix")
-    correction = float(np.abs(out - a).max(initial=0.0))
+    out, correction = _validate_distribution_rows(a, tol, "transition matrix")
     return StochasticMatrix(_freeze(out), correction)
 
 
@@ -227,18 +231,17 @@ def validate_generator(raw, row_tol: float | None = None, *,
     must lie within row_tol of 0 and the diagonal is then set to minus the
     off-diagonal sum, which also guarantees a nonpositive diagonal.
     """
-    tol = cfg.row_tol if row_tol is None else float(row_tol)
-    if tol <= 0:
-        raise ValueError("row_tol must be positive")
+    tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "generator matrix")
     off = a.copy()
     np.fill_diagonal(off, 0.0)
-    if off.min(initial=0.0) < -tol:
+    low = off.min(initial=0.0)
+    if low < -tol:
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)
         raise NegativeOffDiagonalError(
             f"off-diagonal rate ({i},{j}) = {a[i, j]:.6g} is negative",
             row=int(i), col=int(j), value=float(a[i, j]))
-    off = np.maximum(off, 0.0)
+    np.maximum(off, 0.0, out=off)
     rates = off.sum(axis=1)
     sums = rates + np.diag(a)
     if np.any(np.abs(sums) > tol):
@@ -247,12 +250,13 @@ def validate_generator(raw, row_tol: float | None = None, *,
             f"row {i} sums to {sums[i]:.17g}; |sum| exceeds row_tol",
             row=i, row_sum=float(sums[i]))
     np.fill_diagonal(off, -rates)
-    correction = float(np.abs(off - a).max(initial=0.0))
-    return GeneratorMatrix(_freeze(off), correction)
+    # off-diagonal entries moved only where clamped, by at most -low
+    moved = float(np.abs(-rates - np.diag(a)).max(initial=0.0))
+    return GeneratorMatrix(_freeze(off), max(0.0, -float(low), moved))
 
 
 def reward_vector(values, expected_len: int | None = None) -> RewardVector:
-    v = np.asarray(values, dtype=float).reshape(-1)
+    v = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise DimensionMismatchError("reward vector entries must be finite")
     if expected_len is not None and v.shape[0] != expected_len:
@@ -264,7 +268,7 @@ def reward_vector(values, expected_len: int | None = None) -> RewardVector:
 
 def reference_vector(values, *, cfg: Tolerances = DEFAULT) -> ReferenceVector:
     """Build a reference vector, rejecting r with |r.e| below re_tol."""
-    v = np.asarray(values, dtype=float).reshape(-1)
+    v = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ReferenceDegenerateError("reference vector entries must be finite")
     dot = float(v.sum())
@@ -294,7 +298,7 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     Transition rows p(s,a,.) and policy rows must be probability
     distributions within row_tol; both are exactly renormalized.
     """
-    tol = cfg.row_tol if row_tol is None else float(row_tol)
+    tol = _row_tol(row_tol, cfg)
     p = np.asarray(transitions, dtype=float)
     if p.ndim != 3 or p.shape[0] != p.shape[2]:
         raise NonSquareError(
@@ -313,8 +317,11 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     if not np.all(np.isfinite(pol)):
         raise DimensionMismatchError("policy must be finite")
 
-    flat = _validate_distribution_rows(p.reshape(S * A, S), tol, "transition tensor")
-    pol_rows = _validate_distribution_rows(pol, tol, "policy")
+    flat = p.reshape(S * A, S)
+    if not np.all(np.isfinite(flat)):
+        raise NonSquareError("transition tensor: entries must be finite")
+    flat, _ = _validate_distribution_rows(flat, tol, "transition tensor")
+    pol_rows, _ = _validate_distribution_rows(pol, tol, "policy")
     return MdpModel(
         _freeze(flat.reshape(S, A, S)),
         _freeze(f.copy()),
@@ -367,9 +374,8 @@ def _frontier_diagnostics(adj: np.ndarray) -> ChainDiagnostics | None:
     level = _frontier_levels(adj, forward=True)
     if level is None or _frontier_levels(adj, forward=False) is None:
         return None
-    if adj.diagonal().any():
-        period = 1
-    else:
+    period = 1
+    if not adj.diagonal().any():
         # edges out of level a reach the levels b listed here; the distinct
         # a + 1 - b are all the gcd needs, with no n x n integer array
         steps = [a + 1 - level[adj[level == a].any(axis=0)]
@@ -390,11 +396,12 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     Every other support, and a dense one the frontier route leaves open,
     takes whole-array work over the edge list (u, v): one strong-components
     pass (Tarjan 1972), closed classes as the components that no edge
-    leaves, and the period as the gcd over in-component edges of
-    level(u) + 1 - level(v), with unweighted BFS levels from one root per
-    component (Jarvis & Shier 1999). Tree edges contribute 0 and drop
-    out, so a cycle-free component contributes nothing and an all-zero
-    gcd means period 1.
+    leaves, and the period: 1 if a diagonal entry is set (a cycle of
+    length 1, as on the frontier route), else the gcd over in-component
+    edges of level(u) + 1 - level(v), with unweighted BFS levels from one
+    root per component (Jarvis & Shier 1999). Tree edges contribute 0 and
+    drop out, so a cycle-free component contributes nothing and an
+    all-zero gcd means period 1.
     """
     n = adj.shape[0]
     counts = np.count_nonzero(adj, axis=1)
@@ -414,17 +421,17 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     inside = cu == cv
     num_closed = n_comp - np.unique(cu[~inside]).size
 
-    if n_comp == 1:
-        g_in = g
-    else:
-        u, v = u[inside], v[inside]
-        g_in = csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n))
-    # each state is reachable in g_in only from the root of its own
-    # component, so the minimum over roots is the level from that root
-    roots = np.unique(labels, return_index=True)[1]
-    level = dijkstra(g_in, indices=roots, unweighted=True,
-                     min_only=True).astype(np.int32)
-    period = abs(int(np.gcd.reduce(level[u] + 1 - level[v]))) or 1
+    period = 1
+    if not adj.diagonal().any():
+        if n_comp > 1:
+            u, v = u[inside], v[inside]
+            g = csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n))
+        # each state is reachable in g only from the root of its own
+        # component, so the minimum over roots is the level from that root
+        roots = np.unique(labels, return_index=True)[1]
+        level = dijkstra(g, indices=roots, unweighted=True,
+                         min_only=True).astype(np.int32)
+        period = abs(int(np.gcd.reduce(level[u] + 1 - level[v]))) or 1
     return ChainDiagnostics(
         irreducible=bool(n_comp == 1),
         aperiodic=period == 1,
@@ -444,8 +451,8 @@ def diagnose_chain(P: StochasticMatrix, *, cfg: Tolerances = DEFAULT) -> ChainDi
     or edges. A dense irreducible support (at least 32 edges per row on
     average) is decided by a forward and a backward frontier BFS from
     state 0, in O(n^2) numpy work over at most 8 levels; every other
-    support takes one scipy.sparse.csgraph strong-components pass and a
-    BFS-level pass per component, O(n^2 + edges).
+    support takes one scipy.sparse.csgraph strong-components pass and,
+    without self-loops, a BFS-level pass per component, O(n^2 + edges).
     """
     return _support_diagnostics(np.asarray(P.matrix) > cfg.edge_tol)
 

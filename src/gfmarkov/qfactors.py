@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _linalg
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, stationary
+from .gfm import _as_reference, potentials, stationary
 from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze
 from .report import CheckResult, VerificationReport
 
@@ -56,14 +55,11 @@ class ActionTransitionMatrix:
 
 
 @dataclass(frozen=True)
-class StateActionChain:
-    """Row-stochastic chain on state-action pairs: the product P L."""
+class StateActionChain(StochasticMatrix):
+    """Row-stochastic chain on state-action pairs: the product P L.
 
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    Its rows are checked to row_tol by :func:`build_state_action_chain`.
+    """
 
 
 @dataclass(frozen=True)
@@ -130,12 +126,10 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             "policy assigns zero probability to state-action pairs "
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
-    f = m.rewards.reshape(-1)
-    q = _linalg.ShiftedSystem.for_chain(chain.matrix, r.values,
-                                        cfg.pivot_tol).solve(f)
-    eta = float(r.values @ q)
-    induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
-    return QSolution(q, eta, r, induced_g)
+    sol = potentials(chain, m.rewards.reshape(-1), r, allow_unchecked=True,
+                     cfg=cfg)
+    induced_g = (m.policy * sol.g.reshape(S, A)).sum(axis=1)
+    return QSolution(sol.g, sol.eta, r, induced_g)
 
 
 def q_consistency_report(m: MdpModel, q: QSolution, *,
@@ -152,7 +146,7 @@ def q_consistency_report(m: MdpModel, q: QSolution, *,
     chain = build_state_action_chain(m, cfg=cfg)
     checks: list[CheckResult] = []
 
-    P_sa = action_transition_matrix(m).P
+    P_sa = m.transitions.reshape(S * A, S)
     point = q.q - (f - q.eta + P_sa @ q.induced_g)
     resid = float(np.abs(point).max())
     checks.append(CheckResult("q_pointwise_definition",
@@ -167,8 +161,7 @@ def q_consistency_report(m: MdpModel, q: QSolution, *,
     checks.append(CheckResult("state_action_rows_stochastic",
                               rows <= 1e-12, rows))
 
-    sm = StochasticMatrix(chain.matrix, 0.0)
-    pi = stationary(sm, q.reference, allow_unchecked=True, cfg=cfg)
+    pi = stationary(chain, q.reference, allow_unchecked=True, cfg=cfg)
     resid = float(abs(q.eta - pi.pi @ f))
     checks.append(CheckResult("eta_vs_stationary_reward",
                               resid <= cfg.poisson_tol, resid))

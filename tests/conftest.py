@@ -22,6 +22,8 @@ from scipy.sparse.csgraph import connected_components
 from gfmarkov import (
     ChainDiagnostics,
     EstimateTrace,
+    GeneratorMatrix,
+    MdpModel,
     SimulationConfig,
     StepSchedule,
     StochasticMatrix,
@@ -31,7 +33,14 @@ from gfmarkov import (
     validate_stochastic,
 )
 from gfmarkov.config import DEFAULT
-from gfmarkov.errors import SeriesDivergentError
+from gfmarkov.errors import (
+    DimensionMismatchError,
+    NegativeEntryError,
+    NegativeOffDiagonalError,
+    NonSquareError,
+    RowSumViolationError,
+    SeriesDivergentError,
+)
 from gfmarkov.estimator import DEFAULT_SCHEDULE, _sample_states
 from gfmarkov.gfm import (
     FundamentalMatrix,
@@ -39,6 +48,12 @@ from gfmarkov.gfm import (
     _as_reference,
     _as_rewards,
     _require_irreducible,
+)
+from gfmarkov.model import (
+    _ROW_SUM_EXACT,
+    _freeze,
+    _require_square,
+    _settle_row_sums,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -314,6 +329,103 @@ def reference_shifted_lu(A: np.ndarray, r: np.ndarray):
     """
     M = A + np.outer(np.ones(A.shape[0]), r)
     return scipy.linalg.lu_factor(M)
+
+
+# The validators as they were before each one built a single n x n array,
+# kept as their oracles: a finiteness rescan, a copy of the clamped array,
+# and max_correction from the whole |out - a| difference.
+
+def _reference_validate_distribution_rows(a: np.ndarray, tol: float,
+                                          what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise NonSquareError(f"{what}: entries must be finite")
+    low = a.min(initial=0.0)
+    if low < -tol:
+        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+        raise NegativeEntryError(
+            f"{what}: entry ({i},{j}) = {a[i, j]:.6g} is below -row_tol",
+            row=int(i), col=int(j), value=float(a[i, j]))
+    a = np.maximum(a, 0.0)
+    sums = a.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > tol):
+        i = int(np.argmax(np.abs(sums - 1.0)))
+        raise RowSumViolationError(
+            f"{what}: row {i} sums to {sums[i]:.17g}; |sum - 1| exceeds row_tol",
+            row=i, row_sum=float(sums[i]))
+    stale = np.abs(sums - 1.0) > _ROW_SUM_EXACT
+    out = a.copy()
+    out[stale] = a[stale] / sums[stale, None]
+    _settle_row_sums(out, stale)
+    return out
+
+
+def reference_validate_stochastic(raw, row_tol: float | None = None, *,
+                                  cfg: Tolerances = DEFAULT) -> StochasticMatrix:
+    tol = cfg.row_tol if row_tol is None else float(row_tol)
+    if tol <= 0:
+        raise ValueError("row_tol must be positive")
+    a = _require_square(raw, "transition matrix")
+    out = _reference_validate_distribution_rows(a, tol, "transition matrix")
+    correction = float(np.abs(out - a).max(initial=0.0))
+    return StochasticMatrix(_freeze(out), correction)
+
+
+def reference_validate_generator(raw, row_tol: float | None = None, *,
+                                 cfg: Tolerances = DEFAULT) -> GeneratorMatrix:
+    tol = cfg.row_tol if row_tol is None else float(row_tol)
+    if tol <= 0:
+        raise ValueError("row_tol must be positive")
+    a = _require_square(raw, "generator matrix")
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    if off.min(initial=0.0) < -tol:
+        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+        raise NegativeOffDiagonalError(
+            f"off-diagonal rate ({i},{j}) = {a[i, j]:.6g} is negative",
+            row=int(i), col=int(j), value=float(a[i, j]))
+    off = np.maximum(off, 0.0)
+    rates = off.sum(axis=1)
+    sums = rates + np.diag(a)
+    if np.any(np.abs(sums) > tol):
+        i = int(np.argmax(np.abs(sums)))
+        raise RowSumViolationError(
+            f"row {i} sums to {sums[i]:.17g}; |sum| exceeds row_tol",
+            row=i, row_sum=float(sums[i]))
+    np.fill_diagonal(off, -rates)
+    correction = float(np.abs(off - a).max(initial=0.0))
+    return GeneratorMatrix(_freeze(off), correction)
+
+
+def reference_validate_mdp(transitions, rewards, policy,
+                           row_tol: float | None = None, *,
+                           cfg: Tolerances = DEFAULT) -> MdpModel:
+    tol = cfg.row_tol if row_tol is None else float(row_tol)
+    p = np.asarray(transitions, dtype=float)
+    if p.ndim != 3 or p.shape[0] != p.shape[2]:
+        raise NonSquareError(
+            f"transition tensor must have shape (S, A, S), got {p.shape}")
+    S, A = p.shape[0], p.shape[1]
+    f = np.asarray(rewards, dtype=float)
+    if f.shape != (S, A):
+        raise DimensionMismatchError(
+            f"rewards must have shape ({S}, {A}), got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise DimensionMismatchError("rewards must be finite")
+    pol = np.asarray(policy, dtype=float)
+    if pol.shape != (S, A):
+        raise DimensionMismatchError(
+            f"policy must have shape ({S}, {A}), got {pol.shape}")
+    if not np.all(np.isfinite(pol)):
+        raise DimensionMismatchError("policy must be finite")
+
+    flat = _reference_validate_distribution_rows(p.reshape(S * A, S), tol,
+                                                 "transition tensor")
+    pol_rows = _reference_validate_distribution_rows(pol, tol, "policy")
+    return MdpModel(
+        _freeze(flat.reshape(S, A, S)),
+        _freeze(f.copy()),
+        _freeze(pol_rows),
+    )
 
 
 def oracle_stationary(P: np.ndarray) -> np.ndarray:

@@ -414,6 +414,34 @@ class TestCommands:
         assert code == 0
 
 
+_READ_TOLS = {"validate": ("row",), "check": ("row", "solve", "poisson", "re")}
+_OTHER_TOLS = ("row", "solve", "re")
+
+
+class TestToleranceFlags:
+    """Each subcommand registers only the tolerance flags it reads."""
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_read_flags_parse(self, command):
+        for name in _READ_TOLS.get(command, _OTHER_TOLS):
+            args = cli.build_parser().parse_args(
+                [command, "--model", "m.json", f"--{name}-tol", "1e-3"])
+            assert getattr(args, f"{name}_tol") == 1e-3
+
+    def test_unread_flags_exit_2(self, capsys, models_dir):
+        model = str(models_dir / "two_state.json")
+        unread = [(command, name) for command in sorted(cli._HANDLERS)
+                  for name in ("row", "solve", "poisson", "re")
+                  if name not in _READ_TOLS.get(command, _OTHER_TOLS)]
+        assert len(unread) == 10
+        for command, name in unread:
+            with pytest.raises(SystemExit) as e:
+                main([command, "--model", model, f"--{name}-tol", "1e-3"])
+            assert e.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: --{name}-tol" in err
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, models_dir):
         proc = subprocess.run(

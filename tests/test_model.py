@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from gfmarkov import (
     diagnose_chain,
     min_uniformization_rate,
     reference_vector,
+    reward_vector,
     stationary,
     uniformize,
     validate_generator,
@@ -34,6 +37,9 @@ from conftest import (
     random_periodic_chain,
     random_reference,
     reference_diagnose_chain,
+    reference_validate_generator,
+    reference_validate_mdp,
+    reference_validate_stochastic,
 )
 
 
@@ -110,6 +116,101 @@ class TestValidateGenerator:
             gen = random_generator_matrix(rng, int(rng.integers(2, 7)))
             assert np.all(np.diag(gen.matrix) <= 0.0)
             assert np.abs(gen.matrix.sum(axis=1)).max() < 1e-12
+
+
+def _distribution_rows(rng: np.random.Generator, rows: int, n: int,
+                       kind: str, tol: float) -> np.ndarray:
+    """Random probability rows of one kind, as a validator's raw input.
+
+    "exact": rows normalized by division, within a few ulp of sum 1.
+    "stale": about half the rows scaled by up to 1 +- tol / 4.
+    "tiny_negative": zero entries set to small negatives the validator
+    clamps. "mixed": both. "rounded": entries rounded to 3 decimals, rows
+    then off by up to n / 2000. "negative": one entry at -2 tol, which
+    the validator rejects.
+    """
+    a = rng.gamma(1.0, 1.0, (rows, n)) * (rng.random((rows, n)) < 0.6)
+    a[np.arange(rows), rng.integers(0, n, rows)] += 0.1
+    a /= a.sum(axis=1, keepdims=True)
+    if kind in ("tiny_negative", "mixed"):
+        zero = (a == 0.0) & (rng.random(a.shape) < 0.5)
+        a[zero] = -rng.uniform(0.0, tol / (4 * n), int(zero.sum()))
+    if kind in ("stale", "mixed"):
+        scale = rng.uniform(-tol / 4, tol / 4, (rows, 1))
+        a *= 1.0 + scale * (rng.random((rows, 1)) < 0.5)
+    elif kind == "rounded":
+        a = np.round(a, 3)
+    elif kind == "negative":
+        a[rng.integers(0, rows), rng.integers(0, n)] = -2 * tol
+    return a
+
+
+def _outcome(validate, *args):
+    try:
+        return validate(*args), None
+    except Exception as e:  # the oracle must raise the same error
+        return None, (type(e), str(e), getattr(e, "detail", None))
+
+
+class TestValidatorsMatchOracle:
+    """The one-buffer validators against their earlier form, bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           kind=st.sampled_from(["exact", "stale", "tiny_negative", "mixed",
+                                 "rounded", "negative"]),
+           tol=st.sampled_from([1e-9, 1e-6, 1e-2]),
+           fortran=st.booleans())
+    def test_random_inputs(self, seed, n, kind, tol, fortran):
+        rng = np.random.default_rng(seed)
+        a = _distribution_rows(rng, n, n, kind, tol)
+        if fortran:
+            a = np.asfortranarray(a)
+        for validate, oracle, raw in (
+                (validate_stochastic, reference_validate_stochastic, a),
+                (validate_generator, reference_validate_generator, a - np.eye(n))):
+            got, got_err = _outcome(validate, raw, tol)
+            want, want_err = _outcome(oracle, raw, tol)
+            assert got_err == want_err
+            if want is not None:
+                assert np.array_equal(got.matrix, want.matrix)
+                assert got.matrix.flags.c_contiguous
+                got_c, want_c = got.max_correction, want.max_correction
+                assert type(got_c) is float and got_c == want_c
+                assert math.copysign(1.0, got_c) == math.copysign(1.0, want_c)
+
+        S, A = max(n // 2, 1), int(rng.integers(1, 4))
+        p = _distribution_rows(rng, S * A, S, kind, tol).reshape(S, A, S)
+        policy = _distribution_rows(rng, S, A, kind, tol)
+        rewards = rng.normal(size=(S, A))
+        got, got_err = _outcome(validate_mdp, p, rewards, policy, tol)
+        want, want_err = _outcome(reference_validate_mdp, p, rewards, policy, tol)
+        assert got_err == want_err
+        if want is not None:
+            for field in ("transitions", "rewards", "policy"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_non_finite_entries(self):
+        nan = float("nan")
+        for validate, oracle, args in (
+                (validate_stochastic, reference_validate_stochastic,
+                 ([[nan, 1.0], [0.5, 0.5]],)),
+                (validate_generator, reference_validate_generator,
+                 ([[-1.0, float("inf")], [1.0, -1.0]],)),
+                (validate_mdp, reference_validate_mdp,
+                 (np.full((2, 1, 2), nan), np.zeros((2, 1)), np.ones((2, 1))))):
+            got, got_err = _outcome(validate, *args)
+            assert got is None and got_err == _outcome(oracle, *args)[1]
+            assert got_err[0] is NonSquareError
+
+    @pytest.mark.parametrize("row_tol", [0.0, -1.0])
+    def test_row_tol_must_be_positive(self, row_tol):
+        mdp = (np.full((2, 1, 2), 0.5), np.zeros((2, 1)), np.ones((2, 1)))
+        for call in (lambda: validate_stochastic([[1.0]], row_tol),
+                     lambda: validate_generator([[0.0]], row_tol),
+                     lambda: validate_mdp(*mdp, row_tol)):
+            with pytest.raises(ValueError, match="row_tol must be positive"):
+                call()
 
 
 class TestDiagnoseChain:
@@ -372,6 +473,32 @@ class TestGateRoute:
         assert d.period == (500 if name == "cycle_500" else 1)
 
 
+class TestSelfLoopRule:
+    """A set diagonal entry fixes the period at 1 on the csgraph route too."""
+
+    @pytest.mark.parametrize("name", ["solve_sparse_ring", "lazy_ring_600",
+                                      "reducible_dense_0_closed"])
+    def test_self_loops_skip_the_level_pass(self, monkeypatch, name):
+        P = _chain_on(_CSGRAPH_SUPPORTS[name]())
+        calls = count_calls(monkeypatch, model, "dijkstra")
+        d = diagnose_chain(P)
+        assert calls == []
+        assert d == reference_diagnose_chain(P)
+
+    def test_sparse_ctmc_skips_the_level_pass(self, monkeypatch):
+        ring = _chain_on(_ring(300, [1, 2])).matrix
+        B = validate_generator(ring - np.eye(300))
+        calls = count_calls(monkeypatch, model, "dijkstra")
+        assert ctmc._diagnose_generator(B, DEFAULT).irreducible
+        assert calls == []
+
+    def test_cycle_takes_one_level_pass(self, monkeypatch):
+        P = _chain_on(_CSGRAPH_SUPPORTS["cycle_500"]())
+        calls = count_calls(monkeypatch, model, "dijkstra")
+        assert diagnose_chain(P).period == 500
+        assert len(calls) == 1
+
+
 class TestUniformize:
     def test_direct_formula(self):
         B = validate_generator([[-1, 1], [1, -1]])
@@ -437,3 +564,20 @@ class TestReferenceVector:
         r = reference_vector([1.0, 0.0])
         with pytest.raises(ValueError):
             r.values[0] = 2.0
+
+    def test_owns_its_buffer(self):
+        r0 = np.array([0.5, 0.5])
+        r = reference_vector(r0)
+        r0[0] = 100.0
+        assert r.values.tolist() == [0.5, 0.5]
+        assert r.dot_with_ones == 1.0
+
+
+class TestRewardVector:
+    def test_owns_its_buffer(self):
+        f0 = np.array([1.0, 2.0])
+        f = reward_vector(f0)
+        f0[0] = 100.0
+        assert f.values.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            f.values[0] = 3.0

@@ -158,6 +158,30 @@ class TestConsistencyReport:
                     assert c.residual <= 1e-8
 
 
+class TestThroughChainCalls:
+    """Q-factors are potentials of the state-action chain, solved by gfm."""
+
+    def test_chain_is_a_stochastic_matrix(self):
+        chain = build_state_action_chain(random_mdp(np.random.default_rng(3), 3, 2))
+        assert isinstance(chain, StochasticMatrix)
+        assert chain.size == 6 and chain.max_correction == 0.0
+
+    def test_qfactors_are_chain_potentials_bitwise(self):
+        rng = np.random.default_rng(163)
+        for _ in range(10):
+            m = random_mdp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+            r = reference_vector(rng.normal(size=m.states * m.actions) + 0.5)
+            q = qfactors_solve(m, r)
+            sol = potentials(build_state_action_chain(m), m.rewards.reshape(-1),
+                             r, allow_unchecked=True)
+            assert np.array_equal(q.q, sol.g) and q.eta == sol.eta
+            pi = stationary(build_state_action_chain(m), r, allow_unchecked=True)
+            rep = q_consistency_report(m, q)
+            resid = [c for c in rep.checks
+                     if c.name == "eta_vs_stationary_reward"][0].residual
+            assert resid == float(abs(q.eta - pi.pi @ m.rewards.reshape(-1)))
+
+
 class TestActionTransitionMatrix:
     def test_layout(self):
         rng = np.random.default_rng(157)
