@@ -382,6 +382,11 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
 
 def _cmd_check(args, cfg: Tolerances):
     loaded, diag = _load(args, cfg, None)
+    if args.gamma is not None and (loaded.kind != "ctmc" or args.poisson):
+        raise ModelFormatError("--gamma applies only to a ctmc check "
+                               "without --poisson")
+    if args.poisson and loaded.kind == "mdp":
+        raise ModelFormatError("--poisson does not apply to an mdp model")
     if loaded.kind == "dtmc":
         checks = _dtmc_checks(loaded, diag.aperiodic, args.poisson, cfg)
     elif loaded.kind == "ctmc":

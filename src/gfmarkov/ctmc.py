@@ -56,9 +56,10 @@ def _as_generator(B) -> GeneratorMatrix:
 def _diagnose_generator(B: GeneratorMatrix, cfg: Tolerances) -> ChainDiagnostics:
     # the support of the uniformized chain I + B / gamma at gamma = max
     # rate + 1: its diagonal is strictly positive, so irreducibility there
-    # is exactly ergodicity of B
+    # is exactly ergodicity of B. B is compared with edge_tol * gamma, not
+    # divided: a positive rate whose quotient underflows stays an edge
     gamma = min_uniformization_rate(B) + 1.0
-    adj = np.asarray(B.matrix) / gamma > cfg.edge_tol
+    adj = np.asarray(B.matrix) > cfg.edge_tol * gamma
     np.fill_diagonal(adj, True)
     return _support_diagnostics(adj)
 

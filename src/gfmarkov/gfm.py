@@ -195,8 +195,10 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     Z = _linalg.ShiftedSystem.for_chain(P.matrix, r.values,
                                         cfg.pivot_tol).inverse()
     # the LU overwrote its own copy of M
-    M = np.eye(P.size) - P.matrix + r.values
-    cond = float(np.abs(M).sum(axis=0).max() * np.abs(Z).sum(axis=0).max())
+    M = r.values - P.matrix
+    M.flat[::P.size + 1] += 1.0
+    norm = np.abs(M, out=M).sum(axis=0).max()
+    cond = float(norm * np.abs(Z).sum(axis=0).max())
     return FundamentalMatrix(Z, r, P, condition_estimate=cond)
 
 

@@ -337,78 +337,43 @@ _FRONTIER_MIN_EDGES_PER_ROW = 32
 _FRONTIER_MAX_LEVELS = 8
 
 
-def _frontier_levels(adj: np.ndarray, forward: bool) -> np.ndarray | None:
-    """BFS levels from state 0 along (or against) the edges of `adj`.
-
-    Each level is one whole-array step over the rows (or columns) of the
-    current frontier. None when some state is unreached, either because
-    the search ran dry or because it hit _FRONTIER_MAX_LEVELS.
-    """
-    n = adj.shape[0]
-    level = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+def _frontier_covers(adj: np.ndarray, forward: bool) -> bool:
+    """Whether BFS from state 0 along (or against) the edges of `adj`
+    reaches every state within _FRONTIER_MAX_LEVELS whole-array levels."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
     seen[0] = True
     front = np.zeros(1, dtype=np.intp)
-    for depth in range(1, _FRONTIER_MAX_LEVELS + 1):
-        if seen.all():
-            return level
+    for _ in range(_FRONTIER_MAX_LEVELS):
+        if front.size == 0 or seen.all():
+            break
         reach = adj[front].any(axis=0) if forward else adj[:, front].any(axis=1)
-        nxt = reach & ~seen
-        front = np.flatnonzero(nxt)
-        if front.size == 0:
-            return None
-        level[front] = depth
-        seen |= nxt
-    return level if seen.all() else None
-
-
-def _frontier_diagnostics(adj: np.ndarray) -> ChainDiagnostics | None:
-    """Diagnosis of an irreducible support by two frontier BFS; else None.
-
-    Strongly connected exactly when state 0 reaches every state along the
-    edges and against them (Sharir 1981). The period is 1 when a diagonal
-    entry is set, otherwise the gcd of level(u) + 1 - level(v) over every
-    edge, with the forward levels (Jarvis & Shier 1999). None means the
-    support is reducible or deeper than _FRONTIER_MAX_LEVELS.
-    """
-    level = _frontier_levels(adj, forward=True)
-    if level is None or _frontier_levels(adj, forward=False) is None:
-        return None
-    period = 1
-    if not adj.diagonal().any():
-        # edges out of level a reach the levels b listed here; the distinct
-        # a + 1 - b are all the gcd needs, with no n x n integer array
-        steps = [a + 1 - level[adj[level == a].any(axis=0)]
-                 for a in range(int(level.max()) + 1)]
-        period = abs(int(np.gcd.reduce(np.concatenate(steps)))) or 1
-    return ChainDiagnostics(irreducible=True, aperiodic=period == 1,
-                            period=period, num_closed_classes=1)
+        front = np.flatnonzero(reach & ~seen)
+        seen[front] = True
+    return bool(seen.all())
 
 
 def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     """Irreducibility, period, and closed-class count of a boolean support.
 
-    Two routes give the same answer. A support with at least
-    _FRONTIER_MIN_EDGES_PER_ROW edges per row on average first tries
-    :func:`_frontier_diagnostics`, which decides an irreducible support in
-    a few whole-array BFS levels.
+    A set diagonal entry is a cycle of length 1, so the period is 1. Such
+    a support with at least _FRONTIER_MIN_EDGES_PER_ROW edges per row on
+    average is strongly connected if :func:`_frontier_covers` holds along
+    the edges and against them (Sharir 1981).
 
-    Every other support, and a dense one the frontier route leaves open,
-    takes whole-array work over the edge list (u, v): one strong-components
-    pass (Tarjan 1972), closed classes as the components that no edge
-    leaves, and the period: 1 if a diagonal entry is set (a cycle of
-    length 1, as on the frontier route), else the gcd over in-component
-    edges of level(u) + 1 - level(v), with unweighted BFS levels from one
-    root per component (Jarvis & Shier 1999). Tree edges contribute 0 and
-    drop out, so a cycle-free component contributes nothing and an
-    all-zero gcd means period 1.
+    Every other support takes whole-array work over the edge list (u, v):
+    one strong-components pass (Tarjan 1972), closed classes as the
+    components that no edge leaves, and, without a self-loop, the period
+    as the gcd over in-component edges of level(u) + 1 - level(v), with
+    unweighted BFS levels from one root per component (Jarvis & Shier
+    1999). Tree edges contribute 0, so an all-zero gcd means period 1.
     """
     n = adj.shape[0]
     counts = np.count_nonzero(adj, axis=1)
-    if counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n:
-        diag = _frontier_diagnostics(adj)
-        if diag is not None:
-            return diag
+    looped = bool(adj.diagonal().any())
+    if (looped and counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n
+            and _frontier_covers(adj, forward=True)
+            and _frontier_covers(adj, forward=False)):
+        return ChainDiagnostics(True, True, 1, 1)
     # CSR arrays straight from the dense support: flat indices are
     # row-major, so they come sorted within each row
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -422,7 +387,7 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     num_closed = n_comp - np.unique(cu[~inside]).size
 
     period = 1
-    if not adj.diagonal().any():
+    if not looped:
         if n_comp > 1:
             u, v = u[inside], v[inside]
             g = csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n))
@@ -448,11 +413,11 @@ def diagnose_chain(P: StochasticMatrix, *, cfg: Tolerances = DEFAULT) -> ChainDi
     lengths; for reducible chains that is the gcd across the components
     that contain cycles, so aperiodic <=> period == 1 by construction.
     The gate is vectorized, with no Python loop over states, components
-    or edges. A dense irreducible support (at least 32 edges per row on
-    average) is decided by a forward and a backward frontier BFS from
-    state 0, in O(n^2) numpy work over at most 8 levels; every other
-    support takes one scipy.sparse.csgraph strong-components pass and,
-    without self-loops, a BFS-level pass per component, O(n^2 + edges).
+    or edges. A self-loop gives period 1. A self-looped support with at
+    least 32 edges per row that two frontier BFS from state 0 cover within
+    8 levels is irreducible, in O(n^2) numpy work; any other support takes
+    one csgraph strong-components pass and, without self-loops, a BFS-level
+    pass per component, O(n^2 + edges).
     """
     return _support_diagnostics(np.asarray(P.matrix) > cfg.edge_tol)
 

@@ -183,6 +183,22 @@ class TestExitCodes:
                 assert json.loads(capsys.readouterr().out)["error"] == "ModelFormat"
             assert code == 2, argv
 
+    @pytest.mark.parametrize("name, flags, code, error", [
+        ("two_state.json", ["--gamma", "7"], 2, "ModelFormat"),
+        ("mdp_two_state.json", ["--gamma", "0.1"], 2, "ModelFormat"),
+        ("ctmc_two_state.json", ["--gamma", "3", "--poisson"], 2, "ModelFormat"),
+        ("mdp_two_state.json", ["--poisson"], 2, "ModelFormat"),
+        ("bad_rows.json", ["--gamma", "7"], 2, "RowSumViolation"),
+        ("ctmc_two_state.json", ["--gamma", "7"], 0, None),
+    ], ids=["gamma-dtmc", "gamma-mdp", "gamma-poisson", "poisson-mdp",
+            "model-fault-first", "gamma-ctmc"])
+    def test_check_refuses_flags_its_battery_never_reads(
+            self, capsys, models_dir, name, flags, code, error):
+        got, out, _ = run_cli(capsys, "check", *flags,
+                              "--model", str(models_dir / name))
+        assert got == code
+        assert json.loads(out).get("error") == error
+
     def test_wrong_kind_exits_2(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "qfactors",
                                "--model", str(models_dir / "two_state.json"))
@@ -371,12 +387,12 @@ class TestCommands:
     def test_check_poisson_round_trip(self, capsys, models_dir):
         # potentials output independently re-verified by the check command
         for name in ("two_state.json", "two_state_sym.json",
-                     "ctmc_two_state.json", "mdp_two_state.json"):
+                     "ctmc_two_state.json"):
             code, out, _ = run_cli(capsys, "check", "--poisson",
                                    "--model", str(models_dir / name))
             assert code == 0
             names = [c["name"] for c in json.loads(out)["checks"]]
-            assert any("poisson" in n or n.startswith("q_") for n in names)
+            assert any("poisson" in n for n in names)
 
     def test_csv_output(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "stationary",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gfmarkov import (
     GammaTooSmallError,
+    NearSingularError,
     NotErgodicError,
     ctmc_potentials,
     ctmc_potentials_classic,
@@ -243,3 +244,12 @@ class TestDiagnoseGenerator:
         assert ctmc._diagnose_generator(B, DEFAULT) == expected
         if ring and n > 1:
             assert expected.irreducible
+
+    def test_rate_whose_quotient_underflows_is_an_edge(self):
+        # 1e-30 / gamma is 0.0 at gamma = 1e300 + 1, yet the rate is
+        # positive: the process is ergodic, and the solve then hits the
+        # pivot floor
+        B = validate_generator([[-1e300, 1e300], [1e-30, -1e-30]])
+        assert ctmc._diagnose_generator(B, DEFAULT).irreducible
+        with pytest.raises(NearSingularError):
+            ctmc_stationary(B)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -386,26 +387,31 @@ class TestFrontierRouteMatchesOracle:
         if kind == "reducible":
             n = max(n, 2)
         adj = _dense_support(seed, n, density, kind, period)
-        expected = reference_diagnose_chain(_chain_on(adj, seed))
-        got = model._frontier_diagnostics(adj)
-        # it decides exactly the irreducible supports within its level cap
-        decides = (expected.irreducible
-                   and _depth_from_state_0(adj) <= model._FRONTIER_MAX_LEVELS)
-        assert (got is not None) == decides
-        if got is not None:
-            assert got == expected
-        if kind == "reducible":
-            assert got is None
+        P = _chain_on(adj, seed)
+        expected = reference_diagnose_chain(P)
+        with mock.patch.object(model, "connected_components",
+                               wraps=model.connected_components) as csgraph:
+            assert diagnose_chain(P) == expected
+        # the frontier route decides exactly the irreducible self-looped
+        # supports that are dense and within its level cap
+        frontier = (expected.irreducible and adj.diagonal().any()
+                    and adj.sum() >= model._FRONTIER_MIN_EDGES_PER_ROW * n
+                    and _depth_from_state_0(adj) <= model._FRONTIER_MAX_LEVELS)
+        assert csgraph.call_count == (0 if frontier else 1)
 
     def test_decides_dense_irreducible_supports(self):
         n = 60
         full = np.ones((n, n), dtype=bool)
         hollow = ~np.eye(n, dtype=bool)
         three = (np.arange(n)[None, :] % 3) == ((np.arange(n)[:, None] + 1) % 3)
-        for adj, period in ((full, 1), (hollow, 1), (three, 3)):
-            d = model._frontier_diagnostics(adj)
-            assert d == reference_diagnose_chain(_chain_on(adj))
+        for adj, period, calls in ((full, 1, 0), (hollow, 1, 1), (three, 3, 1)):
+            P = _chain_on(adj)
+            with mock.patch.object(model, "connected_components",
+                                   wraps=model.connected_components) as csgraph:
+                d = diagnose_chain(P)
+            assert d == reference_diagnose_chain(P)
             assert d.irreducible and d.period == period
+            assert csgraph.call_count == calls
 
 
 def _ring(n: int, offsets) -> np.ndarray:
