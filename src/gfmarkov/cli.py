@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +143,7 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
             pi = ctmc_mod.ctmc_stationary(loaded.generator, allow_unchecked=True,
                                           cfg=cfg).pi
         else:
-            chain = qf.build_state_action_chain(loaded.mdp, cfg=cfg)
-            pi = gfm.stationary(chain, None, allow_unchecked=True, cfg=cfg).pi
+            pi = qf._pair_distribution(loaded.mdp, cfg)
         return reference_vector(pi, cfg=cfg)
     if text.strip().startswith("["):
         import json
@@ -438,11 +438,18 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _print_warning(message, *_) -> None:
+    """warnings.showwarning that writes one plain line, no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _tolerances(args)
     try:
-        result = _HANDLERS[args.command](args, cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            result = _HANDLERS[args.command](args, cfg)
         doc, code = result if isinstance(result, tuple) else (result, 0)
         text = (_to_csv(args.command, doc) if args.output == "csv"
                 else dumps_document(doc))

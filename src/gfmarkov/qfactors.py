@@ -1,11 +1,19 @@
 """Q-factors of a fixed randomized policy, solved in closed form.
 
 The state-action pairs of an MDP under a policy form a chain of their
-own: lift the transition tensor to an (S*A) x S matrix, embed the policy
-as the block-diagonal S x (S*A) matrix L, and their product is the
-row-stochastic state-action chain. The Q-factor vector then solves
-(I - PL + e r) Q = f exactly like chain potentials do, with r any
+own: lift the transition tensor to an (S*A) x S matrix P_sa, embed the
+policy as the block-diagonal S x (S*A) matrix L, and their product P_sa L
+is the row-stochastic state-action chain. The Q-factor vector solves
+(I - P_sa L + e r) Q = f exactly like chain potentials do, with r any
 state-action row vector with r.e != 0 and r.Q = eta on the solution.
+
+That (S*A) x (S*A) system is never formed. The policy chain
+P_pi = L P_sa has the same nonzero spectrum as P_sa L, with
+multiplicities, so I - P_sa L + e r is singular exactly when the S x S
+matrix I - P_pi + e r_S is, with r_S(s) = sum_a r(s,a) and r_S.e = r.e.
+One factorization of the latter gives the state potentials g and
+eta = r_S.g; the Q-factors are g lifted to pairs plus the advantage
+f(s,a) - f_pi(s) + p(s,a,.).g - P_pi(s,.).g, shifted so that r.Q = eta.
 
 State-action vectors are ordered state-major: (s0,a0), (s0,a1), ...,
 (s1,a0), ..., the same order as ``rewards.reshape(-1)``.
@@ -18,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import ShiftedSystem
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, potentials, stationary
+from .gfm import _as_reference, stationary
 from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze
 from .report import CheckResult, VerificationReport
 
@@ -109,8 +118,28 @@ def _zero_probability_actions(m: MdpModel) -> list[tuple[int, int]]:
     return [(int(s), int(a)) for s, a in pairs]
 
 
+def _policy_chain(m: MdpModel) -> np.ndarray:
+    """The S x S policy chain P_pi = L P_sa."""
+    return np.einsum("sa,sat->st", m.policy, m.transitions)
+
+
+def _pair_distribution(m: MdpModel, cfg: Tolerances) -> np.ndarray:
+    """Stationary distribution of the state-action chain P_sa L.
+
+    pi_sa(s,a) = pi_S(s) policy(s,a) with pi_S stationary for P_pi:
+    nu = pi_sa P_sa is pi_S P_pi = pi_S, so pi_sa P_sa L = pi_sa.
+    """
+    pi_S = stationary(_policy_chain(m), None, allow_unchecked=True, cfg=cfg).pi
+    return (pi_S[:, None] * m.policy).reshape(-1)
+
+
 def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSolution:
-    """Solve (I - PL + e r) Q = f over state-action pairs.
+    """Solve (I - PL + e r) Q = f over state-action pairs, at S x S cost.
+
+    One factorization of I - P_pi + e r_S gives g and eta = r_S.g; then
+    Q = g(s) + advantage(s,a), shifted by (eta - r.Q) / r.e. With one
+    action the advantage and the shift are exactly zero, so Q is the
+    chain's potential vector bit for bit.
 
     Only simplicity of the chain's unit eigenvalue is required (the solve
     raises NearSingular otherwise); actions the policy never takes keep
@@ -118,7 +147,6 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
     chain reducible even when the induced state chain is fine.
     """
     S, A = m.states, m.actions
-    chain = build_state_action_chain(m, cfg=cfg)
     r = _as_reference(r, S * A, cfg)
     dead = _zero_probability_actions(m)
     if dead:
@@ -126,10 +154,19 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             "policy assigns zero probability to state-action pairs "
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
-    sol = potentials(chain, m.rewards.reshape(-1), r, allow_unchecked=True,
-                     cfg=cfg)
-    induced_g = (m.policy * sol.g.reshape(S, A)).sum(axis=1)
-    return QSolution(sol.g, sol.eta, r, induced_g)
+    P_pi = _policy_chain(m)
+    f_pi = (m.policy * m.rewards).sum(axis=1)
+    r_S = r.values.reshape(S, A).sum(axis=1)
+    g = ShiftedSystem.for_chain(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
+    eta = float(r_S @ g)
+    # Q = f - eta e + P_sa g, written as g plus the advantage so that the
+    # advantage vanishes exactly when A = 1
+    adv = ((m.rewards - f_pi[:, None]).reshape(-1)
+           + m.transitions.reshape(S * A, S) @ g - np.repeat(P_pi @ g, A))
+    q = np.repeat(g, A) + adv
+    q += (eta - float(r.values @ q)) / r.dot_with_ones
+    induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
+    return QSolution(q, eta, r, induced_g)
 
 
 def q_consistency_report(m: MdpModel, q: QSolution, *,
@@ -161,8 +198,7 @@ def q_consistency_report(m: MdpModel, q: QSolution, *,
     checks.append(CheckResult("state_action_rows_stochastic",
                               rows <= 1e-12, rows))
 
-    pi = stationary(chain, q.reference, allow_unchecked=True, cfg=cfg)
-    resid = float(abs(q.eta - pi.pi @ f))
+    resid = float(abs(q.eta - _pair_distribution(m, cfg) @ f))
     checks.append(CheckResult("eta_vs_stationary_reward",
                               resid <= cfg.poisson_tol, resid))
 

@@ -10,6 +10,7 @@ which the library itself never uses.
 from __future__ import annotations
 
 import os
+import warnings
 from math import gcd
 from pathlib import Path
 
@@ -48,12 +49,18 @@ from gfmarkov.gfm import (
     _as_reference,
     _as_rewards,
     _require_irreducible,
+    potentials,
 )
 from gfmarkov.model import (
     _ROW_SUM_EXACT,
     _freeze,
     _require_square,
     _settle_row_sums,
+)
+from gfmarkov.qfactors import (
+    QSolution,
+    _zero_probability_actions,
+    build_state_action_chain,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -319,6 +326,29 @@ def reference_series_fundamental(P, r=None, terms: int = 50, *,
     tail = term @ M
     tail_norm = float(np.abs(tail).sum(axis=1).max())
     return FundamentalMatrix(acc, r, P, tail_norm=tail_norm, terms=terms)
+
+
+def reference_qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSolution:
+    """Solve (I - PL + e r) Q = f over state-action pairs.
+
+    Only simplicity of the chain's unit eigenvalue is required (the solve
+    raises NearSingular otherwise); actions the policy never takes keep
+    their rows and get a warning, since they can make the state-action
+    chain reducible even when the induced state chain is fine.
+    """
+    S, A = m.states, m.actions
+    chain = build_state_action_chain(m, cfg=cfg)
+    r = _as_reference(r, S * A, cfg)
+    dead = _zero_probability_actions(m)
+    if dead:
+        warnings.warn(
+            "policy assigns zero probability to state-action pairs "
+            f"{dead}; the state-action chain may be reducible",
+            stacklevel=2)
+    sol = potentials(chain, m.rewards.reshape(-1), r, allow_unchecked=True,
+                     cfg=cfg)
+    induced_g = (m.policy * sol.g.reshape(S, A)).sum(axis=1)
+    return QSolution(sol.g, sol.eta, r, induced_g)
 
 
 def reference_shifted_lu(A: np.ndarray, r: np.ndarray):

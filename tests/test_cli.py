@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from gfmarkov import cli, ctmc, gfm
+from gfmarkov import qfactors as qf
 from gfmarkov.cli import main
 
 from conftest import count_calls
@@ -383,6 +384,33 @@ class TestCommands:
                              str(models_dir / name))
         assert code == 0
         assert len(factors) == lus
+
+    def test_mdp_check_factors_only_state_systems(self, capsys, monkeypatch,
+                                                  models_dir):
+        # PL is built once, for the checks on the literal chain; every LU
+        # is of an S x S policy-chain system
+        builds = count_calls(monkeypatch, qf, "build_state_action_chain")
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        code, _, _ = run_cli(capsys, "check", "--model",
+                             str(models_dir / "mdp_two_state.json"))
+        assert code == 0
+        assert len(builds) == 1
+        assert factors and all(args[0].shape == (2, 2) for args, _ in factors)
+
+    def test_library_warning_is_one_plain_line(self, capsys, tmp_path):
+        path = tmp_path / "dead_action.json"
+        path.write_text(json.dumps({
+            "kind": "mdp", "states": 2, "actions": 2,
+            "p": [[[0.8, 0.2], [0.3, 0.7]], [[0.5, 0.5], [0.1, 0.9]]],
+            "f": [[1.0, 0.5], [0.0, 0.25]],
+            "policy": [[1.0, 0.0], [0.5, 0.5]]}))
+        line = ("warning: policy assigns zero probability to state-action "
+                "pairs [(0, 1)]; the state-action chain may be reducible\n")
+        for argv in (["qfactors"], ["qfactors", "--reference", "stationary"],
+                     ["check"]):
+            code, out, err = run_cli(capsys, *argv, "--model", str(path))
+            assert code == 0 and json.loads(out)
+            assert err == line
 
     def test_check_poisson_round_trip(self, capsys, models_dir):
         # potentials output independently re-verified by the check command

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfmarkov import (
     build_policy_matrix,
@@ -13,10 +17,50 @@ from gfmarkov import (
     validate_mdp,
     validate_stochastic,
 )
+from gfmarkov.config import DEFAULT
+from gfmarkov.errors import NearSingularError
 from gfmarkov.model import StochasticMatrix
-from gfmarkov.qfactors import action_transition_matrix
+from gfmarkov.qfactors import _pair_distribution, action_transition_matrix
 
-from conftest import random_mdp
+from conftest import random_mdp, random_reference, reference_qfactors_solve
+
+
+def sparse_mdp(rng: np.random.Generator, S: int, A: int, zero_frac: float,
+               dead_frac: float, classes: int = 1):
+    """MDP with exact zero transitions and zero-probability actions.
+
+    Every action of a state moves one step along a ring inside the state's
+    class, so the policy chain has exactly `classes` closed classes.
+    """
+    cls = np.arange(S) * classes // S
+    W = rng.random((S, A, S)) * (rng.random((S, A, S)) >= zero_frac)
+    W *= cls[:, None, None] == cls[None, None, :]
+    for c in range(classes):
+        ring = np.flatnonzero(cls == c)
+        W[ring, :, np.roll(ring, -1)] += 0.5
+    pol = rng.random((S, A)) + 0.05
+    dead = rng.random((S, A)) < dead_frac
+    dead[np.arange(S), rng.integers(A, size=S)] = False
+    pol[dead] = 0.0
+    return validate_mdp(W / W.sum(axis=2, keepdims=True),
+                        rng.normal(size=(S, A)),
+                        pol / pol.sum(axis=1, keepdims=True))
+
+
+def assert_matches_oracle(q, ref, exact: bool):
+    """The S x S route against the literal (S*A)^2 solve.
+
+    Within 1e-10 max(1, |Q|inf), fixed before the first run; bit for bit
+    when the MDP has one action.
+    """
+    if exact:
+        assert np.array_equal(q.q, ref.q) and q.eta == ref.eta
+        assert np.array_equal(q.induced_g, ref.induced_g)
+        return
+    tol = 1e-10 * max(1.0, float(np.abs(ref.q).max()))
+    assert float(np.abs(q.q - ref.q).max()) <= tol
+    assert abs(q.eta - ref.eta) <= tol
+    assert float(np.abs(q.induced_g - ref.induced_g).max()) <= tol
 
 
 def single_state_two_action():
@@ -159,7 +203,7 @@ class TestConsistencyReport:
 
 
 class TestThroughChainCalls:
-    """Q-factors are potentials of the state-action chain, solved by gfm."""
+    """Q-factors are potentials of the state-action chain."""
 
     def test_chain_is_a_stochastic_matrix(self):
         chain = build_state_action_chain(random_mdp(np.random.default_rng(3), 3, 2))
@@ -167,19 +211,67 @@ class TestThroughChainCalls:
         assert chain.size == 6 and chain.max_correction == 0.0
 
     def test_qfactors_are_chain_potentials_bitwise(self):
+        # the S x S route against the literal solve on PL: within the
+        # oracle tolerance, and bit for bit when A = 1
         rng = np.random.default_rng(163)
         for _ in range(10):
             m = random_mdp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
             r = reference_vector(rng.normal(size=m.states * m.actions) + 0.5)
             q = qfactors_solve(m, r)
-            sol = potentials(build_state_action_chain(m), m.rewards.reshape(-1),
-                             r, allow_unchecked=True)
-            assert np.array_equal(q.q, sol.g) and q.eta == sol.eta
+            assert_matches_oracle(q, reference_qfactors_solve(m, r),
+                                  exact=m.actions == 1)
             pi = stationary(build_state_action_chain(m), r, allow_unchecked=True)
             rep = q_consistency_report(m, q)
             resid = [c for c in rep.checks
                      if c.name == "eta_vs_stationary_reward"][0].residual
-            assert resid == float(abs(q.eta - pi.pi @ m.rewards.reshape(-1)))
+            literal = float(abs(q.eta - pi.pi @ m.rewards.reshape(-1)))
+            assert abs(resid - literal) <= 1e-10 * max(1.0, abs(q.eta))
+
+
+class TestPolicyChainRouteMatchesOracle:
+    """qfactors_solve factors I - P_pi + e r_S, the oracle I - PL + e r."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 30),
+           A=st.sampled_from(range(1, 7)),
+           zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+           dead_frac=st.sampled_from([0.0, 0.3]),
+           sign=st.sampled_from([-1.0, 1.0]), point=st.booleans())
+    def test_random_mdps(self, seed, S, A, zero_frac, dead_frac, sign, point):
+        rng = np.random.default_rng(seed)
+        m = sparse_mdp(rng, S, A, zero_frac, dead_frac)
+        r = sign * random_reference(rng, S * A, 0.3, 1.9)
+        if point:
+            # all of r on one pair, often not an action's first
+            r = np.where(np.arange(S * A) == rng.integers(S * A), r.sum(), 0.0)
+        r = reference_vector(r)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            q = qfactors_solve(m, r)
+        with warnings.catch_warnings(record=True) as seen_ref:
+            warnings.simplefilter("always")
+            ref = reference_qfactors_solve(m, r)
+        assert [str(w.message) for w in seen] == [str(w.message) for w in seen_ref]
+        assert_matches_oracle(q, ref, exact=A == 1)
+        pi = stationary(build_state_action_chain(m), None, allow_unchecked=True).pi
+        assert float(np.abs(_pair_distribution(m, DEFAULT) - pi).max()) <= 1e-10
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(2, 30),
+           A=st.sampled_from(range(1, 7)),
+           zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+           dead_frac=st.sampled_from([0.0, 0.3]))
+    def test_two_closed_classes_are_near_singular(self, seed, S, A, zero_frac,
+                                                  dead_frac):
+        rng = np.random.default_rng(seed)
+        m = sparse_mdp(rng, S, A, zero_frac, dead_frac, classes=2)
+        r = reference_vector(random_reference(rng, S * A, 0.3, 1.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(NearSingularError):
+                reference_qfactors_solve(m, r)
+            with pytest.raises(NearSingularError):
+                qfactors_solve(m, r)
 
 
 class TestActionTransitionMatrix:
