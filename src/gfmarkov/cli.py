@@ -56,8 +56,11 @@ def _ranged(convert, low, strict: bool = False):
 
 
 def _seed_list(text: str) -> list[int]:
-    """argparse type: comma-separated seeds, each an int >= 0."""
-    return [_ranged(int, 0)(s) for s in text.split(",") if s.strip()]
+    """argparse type: comma-separated seeds, each an int >= 0, at least one."""
+    seeds = [_ranged(int, 0)(s) for s in text.split(",") if s.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    return seeds
 
 
 def _add_common(sub, reference: bool = True, tols=("row", "solve", "re")):
@@ -67,7 +70,7 @@ def _add_common(sub, reference: bool = True, tols=("row", "solve", "re")):
         sub.add_argument(
             "--reference", default="uniform",
             help="uniform | e1 | stationary | explicit vector literal "
-                 "(JSON list or comma-separated numbers)")
+                 "(comma-separated numbers, optionally in brackets)")
     sub.add_argument("--output", choices=["json", "csv"], default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     for name in tols:
@@ -145,17 +148,11 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
         else:
             pi = qf._pair_distribution(loaded.mdp, cfg)
         return reference_vector(pi, cfg=cfg)
-    if text.strip().startswith("["):
-        import json
-        try:
-            values = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ModelFormatError(f"cannot parse reference literal: {e}") from e
-    else:
-        try:
-            values = [float(x) for x in text.split(",") if x.strip()]
-        except ValueError as e:
-            raise ModelFormatError(f"cannot parse reference literal {text!r}") from e
+    items = text.strip().strip("[]").split(",")
+    try:
+        values = [float(x) for x in items if x.strip()]
+    except ValueError as e:
+        raise ModelFormatError(f"cannot parse reference literal {text!r}") from e
     return reference_vector(values, cfg=cfg)
 
 

@@ -141,13 +141,7 @@ def _as_reference(r, n: int, cfg: Tolerances) -> ReferenceVector:
 
 
 def _as_rewards(f, n: int) -> RewardVector:
-    if not isinstance(f, RewardVector):
-        f = reward_vector(f)
-    if len(f) != n:
-        raise DimensionMismatchError(
-            f"reward vector has length {len(f)}, expected {n}",
-            expected=n, got=len(f))
-    return f
+    return reward_vector(f.values if isinstance(f, RewardVector) else f, n)
 
 
 def _require_irreducible(P: StochasticMatrix, cfg: Tolerances,

@@ -149,8 +149,6 @@ def _require_square(raw: np.ndarray, err: str) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{err}: expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonSquareError(f"{err}: entries must be finite")
     return a
 
 
@@ -183,8 +181,8 @@ def _validate_distribution_rows(a: np.ndarray, tol: float,
                                 what: str) -> tuple[np.ndarray, float]:
     """Clamp tiny negatives, reject real ones, renormalize rows to sum 1.
 
-    Takes a finite `a`; returns the new rows and the largest entry change.
-    Rows already within _ROW_SUM_EXACT of sum 1 are only clamped.
+    Returns the new rows and the largest entry change. NaN and +inf fail
+    the row-sum test. Rows within _ROW_SUM_EXACT of sum 1 are only clamped.
     """
     low = a.min(initial=0.0)
     if low < -tol:
@@ -194,7 +192,7 @@ def _validate_distribution_rows(a: np.ndarray, tol: float,
             row=int(i), col=int(j), value=float(a[i, j]))
     out = np.maximum(a, 0.0)
     sums = out.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if not np.all(np.abs(sums - 1.0) <= tol):
         i = int(np.argmax(np.abs(sums - 1.0)))
         raise RowSumViolationError(
             f"{what}: row {i} sums to {sums[i]:.17g}; |sum - 1| exceeds row_tol",
@@ -215,7 +213,8 @@ def validate_stochastic(raw, row_tol: float | None = None, *,
     Entries in [-row_tol, 0) are clamped to zero; anything more negative is
     rejected. Row sums must lie within row_tol of 1, then get renormalized
     so downstream algebra sees machine-consistent stochasticity. Validating
-    the output again returns it unchanged, bit for bit.
+    the output again returns it unchanged, bit for bit. A NaN or +inf entry
+    fails its row's sum (RowSumViolation); a -inf entry is a NegativeEntry.
     """
     tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "transition matrix")
@@ -229,7 +228,8 @@ def validate_generator(raw, row_tol: float | None = None, *,
 
     Off-diagonal rates in [-row_tol, 0) are clamped to zero; each row sum
     must lie within row_tol of 0 and the diagonal is then set to minus the
-    off-diagonal sum, which also guarantees a nonpositive diagonal.
+    off-diagonal sum, which also guarantees a nonpositive diagonal. A -inf
+    rate is a NegativeOffDiagonal, any other non-finite entry a RowSumViolation.
     """
     tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "generator matrix")
@@ -243,8 +243,9 @@ def validate_generator(raw, row_tol: float | None = None, *,
             row=int(i), col=int(j), value=float(a[i, j]))
     np.maximum(off, 0.0, out=off)
     rates = off.sum(axis=1)
-    sums = rates + np.diag(a)
-    if np.any(np.abs(sums) > tol):
+    with np.errstate(invalid="ignore"):  # +inf rate against a -inf diagonal
+        sums = rates + np.diag(a)
+    if not np.all(np.abs(sums) <= tol):
         i = int(np.argmax(np.abs(sums)))
         raise RowSumViolationError(
             f"row {i} sums to {sums[i]:.17g}; |sum| exceeds row_tol",
@@ -296,7 +297,8 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     """Validate an MDP model with a fixed randomized policy.
 
     Transition rows p(s,a,.) and policy rows must be probability
-    distributions within row_tol; both are exactly renormalized.
+    distributions within row_tol; both are exactly renormalized. Their
+    non-finite entries fail as in validate_stochastic; rewards must be finite.
     """
     tol = _row_tol(row_tol, cfg)
     p = np.asarray(transitions, dtype=float)
@@ -314,13 +316,9 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     if pol.shape != (S, A):
         raise DimensionMismatchError(
             f"policy must have shape ({S}, {A}), got {pol.shape}")
-    if not np.all(np.isfinite(pol)):
-        raise DimensionMismatchError("policy must be finite")
 
-    flat = p.reshape(S * A, S)
-    if not np.all(np.isfinite(flat)):
-        raise NonSquareError("transition tensor: entries must be finite")
-    flat, _ = _validate_distribution_rows(flat, tol, "transition tensor")
+    flat, _ = _validate_distribution_rows(p.reshape(S * A, S), tol,
+                                          "transition tensor")
     pol_rows, _ = _validate_distribution_rows(pol, tol, "policy")
     return MdpModel(
         _freeze(flat.reshape(S, A, S)),

@@ -67,13 +67,23 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _count(doc: dict, key: str, p: Path) -> int:
+    value = _need(doc, key, str(p))
+    if type(value) is not int:  # bool is an int subclass
+        raise ModelFormatError(
+            f"model file {p} field {key!r} must be a JSON integer, got "
+            f"{json.dumps(value)}", path=str(p), field=key)
+    return value
+
+
 def load_model(path, *, cfg: Tolerances = DEFAULT) -> LoadedModel:
     """Read, parse, and validate a model file."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ModelFormatError(f"cannot read model file {p}: {e.strerror or e}",
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise ModelFormatError(f"cannot read model file {p}: {reason}",
                                path=str(p)) from e
     try:
         doc = json.loads(text)
@@ -85,7 +95,7 @@ def load_model(path, *, cfg: Tolerances = DEFAULT) -> LoadedModel:
                                path=str(p))
 
     kind = _need(doc, "kind", str(p))
-    states = int(_need(doc, "states", str(p)))
+    states = _count(doc, "states", p)
 
     try:
         if kind == "dtmc":
@@ -99,7 +109,7 @@ def load_model(path, *, cfg: Tolerances = DEFAULT) -> LoadedModel:
             _check_states(states, gen.size, p)
             return LoadedModel("ctmc", generator=gen, rewards=f)
         if kind == "mdp":
-            actions = int(_need(doc, "actions", str(p)))
+            actions = _count(doc, "actions", p)
             mdp = validate_mdp(_need(doc, "p", str(p)),
                                _need(doc, "f", str(p)),
                                _need(doc, "policy", str(p)), cfg=cfg)

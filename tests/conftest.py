@@ -54,7 +54,6 @@ from gfmarkov.gfm import (
 from gfmarkov.model import (
     _ROW_SUM_EXACT,
     _freeze,
-    _require_square,
     _settle_row_sums,
 )
 from gfmarkov.qfactors import (
@@ -364,6 +363,15 @@ def reference_shifted_lu(A: np.ndarray, r: np.ndarray):
 # The validators as they were before each one built a single n x n array,
 # kept as their oracles: a finiteness rescan, a copy of the clamped array,
 # and max_correction from the whole |out - a| difference.
+
+def _require_square(raw, err: str) -> np.ndarray:
+    a = np.asarray(raw, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"{err}: expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonSquareError(f"{err}: entries must be finite")
+    return a
+
 
 def _reference_validate_distribution_rows(a: np.ndarray, tol: float,
                                           what: str) -> np.ndarray:

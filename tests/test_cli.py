@@ -9,6 +9,8 @@ import scipy.linalg
 from gfmarkov import cli, ctmc, gfm
 from gfmarkov import qfactors as qf
 from gfmarkov.cli import main
+from gfmarkov.errors import ModelFormatError
+from gfmarkov.modelio import load_model
 
 from conftest import count_calls
 
@@ -200,11 +202,90 @@ class TestExitCodes:
         assert got == code
         assert json.loads(out).get("error") == error
 
+    def test_nested_reference_literal_exits_2(self, capsys, models_dir):
+        code, out, _ = run_cli(capsys, "potentials",
+                               "--model", str(models_dir / "two_state.json"),
+                               "--reference", "[1, [2]]")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ModelFormat",
+            "message": "cannot parse reference literal '[1, [2]]'"}
+
+    def test_nan_entry_names_its_row(self, capsys, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"kind": "dtmc", "states": 2, '
+                     '"P": [[NaN, 1.0], [0.5, 0.5]], "f": [0, 1]}')
+        code, out, _ = run_cli(capsys, "validate", "--model", str(p))
+        assert code == 2
+        assert json.loads(out)["error"] == "RowSumViolation"
+        assert out.endswith(',"detail":{"row":0,"row_sum":null}}\n')
+
+    def test_empty_seed_list_is_a_usage_error(self, capsys, models_dir):
+        with pytest.raises(SystemExit) as e:
+            main(["estimate", "--model", str(models_dir / "two_state.json"),
+                  "--seeds", ","])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seeds: no seed in ','" in captured.err
+
     def test_wrong_kind_exits_2(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "qfactors",
                                "--model", str(models_dir / "two_state.json"))
         assert code == 2
         assert json.loads(out)["error"] == "ModelFormat"
+
+
+_TWO = [[0.5, 0.5], [0.5, 0.5]]
+_MDP = {"kind": "mdp", "states": 2, "actions": 1, "p": [[[0.5, 0.5]], [[0.5, 0.5]]],
+        "f": [[0], [1]], "policy": [[1], [1]]}
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "dtmc", "states": "abc", "P": [[1]], "f": [0]}',
+         "field 'states' must be a JSON integer, got \"abc\""),
+        ('{"kind": "dtmc", "states": null, "P": [[1]], "f": [0]}',
+         "field 'states' must be a JSON integer, got null"),
+        ('{"kind": "dtmc", "states": 1.7, "P": [[1]], "f": [0]}',
+         "field 'states' must be a JSON integer, got 1.7"),
+        ('{"kind": "dtmc", "states": true, "P": [[1]], "f": [0]}',
+         "field 'states' must be a JSON integer, got true"),
+        (json.dumps(dict(_MDP, actions="x")),
+         "field 'actions' must be a JSON integer, got \"x\""),
+        ('{"kind": "dtmc", "states": 1, "P": [[1]], "f": [0]}\udcff',
+         "codec can't decode byte 0xff"),
+    ], ids=["states-string", "states-null", "states-float", "states-bool",
+            "actions-string", "non-utf8"])
+    def test_malformed_field_or_bytes(self, capsys, tmp_path, text, message):
+        p = tmp_path / "m.json"
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, out, err = run_cli(capsys, "validate", "--model", str(p))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "ModelFormat" and message in doc["message"]
+        assert f"model file {p}" in doc["message"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "dtmc", "states": 2, "f": [0, 1]},
+         "model file {p} is missing field 'P'"),
+        ([1, 2], "model file {p} must contain a JSON object"),
+        ({"kind": "dtmc", "states": 3, "P": _TWO, "f": [0, 1]},
+         "model file {p} declares states=3 but matrices have 2"),
+        (dict(_MDP, actions=2),
+         "model file {p} declares actions=2 but tensors have 1"),
+        ({"kind": "dtmc", "states": 2, "P": [[0.5, "x"], [0.5, 0.5]], "f": [0, 1]},
+         "model file {p} has malformed arrays: could not convert string to "
+         "float: 'x'"),
+    ], ids=["missing-field", "top-level-list", "states-mismatch",
+            "actions-mismatch", "malformed-P"])
+    def test_loader_errors(self, tmp_path, model, message):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(model))
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(p)
+        assert str(exc.value) == message.format(p=p)
 
 
 class TestCommands:
@@ -411,6 +492,70 @@ class TestCommands:
             code, out, err = run_cli(capsys, *argv, "--model", str(path))
             assert code == 0 and json.loads(out)
             assert err == line
+
+    def test_validate_ctmc_and_mdp_documents(self, capsys, models_dir):
+        code, out, _ = run_cli(capsys, "validate", "--model",
+                               str(models_dir / "ctmc_two_state.json"))
+        assert code == 0
+        assert out == ('{"valid":true,"kind":"ctmc","states":2,"max_correction":0,'
+                       '"ergodic":true,"min_uniformization_rate":1}\n')
+        code, out, _ = run_cli(capsys, "validate", "--model",
+                               str(models_dir / "mdp_two_state.json"))
+        assert code == 0
+        assert out == ('{"valid":true,"kind":"mdp","states":2,"actions":2,'
+                       '"state_action_pairs":4,"zero_probability_actions":[]}\n')
+
+    @pytest.mark.parametrize("command, name, csv", [
+        ("potentials", "two_state",
+         "state,g,eta\n0,2.33333333333,0.666666666667\n1,-1,0.666666666667\n"),
+        ("ctmc-potentials", "ctmc_two_state",
+         "state,g,eta\n0,-0.25,0.5\n1,-0.75,0.5\n"),
+        ("qfactors", "mdp_two_state",
+         "pair,Q\n0,1.33839285714\n1,0.35625\n2,0.0491071428571\n"
+         "3,-0.0866071428571\n"),
+        ("series", "two_state",
+         "i,j,Z\n0,0,2.33333330935\n0,1,-1.33333330935\n"
+         "1,0,-0.999999982015\n1,1,1.99999998202\n"),
+    ])
+    def test_csv_forms(self, capsys, models_dir, command, name, csv):
+        code, out, _ = run_cli(capsys, command, "--output", "csv",
+                               "--model", str(models_dir / f"{name}.json"))
+        assert (code, out) == (0, csv)
+
+    def test_schedule_kinds(self, capsys, models_dir):
+        model = str(models_dir / "two_state.json")
+        code, out, _ = run_cli(capsys, "estimate", "--model", model,
+                               "--schedule", "constant:0.1", "--steps", "1000")
+        assert code == 0
+        assert out == ('{"seed":0,"g_hat":[2.7110666016379197,-1.1611599055570379],'
+                       '"eta_hat":0.77495334804044091,"steps_run":1000,'
+                       '"converged":false}\n')
+        code, out, _ = run_cli(capsys, "estimate", "--model", model,
+                               "--schedule", "foo:1")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ModelFormat",
+            "message": "unknown schedule kind 'foo'; use power: or constant:"}
+
+    def test_trace_needs_a_single_seed(self, capsys, models_dir, tmp_path):
+        code, out, _ = run_cli(capsys, "estimate", "--seeds", "1,2",
+                               "--model", str(models_dir / "two_state.json"),
+                               "--trace", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert json.loads(out) == {"error": "ModelFormat",
+                                   "message": "--trace needs a single seed"}
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_failing_check_exits_1(self, capsys, models_dir):
+        code, out, err = run_cli(capsys, "check", "--poisson-tol", "1e-300",
+                                 "--model", str(models_dir / "two_state.json"))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+            "poisson_residual"]
+        assert err.startswith("check failed: poisson_residual (residual ")
+        assert err.count("\n") == 1
 
     def test_check_poisson_round_trip(self, capsys, models_dir):
         # potentials output independently re-verified by the check command

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfmarkov import (
+    DimensionMismatchError,
     NotAperiodicError,
     NotIrreducibleError,
     ReferenceDegenerateError,
@@ -22,6 +23,7 @@ from gfmarkov import (
     validate_stochastic,
     verify_spectral_shift,
 )
+from gfmarkov.ctmc import ctmc_potentials
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
 
@@ -204,6 +206,19 @@ class TestPotentials:
             sol = potentials(P, f, r)
             pi = stationary(P, r).pi
             assert abs(sol.eta - pi @ f) <= 1e-8
+
+
+class TestInputLengths:
+    @pytest.mark.parametrize("solve, model", [
+        (potentials, LOPSIDED), (ctmc_potentials, [[-1.0, 1.0], [2.0, -2.0]])],
+        ids=["potentials", "ctmc_potentials"])
+    @pytest.mark.parametrize("f, r, name", [
+        ([1.0, 0.0, 2.0], E1, "reward"), ([1.0, 0.0], [1.0, 0.0, 0.0], "reference")])
+    def test_wrong_length(self, solve, model, f, r, name):
+        with pytest.raises(DimensionMismatchError) as exc:
+            solve(model, f, r)
+        assert str(exc.value) == f"{name} vector has length 3, expected 2"
+        assert exc.value.detail == {"expected": 2, "got": 3}
 
 
 class TestPotentialsClassic:

@@ -1,9 +1,10 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -25,6 +26,7 @@ from gfmarkov import ctmc, model
 from gfmarkov.config import DEFAULT
 from gfmarkov.ctmc import ctmc_stationary
 from gfmarkov.errors import (
+    ModelError,
     NegativeOffDiagonalError,
     NonSquareError,
     ReferenceDegenerateError,
@@ -192,17 +194,24 @@ class TestValidatorsMatchOracle:
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_non_finite_entries(self):
-        nan = float("nan")
-        for validate, oracle, args in (
-                (validate_stochastic, reference_validate_stochastic,
-                 ([[nan, 1.0], [0.5, 0.5]],)),
-                (validate_generator, reference_validate_generator,
-                 ([[-1.0, float("inf")], [1.0, -1.0]],)),
-                (validate_mdp, reference_validate_mdp,
-                 (np.full((2, 1, 2), nan), np.zeros((2, 1)), np.ones((2, 1))))):
-            got, got_err = _outcome(validate, *args)
-            assert got is None and got_err == _outcome(oracle, *args)[1]
-            assert got_err[0] is NonSquareError
+        # the row-sum tests refuse them; the oracles' finiteness scan said
+        # NonSquare, a code that names a shape fault
+        nan, inf = float("nan"), float("inf")
+        for validate, args, message, row_sum in (
+                (validate_stochastic, ([[nan, 1.0], [0.5, 0.5]],),
+                 "transition matrix: row 0 sums to nan; |sum - 1| exceeds "
+                 "row_tol", nan),
+                (validate_generator, ([[-1.0, inf], [1.0, -1.0]],),
+                 "row 0 sums to inf; |sum| exceeds row_tol", inf),
+                (validate_mdp,
+                 (np.full((2, 1, 2), nan), np.zeros((2, 1)), np.ones((2, 1))),
+                 "transition tensor: row 0 sums to nan; |sum - 1| exceeds "
+                 "row_tol", nan)):
+            got, (kind, text, detail) = _outcome(validate, *args)
+            assert got is None and kind is RowSumViolationError
+            assert text == message
+            assert detail.keys() == {"row", "row_sum"} and detail["row"] == 0
+            assert np.array_equal(detail["row_sum"], row_sum, equal_nan=True)
 
     @pytest.mark.parametrize("row_tol", [0.0, -1.0])
     def test_row_tol_must_be_positive(self, row_tol):
@@ -212,6 +221,51 @@ class TestValidatorsMatchOracle:
                      lambda: validate_mdp(*mdp, row_tol)):
             with pytest.raises(ValueError, match="row_tol must be positive"):
                 call()
+
+
+_NON_FINITE = {"nan": float("nan"), "+inf": float("inf"), "-inf": -float("inf")}
+
+
+class TestNonFiniteEntries:
+    """Each non-finite entry fails the sign or row-sum test that names it."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           target=st.sampled_from(["P", "B", "tensor", "policy"]),
+           entries=st.lists(st.tuples(st.sampled_from(sorted(_NON_FINITE)),
+                                      st.integers(0, 11), st.integers(0, 11)),
+                            min_size=1, max_size=3))
+    @example(seed=0, n=3, target="B", entries=[("+inf", 0, 1), ("-inf", 0, 0)])
+    def test_random_placements(self, seed, n, target, entries):
+        rng = np.random.default_rng(seed)
+        S, A = n, int(rng.integers(1, 4))
+        p = _distribution_rows(rng, S * A, S, "exact", 1e-9)
+        policy = _distribution_rows(rng, S, A, "exact", 1e-9)
+        a = {"P": p[:n], "B": p[:n] - np.eye(n), "tensor": p,
+             "policy": policy}[target]
+        placed = set()
+        for value, i, d in entries:  # column i + d: d = 0 hits the diagonal
+            i, j = i % a.shape[0], (i + d) % a.shape[1]
+            a[i, j] = _NON_FINITE[value]
+            # any non-finite diagonal rate fails its row sum, as +inf does
+            placed.add("+inf" if target == "B" and i == j else value)
+        codes = {"nan": "RowSumViolation", "+inf": "RowSumViolation",
+                 "-inf": ("NegativeOffDiagonal" if target == "B"
+                          else "NegativeEntry")}
+        with warnings.catch_warnings(), pytest.raises(ModelError) as exc:
+            warnings.simplefilter("error")
+            if target == "P":
+                validate_stochastic(a)
+            elif target == "B":
+                validate_generator(a)
+            else:
+                validate_mdp(p.reshape(S, A, S), np.zeros((S, A)), policy)
+        assert exc.value.code in {codes[v] for v in placed}
+        if exc.value.code == "RowSumViolation":
+            assert not np.all(np.isfinite(a[exc.value.detail["row"]]))
+        else:
+            i, j = exc.value.detail["row"], exc.value.detail["col"]
+            assert a[i, j] == -np.inf and (target != "B" or i != j)
 
 
 class TestDiagnoseChain:
@@ -555,6 +609,36 @@ class TestValidateMdp:
         p = np.ones((2, 2, 2)) * 0.4
         with pytest.raises(RowSumViolationError):
             validate_mdp(p, np.zeros((2, 2)), np.full((2, 2), 0.5))
+
+
+class TestInputErrors:
+    """Code and message of each shape and finiteness fault."""
+
+    @pytest.mark.parametrize("p, f, pol, code, message", [
+        (np.full((2, 2), 0.5), np.zeros((2, 1)), np.ones((2, 1)), "NonSquare",
+         "transition tensor must have shape (S, A, S), got (2, 2)"),
+        (np.full((2, 1, 2), 0.5), np.zeros(2), np.ones((2, 1)),
+         "DimensionMismatch", "rewards must have shape (2, 1), got (2,)"),
+        (np.full((2, 1, 2), 0.5), [[0.0], [np.inf]], np.ones((2, 1)),
+         "DimensionMismatch", "rewards must be finite"),
+        (np.full((2, 1, 2), 0.5), np.zeros((2, 1)), np.ones((1, 2)),
+         "DimensionMismatch", "policy must have shape (2, 1), got (1, 2)"),
+    ], ids=["tensor-shape", "rewards-shape", "rewards-non-finite",
+            "policy-shape"])
+    def test_validate_mdp(self, p, f, pol, code, message):
+        with pytest.raises(ModelError) as exc:
+            validate_mdp(p, f, pol)
+        assert (exc.value.code, str(exc.value)) == (code, message)
+
+    def test_non_finite_vectors(self):
+        with pytest.raises(ModelError) as exc:
+            reward_vector([1.0, np.nan])
+        assert (exc.value.code, str(exc.value)) == (
+            "DimensionMismatch", "reward vector entries must be finite")
+        with pytest.raises(ModelError) as exc:
+            reference_vector([1.0, -np.inf])
+        assert (exc.value.code, str(exc.value)) == (
+            "ReferenceDegenerate", "reference vector entries must be finite")
 
 
 class TestReferenceVector:
