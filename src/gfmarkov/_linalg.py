@@ -5,7 +5,8 @@ column-major buffer (A = I - P for a chain, A = B for a rate matrix),
 factors it in place by pivoted LU, checks the pivot floor and does the
 transposed solves for row systems. Every caller shares the same numerics
 and reads as many solutions (g, pi, the explicit inverse) from one
-factorization as it needs.
+factorization as it needs; :func:`shifted_system` keeps the last one on
+the validated matrix, so later calls with the same r reuse it.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NearSingularError
+from .model import GeneratorMatrix, StochasticMatrix, _memoized
 
 OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 
@@ -61,17 +63,39 @@ class ShiftedSystem:
         """B + e r for a rate matrix B."""
         return cls(np.add(B, r, out=np.empty(B.shape, order="F")), pivot_tol)
 
+    def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        # scipy's getrs wrapper shifts the pivot array to 1-based in place
+        # for the LAPACK call and back after it; two threads solving on one
+        # memoized system must not share that array, or the shifts stack
+        # and rows are swapped out of bounds
+        lu, piv = self._lu_piv
+        return scipy.linalg.lu_solve((lu, piv.copy()), b, trans=trans)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with M x = b."""
-        return scipy.linalg.lu_solve(self._lu_piv, b)
+        return self._solve(b, 0)
 
     def solve_row(self, b: np.ndarray) -> np.ndarray:
         """Row vector x with x M = b."""
-        return scipy.linalg.lu_solve(self._lu_piv, b, trans=1)
+        return self._solve(b, 1)
 
     def inverse(self) -> np.ndarray:
         """M^-1, from one block solve against I."""
         return self.solve(np.eye(self._lu_piv[0].shape[0]))
+
+
+def shifted_system(source: StochasticMatrix | GeneratorMatrix, r: np.ndarray,
+                   pivot_tol: float) -> ShiftedSystem:
+    """The factored I - P + e r of a chain, or B + e r of a rate matrix.
+
+    Read from the memo on `source` when its last factorization had the
+    same r and pivot_tol, else factored and stored there. A NearSingular
+    factorization is not stored, so every call with it raises again.
+    """
+    build = (ShiftedSystem.for_rates if isinstance(source, GeneratorMatrix)
+             else ShiftedSystem.for_chain)
+    return _memoized(source, "lu", (r.tobytes(), pivot_tol),
+                     lambda: build(source.matrix, r, pivot_tol))
 
 
 def _polish_root(x: complex, coeffs: tuple[float, ...]) -> complex:

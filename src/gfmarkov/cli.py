@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _linalg, gfm
+from . import gfm
 from . import ctmc as ctmc_mod
 from . import qfactors as qf
 from .config import DEFAULT, Tolerances
@@ -314,14 +314,13 @@ def _series_agreement_check(chain, r, exact, cfg: Tolerances) -> CheckResult:
 
 def _dtmc_checks(loaded: LoadedModel, aperiodic: bool, poisson_only: bool,
                  cfg: Tolerances) -> list[CheckResult]:
-    # g, eta, pi and Z all come from one factorization of I - P + e r
+    # g, eta, pi and Z all come from the one factorization of I - P + e r
+    # that the chain keeps
     chain, f = loaded.chain, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    system = _linalg.ShiftedSystem.for_chain(chain.matrix, r.values,
-                                             cfg.pivot_tol)
-    g = system.solve(f.values)
-    eta = float(r.values @ g)
-    pi = gfm._stationary_from(system, r, cfg, "chain").pi
+    sol = gfm.potentials(chain, f, r, allow_unchecked=True, cfg=cfg)
+    g, eta = sol.g, sol.eta
+    pi = gfm.stationary(chain, r, allow_unchecked=True, cfg=cfg).pi
     P = np.asarray(chain.matrix)
 
     checks = []
@@ -338,20 +337,20 @@ def _dtmc_checks(loaded: LoadedModel, aperiodic: bool, poisson_only: bool,
     checks.append(CheckResult("stationary_sums_to_one", resid <= 1e-8, resid))
     checks.extend(gfm.verify_spectral_shift(chain, r, cfg=cfg).checks)
     if aperiodic:
-        checks.append(_series_agreement_check(chain, r, system.inverse(), cfg))
+        Z = gfm.fundamental_matrix(chain, r, allow_unchecked=True, cfg=cfg).Z
+        checks.append(_series_agreement_check(chain, r, Z, cfg))
     return checks
 
 
 def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
                  cfg: Tolerances) -> list[CheckResult]:
-    # g, pi and eta = pi.f all come from one factorization of B + e r
+    # g, pi and eta = pi.f all come from the one factorization of B + e r
+    # that the generator keeps
     gen, f = loaded.generator, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    system = _linalg.ShiftedSystem.for_rates(gen.matrix, r.values,
-                                             cfg.pivot_tol)
-    g = system.solve(-f.values)
-    pi = gfm._stationary_from(system, r, cfg, "process").pi
-    eta = float(pi @ f.values)
+    sol = ctmc_mod.ctmc_potentials(gen, f, r, allow_unchecked=True, cfg=cfg)
+    g, eta = sol.g, sol.eta
+    pi = ctmc_mod.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg).pi
     B = np.asarray(gen.matrix)
 
     checks = []
@@ -445,6 +444,9 @@ def main(argv=None) -> int:
     cfg = _tolerances(args)
     try:
         with warnings.catch_warnings():
+            # an "error" filter (python -W error) would turn a library
+            # warning into an exception that no handler here reports
+            warnings.simplefilter("always")
             warnings.showwarning = _print_warning
             result = _HANDLERS[args.command](args, cfg)
         doc, code = result if isinstance(result, tuple) else (result, 0)

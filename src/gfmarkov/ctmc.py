@@ -32,6 +32,7 @@ from .model import (
     ChainDiagnostics,
     GeneratorMatrix,
     _checked_gamma,
+    _memoized,
     _support_diagnostics,
     min_uniformization_rate,
     reference_vector,
@@ -57,11 +58,14 @@ def _diagnose_generator(B: GeneratorMatrix, cfg: Tolerances) -> ChainDiagnostics
     # the support of the uniformized chain I + B / gamma at gamma = max
     # rate + 1: its diagonal is strictly positive, so irreducibility there
     # is exactly ergodicity of B. B is compared with edge_tol * gamma, not
-    # divided: a positive rate whose quotient underflows stays an edge
-    gamma = min_uniformization_rate(B) + 1.0
-    adj = np.asarray(B.matrix) > cfg.edge_tol * gamma
-    np.fill_diagonal(adj, True)
-    return _support_diagnostics(adj)
+    # divided: a positive rate whose quotient underflows stays an edge.
+    # The verdict is kept on B for the next gate with the same edge_tol
+    def gate() -> ChainDiagnostics:
+        gamma = min_uniformization_rate(B) + 1.0
+        adj = np.asarray(B.matrix) > cfg.edge_tol * gamma
+        np.fill_diagonal(adj, True)
+        return _support_diagnostics(adj)
+    return _memoized(B, "gate", cfg.edge_tol, gate)
 
 
 def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
@@ -80,7 +84,7 @@ def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, B.size, cfg)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    system = _linalg.ShiftedSystem.for_rates(B.matrix, r.values, cfg.pivot_tol)
+    system = _linalg.shifted_system(B, r.values, cfg.pivot_tol)
     return _stationary_from(system, r, cfg, "process")
 
 
@@ -97,7 +101,7 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
         _require_ergodic(B, cfg)
-    system = _linalg.ShiftedSystem.for_rates(B.matrix, r.values, cfg.pivot_tol)
+    system = _linalg.shifted_system(B, r.values, cfg.pivot_tol)
     g = system.solve(-f.values)
     pi = _stationary_from(system, r, cfg, "process")
     eta = float(pi.pi @ f.values)
@@ -116,8 +120,7 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     if not allow_unchecked:
         _require_ergodic(B, cfg)
     pi = ctmc_stationary(B, None, allow_unchecked=True, cfg=cfg)
-    g = _linalg.ShiftedSystem.for_rates(B.matrix, -pi.pi,
-                                        cfg.pivot_tol).solve(-f.values)
+    g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)
     r_pi = reference_vector(pi.pi, cfg=cfg)
     return PotentialSolution(g, eta, r_pi, NORM_ETA)

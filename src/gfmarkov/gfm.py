@@ -186,8 +186,7 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    Z = _linalg.ShiftedSystem.for_chain(P.matrix, r.values,
-                                        cfg.pivot_tol).inverse()
+    Z = _linalg.shifted_system(P, r.values, cfg.pivot_tol).inverse()
     # the LU overwrote its own copy of M
     M = r.values - P.matrix
     M.flat[::P.size + 1] += 1.0
@@ -209,7 +208,7 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    system = _linalg.ShiftedSystem.for_chain(P.matrix, r.values, cfg.pivot_tol)
+    system = _linalg.shifted_system(P, r.values, cfg.pivot_tol)
     return _stationary_from(system, r, cfg, "chain")
 
 
@@ -225,8 +224,7 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, P.size)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    g = _linalg.ShiftedSystem.for_chain(P.matrix, r.values,
-                                        cfg.pivot_tol).solve(f.values)
+    g = _linalg.shifted_system(P, r.values, cfg.pivot_tol).solve(f.values)
     eta = float(r.values @ g)
     return PotentialSolution(g, eta, r, NORM_ETA)
 

@@ -6,12 +6,18 @@ chain diagnostics (irreducibility, period), and uniformization of a
 continuous-time process into an equivalent discrete chain.
 
 All types are immutable after construction and safe to share across
-threads; every operation in this module is a pure function.
+threads; every operation in this module is a pure function of its
+inputs. A validated StochasticMatrix or GeneratorMatrix carries one
+private memo: the LU of its last shifted matrix A + e r and its last
+structural-gate verdict, so a second solve or gate with the same
+reference and tolerances reuses them. The memo costs at most one n x n
+array per matrix and never changes a result; concurrent first calls may
+each compute an entry, with identical bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -65,6 +71,10 @@ class StochasticMatrix:
 
     matrix: np.ndarray
     max_correction: float = 0.0
+    # {"lu": ((r bytes, pivot_tol), ShiftedSystem), "gate": (edge_tol,
+    # ChainDiagnostics)}; each entry is one tuple, swapped in whole
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def size(self) -> int:
@@ -81,6 +91,9 @@ class GeneratorMatrix:
 
     matrix: np.ndarray
     max_correction: float = 0.0
+    # as StochasticMatrix._memo
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def size(self) -> int:
@@ -143,6 +156,21 @@ class ChainDiagnostics:
     aperiodic: bool
     period: int
     num_closed_classes: int
+
+
+def _memoized(source, slot: str, key, compute):
+    """source._memo[slot]'s value if it was stored under key, else compute().
+
+    The slot keeps only the last (key, value) pair, replaced in one store,
+    so readers on other threads see an old pair or a new one, never a mix.
+    A compute() that raises stores nothing.
+    """
+    hit = source._memo.get(slot)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    value = compute()
+    source._memo[slot] = (key, value)
+    return value
 
 
 def _require_square(raw: np.ndarray, err: str) -> np.ndarray:
@@ -415,9 +443,11 @@ def diagnose_chain(P: StochasticMatrix, *, cfg: Tolerances = DEFAULT) -> ChainDi
     least 32 edges per row that two frontier BFS from state 0 cover within
     8 levels is irreducible, in O(n^2) numpy work; any other support takes
     one csgraph strong-components pass and, without self-loops, a BFS-level
-    pass per component, O(n^2 + edges).
+    pass per component, O(n^2 + edges). The verdict is kept on P for the
+    next gate with the same edge_tol.
     """
-    return _support_diagnostics(np.asarray(P.matrix) > cfg.edge_tol)
+    return _memoized(P, "gate", cfg.edge_tol, lambda: _support_diagnostics(
+        np.asarray(P.matrix) > cfg.edge_tol))
 
 
 def min_uniformization_rate(B: GeneratorMatrix) -> float:

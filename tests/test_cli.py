@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,20 @@ class TestCommands:
             code, out, err = run_cli(capsys, *argv, "--model", str(path))
             assert code == 0 and json.loads(out)
             assert err == line
+
+    def test_library_warning_under_an_error_filter(self, capsys, tmp_path):
+        # as under python -W error: the warning is still one plain line
+        path = tmp_path / "dead_action.json"
+        path.write_text(json.dumps({
+            "kind": "mdp", "states": 2, "actions": 2,
+            "p": [[[0.8, 0.2], [0.3, 0.7]], [[0.5, 0.5], [0.1, 0.9]]],
+            "f": [[1.0, 0.5], [0.0, 0.25]],
+            "policy": [[1.0, 0.0], [0.5, 0.5]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "qfactors", "--model", str(path))
+        assert code == 0 and json.loads(out)
+        assert err.startswith("warning: ") and err.count("\n") == 1
 
     def test_validate_ctmc_and_mdp_documents(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "validate", "--model",

@@ -127,6 +127,17 @@ class TestCtmcPotentials:
         # the shared LU gives the same pi as the stand-alone solve, bit for bit
         assert sol.eta == float(ctmc_stationary(B, r).pi @ f)
 
+    def test_generator_keeps_its_lu_and_gate(self, monkeypatch):
+        rng = np.random.default_rng(113)
+        B = random_generator_matrix(rng, 7)
+        f = rng.uniform(size=7)
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        gates = count_calls(monkeypatch, ctmc, "_support_diagnostics")
+        sol = ctmc_potentials(B, f)
+        pi = ctmc_stationary(B)
+        assert (len(factors), len(gates)) == (1, 1)
+        assert sol.eta == float(pi.pi @ f)
+
 
 class TestCtmcPotentialsClassic:
     def test_hand_solve(self):

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,10 +10,13 @@ from hypothesis import strategies as st
 
 from gfmarkov import (
     DimensionMismatchError,
+    NearSingularError,
     NotAperiodicError,
     NotIrreducibleError,
     ReferenceDegenerateError,
     SeriesDivergentError,
+    StochasticMatrix,
+    Tolerances,
     fundamental_matrix,
     potentials,
     potentials_classic,
@@ -23,6 +30,7 @@ from gfmarkov import (
     validate_stochastic,
     verify_spectral_shift,
 )
+from gfmarkov import model
 from gfmarkov.ctmc import ctmc_potentials
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
@@ -105,6 +113,135 @@ class TestFundamentalMatrix:
         fundamental_matrix(P, uniform_reference(6))
         assert len(factors) == 1
         assert len(solves) == 1
+
+
+def _solve(P, op: str, r, f) -> tuple:
+    """The arrays and floats one public shifted-matrix call returns."""
+    if op == "potentials":
+        sol = potentials(P, f, r)
+        return sol.g, sol.eta
+    if op == "stationary":
+        return (stationary(P, r).pi,)
+    fm = fundamental_matrix(P, r)
+    return fm.Z, fm.condition_estimate
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+class TestFactorizationMemo:
+    """A validated chain keeps its last LU of I - P + e r and its last gate."""
+
+    def test_one_lu_and_one_gate_for_g_pi_and_z(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        P = random_chain(rng, 8)
+        r = reference_vector(random_reference(rng, 8))
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        gates = count_calls(monkeypatch, model, "_support_diagnostics")
+        potentials(P, rng.uniform(size=8), r)
+        stationary(P, reference_vector(r.values.copy()))
+        fundamental_matrix(P, r)
+        assert (len(factors), len(gates)) == (1, 1)
+
+    # (LUs, gate passes) after the second call, then after going back to
+    # the first key: only the last entry is kept
+    @pytest.mark.parametrize("change, second, back", [
+        ("r", (2, 1), (3, 1)), ("pivot_tol", (2, 1), (3, 1)),
+        ("edge_tol", (1, 2), (1, 3))])
+    def test_new_key_makes_a_new_entry(self, monkeypatch, change, second,
+                                       back):
+        P = random_chain(np.random.default_rng(43), 6)
+        r, cfg = uniform_reference(6), Tolerances()
+        other_r, other_cfg = r, cfg
+        if change == "r":
+            other_r = reference_vector(np.eye(6)[0])
+        else:
+            other_cfg = dataclasses.replace(
+                cfg, **{change: 2 * getattr(cfg, change) or 1e-6})
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        gates = count_calls(monkeypatch, model, "_support_diagnostics")
+        potentials(P, np.ones(6), r, cfg=cfg)
+        stationary(P, other_r, cfg=other_cfg)
+        assert (len(factors), len(gates)) == second
+        fundamental_matrix(P, r, cfg=cfg)
+        assert (len(factors), len(gates)) == back
+
+    def test_near_singular_is_not_stored(self, monkeypatch):
+        P = validate_stochastic(np.eye(2))  # two closed classes
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        for _ in range(2):
+            with pytest.raises(NearSingularError):
+                potentials(P, [1.0, 0.0], allow_unchecked=True)
+        assert len(factors) == 2
+
+    def test_stored_gate_verdict_still_raises(self, monkeypatch):
+        reducible = validate_stochastic(np.eye(2))
+        periodic = random_periodic_chain(4)
+        gates = count_calls(monkeypatch, model, "_support_diagnostics")
+        for _ in range(2):
+            with pytest.raises(NotIrreducibleError):
+                potentials(reducible, [1.0, 0.0])
+            with pytest.raises(NotAperiodicError):
+                series_fundamental(periodic, None, 5)
+        assert len(gates) == 2
+
+    def test_repr_and_equality_ignore_the_memo(self):
+        P = random_chain(np.random.default_rng(47), 3)
+        fresh = dataclasses.replace(P)
+        potentials(P, [1.0, 0.0, 0.0])
+        assert repr(P) == repr(fresh) == (
+            f"StochasticMatrix(matrix={P.matrix!r}, max_correction=0.0)")
+        assert P == fresh
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           calls=st.lists(st.tuples(
+               st.sampled_from(["potentials", "stationary", "fundamental"]),
+               st.integers(0, 1)), min_size=1, max_size=8))
+    def test_results_match_a_fresh_object(self, seed, n, calls):
+        rng = np.random.default_rng(seed)
+        P = random_chain(rng, n)
+        refs = [reference_vector(random_reference(rng, n)) for _ in range(2)]
+        f = rng.uniform(size=n)
+        for op, k in calls:
+            fresh = StochasticMatrix(P.matrix, P.max_correction)
+            assert _same_bits(_solve(P, op, refs[k], f),
+                              _solve(fresh, op, refs[k], f)), (op, k)
+
+    def test_threads_sharing_one_chain_get_identical_bits(self):
+        rng = np.random.default_rng(53)
+        n = 40
+        P = random_chain(rng, n)
+        refs = [reference_vector(random_reference(rng, n)) for _ in range(2)]
+        f = rng.uniform(size=n)
+        plan = [(op, k) for k in (0, 1, 1, 0)
+                for op in ("potentials", "stationary", "fundamental")]
+        expected = {(op, k): _solve(StochasticMatrix(P.matrix), op, refs[k], f)
+                    for op, k in set(plan)}
+        start = threading.Barrier(4)
+        mismatches: list = []
+
+        def worker(shift: int) -> None:
+            start.wait(timeout=30)
+            for i in range(20 * len(plan)):
+                op, k = plan[(i + shift) % len(plan)]
+                if not _same_bits(_solve(P, op, refs[k], f), expected[op, k]):
+                    mismatches.append((op, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(3 * i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestStationary:
