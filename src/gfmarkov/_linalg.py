@@ -7,6 +7,10 @@ transposed solves for row systems. Every caller shares the same numerics
 and reads as many solutions (g, pi, the explicit inverse) from one
 factorization as it needs; :func:`shifted_system` keeps the last one on
 the validated matrix, so later calls with the same r reuse it.
+``scipy.linalg`` is imported at the first factorization, not with the
+package, so callers that never factor (validation, the structural gate,
+the estimator) never load it; ``lu_factor`` and ``lu_solve`` are looked
+up on that module at each call.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -17,7 +21,6 @@ import cmath
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NearSingularError
 from .model import GeneratorMatrix, StochasticMatrix, _memoized
@@ -37,6 +40,8 @@ class ShiftedSystem:
     """
 
     def __init__(self, M: np.ndarray, pivot_tol: float):
+        import scipy.linalg
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             self._lu_piv = scipy.linalg.lu_factor(M, overwrite_a=True)
@@ -68,6 +73,8 @@ class ShiftedSystem:
         # for the LAPACK call and back after it; two threads solving on one
         # memoized system must not share that array, or the shifts stack
         # and rows are swapped out of bounds
+        import scipy.linalg
+
         lu, piv = self._lu_piv
         return scipy.linalg.lu_solve((lu, piv.copy()), b, trans=trans)
 

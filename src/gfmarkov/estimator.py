@@ -178,22 +178,19 @@ def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> np.ndarray:
     """Walk the chain for `steps` transitions by inverse-CDF sampling.
 
     Each transition consumes one uniform draw and picks the first index
-    whose cumulative row probability exceeds it, in stored row order.
+    whose cumulative row probability exceeds it, in stored row order; a
+    draw past every cumulative sum but the last picks the last state.
     """
     n = P.shape[0]
     if not 0 <= s0 < n:
         raise ValueError(f"start state {s0} out of range [0, {n})")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     u = rng.random(steps).tolist()
-    cum_rows = [row.tolist() for row in np.cumsum(P, axis=1)]
-    last = n - 1
-    out = [0] * (steps + 1)
-    out[0] = s = int(s0)
-    for t in range(steps):
-        j = bisect_right(cum_rows[s], u[t])
-        s = j if j < last else last
-        out[t + 1] = s
-    return np.array(out, dtype=np.int64)
+    # without the last column bisect_right returns at most n - 1
+    rows = np.cumsum(P, axis=1)[:, :-1].tolist()
+    s = int(s0)
+    return np.array([s] + [s := bisect_right(rows[s], x) for x in u],
+                    dtype=np.int64)
 
 
 def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,12 @@ structural-gate verdict, so a second solve or gate with the same
 reference and tolerances reuses them. The memo costs at most one n x n
 array per matrix and never changes a result; concurrent first calls may
 each compute an entry, with identical bits.
+
+``scipy.sparse`` is imported by the first gate that takes the csgraph
+route, not with the package: a self-looped support that is small or
+dense is decided by numpy alone. ``csr_matrix``, ``connected_components``
+and ``dijkstra`` become module globals at that import; reading one from
+outside the module before then triggers it (PEP 562).
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -359,8 +363,33 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
 # and the csgraph pass is faster
 _FRONTIER_MIN_EDGES_PER_ROW = 32
 # a dense strongly connected support is covered in a few levels; deeper
-# supports go to csgraph, so the frontier route costs at most this many levels
+# supports go to csgraph, so the frontier route costs at most this many levels.
+# A strongly connected support of at most _FRONTIER_MAX_LEVELS + 1 states is
+# always covered, whatever its density
 _FRONTIER_MAX_LEVELS = 8
+
+_CSGRAPH_NAMES = ("csr_matrix", "connected_components", "dijkstra")
+
+
+def _load_csgraph() -> None:
+    """Import scipy.sparse and bind the csgraph names as module globals.
+
+    A name that is already bound, say patched by a test, is kept.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    bound = globals()
+    for name, value in zip(_CSGRAPH_NAMES,
+                           (csr_matrix, connected_components, dijkstra)):
+        bound.setdefault(name, value)
+
+
+def __getattr__(name: str):
+    if name in _CSGRAPH_NAMES:
+        _load_csgraph()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _frontier_covers(adj: np.ndarray, forward: bool) -> bool:
@@ -383,8 +412,9 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
 
     A set diagonal entry is a cycle of length 1, so the period is 1. Such
     a support with at least _FRONTIER_MIN_EDGES_PER_ROW edges per row on
-    average is strongly connected if :func:`_frontier_covers` holds along
-    the edges and against them (Sharir 1981).
+    average, or with at most _FRONTIER_MAX_LEVELS + 1 states, is strongly
+    connected if :func:`_frontier_covers` holds along the edges and
+    against them (Sharir 1981).
 
     Every other support takes whole-array work over the edge list (u, v):
     one strong-components pass (Tarjan 1972), closed classes as the
@@ -392,14 +422,17 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     as the gcd over in-component edges of level(u) + 1 - level(v), with
     unweighted BFS levels from one root per component (Jarvis & Shier
     1999). Tree edges contribute 0, so an all-zero gcd means period 1.
+    Only this route loads scipy.sparse.
     """
     n = adj.shape[0]
     counts = np.count_nonzero(adj, axis=1)
     looped = bool(adj.diagonal().any())
-    if (looped and counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n
+    if (looped and (counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n
+                    or n <= _FRONTIER_MAX_LEVELS + 1)
             and _frontier_covers(adj, forward=True)
             and _frontier_covers(adj, forward=False)):
         return ChainDiagnostics(True, True, 1, 1)
+    _load_csgraph()
     # CSR arrays straight from the dense support: flat indices are
     # row-major, so they come sorted within each row
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -440,11 +473,12 @@ def diagnose_chain(P: StochasticMatrix, *, cfg: Tolerances = DEFAULT) -> ChainDi
     that contain cycles, so aperiodic <=> period == 1 by construction.
     The gate is vectorized, with no Python loop over states, components
     or edges. A self-loop gives period 1. A self-looped support with at
-    least 32 edges per row that two frontier BFS from state 0 cover within
-    8 levels is irreducible, in O(n^2) numpy work; any other support takes
-    one csgraph strong-components pass and, without self-loops, a BFS-level
-    pass per component, O(n^2 + edges). The verdict is kept on P for the
-    next gate with the same edge_tol.
+    least 32 edges per row, or with at most 9 states, that two frontier BFS
+    from state 0 cover within 8 levels is irreducible, in O(n^2) numpy
+    work; any other support takes one csgraph strong-components pass and,
+    without self-loops, a BFS-level pass per component, O(n^2 + edges).
+    Only that csgraph pass imports scipy.sparse. The verdict is kept on P
+    for the next gate with the same edge_tol.
     """
     return _memoized(P, "gate", cfg.edge_tol, lambda: _support_diagnostics(
         np.asarray(P.matrix) > cfg.edge_tol))

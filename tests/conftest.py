@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from bisect import bisect_right
 from math import gcd
 from pathlib import Path
 
@@ -195,6 +196,28 @@ def reference_diagnose_chain(P) -> ChainDiagnostics:
         period=int(period),
         num_closed_classes=int(num_closed),
     )
+
+
+def reference_sample_states(P: np.ndarray, s0: int, steps: int,
+                            seed: int) -> np.ndarray:
+    """Inverse-CDF walk over full cumulative rows, clamped to the last state.
+
+    The loop the library's sampler replaced, kept as its oracle: same
+    draws, same bisection, but every step clamps an index past the last
+    cumulative sum back to n - 1.
+    """
+    n = P.shape[0]
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    u = rng.random(steps).tolist()
+    cum_rows = [row.tolist() for row in np.cumsum(P, axis=1)]
+    last = n - 1
+    out = [0] * (steps + 1)
+    out[0] = s = int(s0)
+    for t in range(steps):
+        j = bisect_right(cum_rows[s], u[t])
+        s = j if j < last else last
+        out[t + 1] = s
+    return np.array(out, dtype=np.int64)
 
 
 def reference_online_potentials(source, f, r=None,

@@ -17,12 +17,14 @@ from gfmarkov import (
     validate_stochastic,
     write_trace_csv,
 )
+from gfmarkov.estimator import _sample_states
 
 from conftest import (
     random_chain,
     random_periodic_chain,
     random_reference,
     reference_online_potentials,
+    reference_sample_states,
 )
 
 SYM = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
@@ -72,6 +74,24 @@ class TestSimulateChain:
         states, _ = simulate_chain(SYM, F, 0, 100_000, 42)
         freq = (states == 0).mean()
         assert abs(freq - 0.5) <= 0.01
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           steps=st.integers(1, 3000), zeros=st.floats(0.0, 0.9),
+           scale=st.sampled_from([1.0, 0.5]), data=st.data())
+    def test_path_matches_clamped_oracle(self, seed, n, steps, zeros, scale,
+                                         data):
+        # zero entries put flat runs in the cumulative rows; rows scaled to
+        # sum 0.5 send half the draws past the last sum, onto the clamp
+        rng = np.random.default_rng(seed)
+        raw = rng.random((n, n)) * (rng.random((n, n)) >= zeros)
+        raw[np.arange(n), rng.integers(0, n, size=n)] += 0.1
+        P = scale * np.asarray(validate_stochastic(
+            raw / raw.sum(axis=1, keepdims=True)).matrix)
+        s0 = data.draw(st.integers(0, n - 1), label="s0")
+        path = _sample_states(P, s0, steps, seed)
+        assert path.dtype == np.int64
+        assert np.array_equal(path, reference_sample_states(P, s0, steps, seed))
 
     def test_seed_determinism(self):
         a, _ = simulate_chain(SYM, F, 0, 5000, 11)

@@ -447,9 +447,10 @@ class TestFrontierRouteMatchesOracle:
                                wraps=model.connected_components) as csgraph:
             assert diagnose_chain(P) == expected
         # the frontier route decides exactly the irreducible self-looped
-        # supports that are dense and within its level cap
+        # supports that are dense or small and within its level cap
         frontier = (expected.irreducible and adj.diagonal().any()
-                    and adj.sum() >= model._FRONTIER_MIN_EDGES_PER_ROW * n
+                    and (adj.sum() >= model._FRONTIER_MIN_EDGES_PER_ROW * n
+                         or n <= model._FRONTIER_MAX_LEVELS + 1)
                     and _depth_from_state_0(adj) <= model._FRONTIER_MAX_LEVELS)
         assert csgraph.call_count == (0 if frontier else 1)
 
