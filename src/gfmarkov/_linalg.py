@@ -1,12 +1,10 @@
 """Dense linear-algebra helpers.
 
-``ShiftedSystem`` owns every shifted matrix A + e r: it writes the one
-column-major buffer (A = I - P for a chain, A = B for a rate matrix),
-factors it in place by pivoted LU, checks the pivot floor and does the
-transposed solves for row systems. Every caller shares the same numerics
-and reads as many solutions (g, pi, the explicit inverse) from one
-factorization as it needs; :func:`shifted_system` keeps the last one on
-the validated matrix, so later calls with the same r reuse it.
+``ShiftedSystem`` owns every shifted matrix M = A + e r (A = I - P for a
+chain, A = B for a rate matrix): it factors M^T in place by pivoted LU,
+checks the pivots and serves g, pi and the explicit inverse from that
+one factorization; :func:`shifted_system` keeps the last one on the
+validated matrix, so later calls with the same r reuse it.
 ``scipy.linalg`` is imported at the first factorization, not with the
 package, so callers that never factor (validation, the structural gate,
 the estimator) never load it; ``lu_factor`` and ``lu_solve`` are looked
@@ -29,14 +27,14 @@ OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 
 
 class ShiftedSystem:
-    """Pivoted LU of M = A + e r; rejects singular M.
+    """Pivoted LU of M^T for M = A + e r; rejects singular M.
 
-    Build through :meth:`for_chain` or :meth:`for_rates`. M is written
-    once in Fortran order, so LAPACK factors it in place and the LU is
-    the only n x n array the system keeps. The smallest |U_ii| is
-    compared with pivot_tol * max(1, largest |U_ii|); below that M is
-    treated as singular to working precision. Every solve reuses the one
-    factorization.
+    Build through :meth:`for_chain` or :meth:`for_rates`. M is written in
+    C order, which is M^T in Fortran order, so LAPACK factors M^T in place
+    with no copy and no finiteness scan; :meth:`solve` is then the
+    transposed solve. A NaN or infinite pivot is refused, and so is a
+    smallest |U_ii| at or below pivot_tol * max(1, largest |U_ii|).
+    dgecon with norm "I" on this LU estimates rcond_1(M).
     """
 
     def __init__(self, M: np.ndarray, pivot_tol: float):
@@ -44,9 +42,14 @@ class ShiftedSystem:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu_piv = scipy.linalg.lu_factor(M, overwrite_a=True)
-        pivots = np.abs(np.diag(self._lu_piv[0]))
-        floor = pivot_tol * max(1.0, float(pivots.max(initial=0.0)))
+            self._lu_piv = scipy.linalg.lu_factor(M.T, overwrite_a=True,
+                                                  check_finite=False)
+        pivots = np.abs(self._lu_piv[0].diagonal())
+        largest = float(pivots.max(initial=0.0))  # NaN if any pivot is NaN
+        if not np.isfinite(largest):
+            raise NearSingularError("shifted matrix is not finite: a NaN or "
+                                    "infinite entry, or overflow in its LU")
+        floor = pivot_tol * max(1.0, largest)
         if pivots.size and float(pivots.min()) <= floor:
             raise NearSingularError(
                 "factorization pivot below tolerance; matrix is singular to "
@@ -58,7 +61,7 @@ class ShiftedSystem:
     def for_chain(cls, P: np.ndarray, r: np.ndarray,
                   pivot_tol: float) -> ShiftedSystem:
         """I - P + e r for a chain or state-action chain P."""
-        M = np.subtract(r, P, out=np.empty(P.shape, order="F"))
+        M = np.subtract(r, P)
         np.fill_diagonal(M, (1.0 - np.diagonal(P)) + r)
         return cls(M, pivot_tol)
 
@@ -66,7 +69,8 @@ class ShiftedSystem:
     def for_rates(cls, B: np.ndarray, r: np.ndarray,
                   pivot_tol: float) -> ShiftedSystem:
         """B + e r for a rate matrix B."""
-        return cls(np.add(B, r, out=np.empty(B.shape, order="F")), pivot_tol)
+        with np.errstate(over="ignore"):
+            return cls(np.add(B, r), pivot_tol)
 
     def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
         # scipy's getrs wrapper shifts the pivot array to 1-based in place
@@ -80,11 +84,11 @@ class ShiftedSystem:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with M x = b."""
-        return self._solve(b, 0)
+        return self._solve(b, 1)
 
     def solve_row(self, b: np.ndarray) -> np.ndarray:
         """Row vector x with x M = b."""
-        return self._solve(b, 1)
+        return self._solve(b, 0)
 
     def inverse(self) -> np.ndarray:
         """M^-1, from one block solve against I."""

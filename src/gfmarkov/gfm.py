@@ -197,7 +197,7 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
 
 def stationary(P, r=None, *, allow_unchecked: bool = False,
                cfg: Tolerances = DEFAULT) -> StationaryDistribution:
-    """Stationary distribution via one transposed solve of the shifted matrix.
+    """Stationary distribution via one row solve of the shifted matrix.
 
     pi solves pi (I - P + e r) = r; no explicit inverse and no
     pre-computed pi are involved. Entries within solve tolerance below

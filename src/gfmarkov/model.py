@@ -300,11 +300,16 @@ def reward_vector(values, expected_len: int | None = None) -> RewardVector:
 
 
 def reference_vector(values, *, cfg: Tolerances = DEFAULT) -> ReferenceVector:
-    """Build a reference vector, rejecting r with |r.e| below re_tol."""
+    """Build a reference vector, rejecting r with |r.e| below re_tol or
+    not finite."""
     v = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ReferenceDegenerateError("reference vector entries must be finite")
-    dot = float(v.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = float(v.sum())
+    if not np.isfinite(dot):
+        raise ReferenceDegenerateError(
+            "r.e overflows; the shifted matrix would not be finite")
     if abs(dot) < cfg.re_tol:
         raise ReferenceDegenerateError(
             f"|r.e| = {abs(dot):.3e} is below re_tol; the shifted matrix "

@@ -156,7 +156,8 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             stacklevel=2)
     P_pi = _policy_chain(m)
     f_pi = (m.policy * m.rewards).sum(axis=1)
-    r_S = r.values.reshape(S, A).sum(axis=1)
+    with np.errstate(over="ignore"):  # an inf r_S fails the pivot check
+        r_S = r.values.reshape(S, A).sum(axis=1)
     g = ShiftedSystem.for_chain(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
     eta = float(r_S @ g)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the

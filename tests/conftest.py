@@ -374,13 +374,21 @@ def reference_qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) 
 
 
 def reference_shifted_lu(A: np.ndarray, r: np.ndarray):
-    """Pivoted LU of A + e r, built as a C-ordered sum with np.outer.
+    """Pivoted LU of (A + e r)^T, with A + e r built as a C-ordered sum.
 
-    The literal build the library's in-place column-major one replaced,
-    kept as its oracle: A is I - P for a chain and B for a rate matrix.
+    The literal build, kept as the oracle of the library's: A is I - P
+    for a chain and B for a rate matrix. The library factors the
+    transpose, so a solve with M takes trans=1 on this LU and a row
+    solve trans=0.
     """
     M = A + np.outer(np.ones(A.shape[0]), r)
-    return scipy.linalg.lu_factor(M)
+    return scipy.linalg.lu_factor(M.T)
+
+
+def reference_shifted_lu_direct(A: np.ndarray, r: np.ndarray):
+    """Pivoted LU of A + e r itself, the factorization the library made
+    before it factored the transpose: a solve with M takes trans=0."""
+    return scipy.linalg.lu_factor(A + np.outer(np.ones(A.shape[0]), r))
 
 
 # The validators as they were before each one built a single n x n array,

@@ -94,6 +94,32 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "ReferenceDegenerate"
 
+    def test_overflowing_reference_exits_2(self, capsys, models_dir):
+        code, out, err = run_cli(capsys, "potentials",
+                                 "--model", str(models_dir / "two_state.json"),
+                                 "--reference", "1e308,1e308")
+        assert code == 2
+        assert json.loads(out)["error"] == "ReferenceDegenerate"
+        assert err.count("\n") == 1 and "warning" not in err
+
+    @pytest.mark.parametrize("command, model, reference", [
+        ("ctmc-potentials", "huge", "-1e308,1"),
+        ("qfactors", "mdp_two_state", "-1e308,0,1e308,1e308")])
+    def test_overflowing_shifted_matrix_exits_3(self, capsys, models_dir,
+                                                tmp_path, command, model,
+                                                reference):
+        (tmp_path / "huge.json").write_text(
+            '{"kind":"ctmc","states":2,"B":[[-1e308,1e308],[1e308,-1e308]],'
+            '"f":[1,0]}')
+        path = (tmp_path if model == "huge" else models_dir) / f"{model}.json"
+        code, out, err = run_cli(capsys, command, "--model", str(path),
+                                 f"--reference={reference}")
+        assert code == 3
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "NearSingular"
+        assert "not finite" in json.loads(out)["message"]
+        assert err.count("\n") == 1 and "warning" not in err
+
     def test_series_divergent_exits_3(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "series",
                                "--model", str(models_dir / "two_state.json"),

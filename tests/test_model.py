@@ -647,6 +647,14 @@ class TestReferenceVector:
         with pytest.raises(ReferenceDegenerateError):
             reference_vector([0.5, -0.5])
 
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308], [-1e308, -1e308], [1e308] * 9 + [-1e308] * 9])
+    def test_overflowing_dot_rejected(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReferenceDegenerateError, match="r.e overflows"):
+                reference_vector(values)
+
     def test_caches_dot(self):
         r = reference_vector([0.3, 0.9])
         assert r.dot_with_ones == pytest.approx(1.2)
