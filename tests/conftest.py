@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import warnings
 from bisect import bisect_right
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -389,6 +390,31 @@ def reference_shifted_lu_direct(A: np.ndarray, r: np.ndarray):
     """Pivoted LU of A + e r itself, the factorization the library made
     before it factored the transpose: a solve with M takes trans=0."""
     return scipy.linalg.lu_factor(A + np.outer(np.ones(A.shape[0]), r))
+
+
+def exact_solve(M: np.ndarray, b: np.ndarray) -> list[Fraction]:
+    """The exact solution of M x = b, for the float64 entries as given.
+
+    Gaussian elimination in rationals: every double is a Fraction with no
+    rounding, so this is the true solution of the matrix a float solver
+    sees. Meant for n up to a dozen or so; raises ZeroDivisionError if M
+    is exactly singular.
+    """
+    n = M.shape[0]
+    rows = [[Fraction(float(v)) for v in M[i]] + [Fraction(float(b[i]))]
+            for i in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, n):
+            m = rows[i][k] / rows[k][k]
+            if m:
+                rows[i] = [a - m * c for a, c in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))
+                ) / rows[i][i]
+    return x
 
 
 # The validators as they were before each one built a single n x n array,

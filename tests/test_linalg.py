@@ -1,4 +1,5 @@
-import mpmath
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,6 +25,7 @@ from conftest import (
     random_chain,
     random_generator_matrix,
     random_mdp,
+    exact_solve,
     random_reference,
     reference_shifted_lu,
     reference_shifted_lu_direct,
@@ -110,11 +112,14 @@ class TestShiftedSystemMatchesDirectLU:
             assert np.abs(ours - direct).max() <= bound * scale
 
 
-class TestForwardErrorAgainstMpmath:
-    """g and pi of I - P + e r against a 40-digit solve of the same matrix.
+class TestForwardErrorAgainstExactSolve:
+    """g and pi of I - P + e r against the exact rational solve of the
+    same float64 matrix.
 
     Chains P proportional to U^3 (U uniform), n from 2 to 12, with e1 and
-    a signed random r. The forward error of each solve is bounded by
+    a signed random r. M is np.eye(n) - P + r, which rounds each entry as
+    the library's build does, so the truth solves the very matrix that is
+    factored. The forward error of each solve is bounded by
     4 n^2 eps cond(M) relative to its largest entry, with cond_inf(M) for
     the column solve g and cond_1(M) = cond_inf(M^T) for the row solve pi.
     """
@@ -132,20 +137,12 @@ class TestForwardErrorAgainstMpmath:
         pi = ShiftedSystem.for_chain(P, r, 1e-12).solve_row(r)
 
         M = np.eye(n) - P + r
-        with mpmath.workdps(40):
-            exact = mpmath.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    exact[i, j] = ((1 if i == j else 0) - mpmath.mpf(P[i, j])
-                                   + mpmath.mpf(r[j]))
-            for ours, true, cond in (
-                    (g, mpmath.lu_solve(exact, mpmath.matrix(f.tolist())),
-                     np.linalg.cond(M, np.inf)),
-                    (pi, mpmath.lu_solve(exact.T, mpmath.matrix(r.tolist())),
-                     np.linalg.cond(M, 1))):
-                err = max(abs(mpmath.mpf(x) - t) for x, t in zip(ours, true))
-                scale = max(abs(float(t)) for t in true)
-                assert float(err) <= 4 * n * n * EPS * cond * scale
+        for ours, true, cond in (
+                (g, exact_solve(M, f), np.linalg.cond(M, np.inf)),
+                (pi, exact_solve(M.T, r), np.linalg.cond(M, 1))):
+            err = max(abs(Fraction(float(x)) - t) for x, t in zip(ours, true))
+            scale = max(abs(t) for t in true)
+            assert float(err) <= 4 * n * n * EPS * cond * float(scale)
 
 
 class TestNonFiniteShiftedMatrix:
