@@ -191,7 +191,7 @@ def _cmd_validate(args, cfg: Tolerances):
             "period": d.period, "num_closed_classes": d.num_closed_classes,
         }
     if loaded.kind == "ctmc":
-        d = ctmc_mod._diagnose_generator(loaded.generator, cfg)
+        d = diagnose_chain(loaded.generator, cfg=cfg)
         return {
             "valid": True, "kind": "ctmc", "states": loaded.states,
             "max_correction": loaded.generator.max_correction,

@@ -6,6 +6,9 @@ eigenvector e, so B + e r is invertible whenever r.e != 0, giving
 * pi from one transposed solve of pi (B + e r) = r, and
 * potentials from (B + e r) g = -f.
 
+Ergodicity is judged by ``model.diagnose_chain`` and B + e r factored by
+``_linalg.shifted_system``, the same two entry points that chains take.
+
 Sign convention: the unique solution of the second system satisfies
 r.g = -eta (substituting the Poisson equation -B g = f - eta e forces
 it), and that is what ``PotentialSolution.normalization`` records. The
@@ -29,12 +32,9 @@ from .gfm import (
     _stationary_from,
 )
 from .model import (
-    ChainDiagnostics,
     GeneratorMatrix,
     _checked_gamma,
-    _memoized,
-    _support_diagnostics,
-    min_uniformization_rate,
+    diagnose_chain,
     reference_vector,
     validate_generator,
 )
@@ -54,22 +54,8 @@ def _as_generator(B) -> GeneratorMatrix:
     return validate_generator(B)
 
 
-def _diagnose_generator(B: GeneratorMatrix, cfg: Tolerances) -> ChainDiagnostics:
-    # the support of the uniformized chain I + B / gamma at gamma = max
-    # rate + 1: its diagonal is strictly positive, so irreducibility there
-    # is exactly ergodicity of B. B is compared with edge_tol * gamma, not
-    # divided: a positive rate whose quotient underflows stays an edge.
-    # The verdict is kept on B for the next gate with the same edge_tol
-    def gate() -> ChainDiagnostics:
-        gamma = min_uniformization_rate(B) + 1.0
-        adj = np.asarray(B.matrix) > cfg.edge_tol * gamma
-        np.fill_diagonal(adj, True)
-        return _support_diagnostics(adj)
-    return _memoized(B, "gate", cfg.edge_tol, gate)
-
-
 def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
-    diag = _diagnose_generator(B, cfg)
+    diag = diagnose_chain(B, cfg=cfg)
     if not diag.irreducible:
         raise NotErgodicError(
             "generator is not ergodic "

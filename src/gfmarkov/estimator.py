@@ -62,14 +62,17 @@ class StepSchedule:
     fn: Callable[[int], float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        # written as "not (0 < x < inf)" so that NaN fails too
         if self.kind == "robbins_monro_power":
-            if self.a <= 0 or self.b <= 0 or not (0.0 < self.p <= 1.0):
+            if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf
+                    and 0.0 < self.p <= 1.0):
                 raise ScheduleInvalidError(
-                    f"power schedule needs a > 0, b > 0, 0 < p <= 1; got "
-                    f"a={self.a}, b={self.b}, p={self.p}")
+                    f"power schedule needs finite a > 0, b > 0 and "
+                    f"0 < p <= 1; got a={self.a}, b={self.b}, p={self.p}")
         elif self.kind == "constant":
-            if self.alpha_const <= 0:
-                raise ScheduleInvalidError("constant step size must be positive")
+            if not 0.0 < self.alpha_const < np.inf:
+                raise ScheduleInvalidError(
+                    "constant step size must be positive and finite")
         elif self.kind == "custom":
             if self.fn is None:
                 raise ScheduleInvalidError("custom schedule needs a callable")
@@ -104,18 +107,20 @@ class StepSchedule:
         return float(self.fn(t))
 
     def alphas(self, steps: int) -> np.ndarray:
-        """Vectorized alpha_0 .. alpha_{steps-1}, validated positive."""
+        """Vectorized alpha_0 .. alpha_{steps-1}, validated positive and
+        finite."""
         if self.kind == "robbins_monro_power":
             out = self.a / (self.b + np.arange(steps, dtype=float)) ** self.p
         elif self.kind == "constant":
             out = np.full(steps, self.alpha_const)
         else:
             out = np.array([float(self.fn(t)) for t in range(steps)])
-        if steps and float(out.min()) <= 0.0:
-            t_bad = int(np.argmin(out))
+        # NaN fails both comparisons
+        if steps and not (float(out.min()) > 0.0 and float(out.max()) < np.inf):
+            t_bad = int(np.argmin((out > 0.0) & (out < np.inf)))
             raise ScheduleInvalidError(
-                f"step size alpha_{t_bad} = {out[t_bad]:.6g} is not positive",
-                t=t_bad)
+                f"step size alpha_{t_bad} = {out[t_bad]:.6g} is not positive "
+                "and finite", t=t_bad)
         return out
 
 

@@ -14,11 +14,10 @@ reference and tolerances reuses them. The memo costs at most one n x n
 array per matrix and never changes a result; concurrent first calls may
 each compute an entry, with identical bits.
 
-``scipy.sparse`` is imported by the first gate that takes the csgraph
-route, not with the package: a self-looped support that is small or
-dense is decided by numpy alone. ``csr_matrix``, ``connected_components``
-and ``dijkstra`` become module globals at that import; reading one from
-outside the module before then triggers it (PEP 562).
+:func:`diagnose_chain` is the one structural gate, for chains and rate
+matrices alike. Its csgraph route imports ``scipy.sparse`` at each call,
+not with the package: a self-looped support that is small or dense is
+decided by numpy alone, with no scipy loaded.
 """
 
 from __future__ import annotations
@@ -373,40 +372,17 @@ _FRONTIER_MIN_EDGES_PER_ROW = 32
 # always covered, whatever its density
 _FRONTIER_MAX_LEVELS = 8
 
-_CSGRAPH_NAMES = ("csr_matrix", "connected_components", "dijkstra")
 
-
-def _load_csgraph() -> None:
-    """Import scipy.sparse and bind the csgraph names as module globals.
-
-    A name that is already bound, say patched by a test, is kept.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, dijkstra
-
-    bound = globals()
-    for name, value in zip(_CSGRAPH_NAMES,
-                           (csr_matrix, connected_components, dijkstra)):
-        bound.setdefault(name, value)
-
-
-def __getattr__(name: str):
-    if name in _CSGRAPH_NAMES:
-        _load_csgraph()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _frontier_covers(adj: np.ndarray, forward: bool) -> bool:
-    """Whether BFS from state 0 along (or against) the edges of `adj`
-    reaches every state within _FRONTIER_MAX_LEVELS whole-array levels."""
+def _frontier_covers(adj: np.ndarray) -> bool:
+    """Whether BFS from state 0 along the edges of `adj` reaches every
+    state within _FRONTIER_MAX_LEVELS whole-array levels."""
     seen = np.zeros(adj.shape[0], dtype=bool)
     seen[0] = True
     front = np.zeros(1, dtype=np.intp)
     for _ in range(_FRONTIER_MAX_LEVELS):
         if front.size == 0 or seen.all():
             break
-        reach = adj[front].any(axis=0) if forward else adj[:, front].any(axis=1)
+        reach = adj[front].any(axis=0)
         front = np.flatnonzero(reach & ~seen)
         seen[front] = True
     return bool(seen.all())
@@ -434,10 +410,10 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     looped = bool(adj.diagonal().any())
     if (looped and (counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n
                     or n <= _FRONTIER_MAX_LEVELS + 1)
-            and _frontier_covers(adj, forward=True)
-            and _frontier_covers(adj, forward=False)):
+            and _frontier_covers(adj) and _frontier_covers(adj.T)):
         return ChainDiagnostics(True, True, 1, 1)
-    _load_csgraph()
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, dijkstra
     # CSR arrays straight from the dense support: flat indices are
     # row-major, so they come sorted within each row
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -469,24 +445,37 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     )
 
 
-def diagnose_chain(P: StochasticMatrix, *, cfg: Tolerances = DEFAULT) -> ChainDiagnostics:
+def diagnose_chain(P: StochasticMatrix | GeneratorMatrix, *,
+                   cfg: Tolerances = DEFAULT) -> ChainDiagnostics:
     """Irreducibility, period, and closed-class count from the support graph.
 
-    An edge i -> j exists iff P(i,j) > edge_tol (default: strictly
-    positive). The reported period is the gcd of all directed cycle
-    lengths; for reducible chains that is the gcd across the components
-    that contain cycles, so aperiodic <=> period == 1 by construction.
-    The gate is vectorized, with no Python loop over states, components
-    or edges. A self-loop gives period 1. A self-looped support with at
-    least 32 edges per row, or with at most 9 states, that two frontier BFS
-    from state 0 cover within 8 levels is irreducible, in O(n^2) numpy
-    work; any other support takes one csgraph strong-components pass and,
-    without self-loops, a BFS-level pass per component, O(n^2 + edges).
-    Only that csgraph pass imports scipy.sparse. The verdict is kept on P
-    for the next gate with the same edge_tol.
+    P is a chain or a rate matrix, as for ``_linalg.shifted_system``. In a
+    chain an edge i -> j exists iff P(i,j) > edge_tol (default: strictly
+    positive). A rate matrix B gets the support of its uniformized chain
+    I + B / gamma at gamma = max rate + 1: its diagonal is set, so
+    irreducibility there is exactly ergodicity of B. B is compared with
+    edge_tol * gamma, not divided: a positive rate whose quotient
+    underflows stays an edge. The reported period is the gcd of all
+    directed cycle lengths; for reducible chains that is the gcd across
+    the components that contain cycles, so aperiodic <=> period == 1 by
+    construction. The gate is vectorized, with no Python loop over states,
+    components or edges. A self-loop gives period 1. A self-looped support
+    with at least 32 edges per row, or with at most 9 states, that two
+    frontier BFS from state 0 cover within 8 levels is irreducible, in
+    O(n^2) numpy work; any other support takes one csgraph
+    strong-components pass and, without self-loops, a BFS-level pass per
+    component, O(n^2 + edges). Only that csgraph pass imports
+    scipy.sparse. The verdict is kept on P for the next gate with the
+    same edge_tol.
     """
-    return _memoized(P, "gate", cfg.edge_tol, lambda: _support_diagnostics(
-        np.asarray(P.matrix) > cfg.edge_tol))
+    def gate() -> ChainDiagnostics:
+        if not isinstance(P, GeneratorMatrix):
+            return _support_diagnostics(np.asarray(P.matrix) > cfg.edge_tol)
+        gamma = min_uniformization_rate(P) + 1.0
+        adj = np.asarray(P.matrix) > cfg.edge_tol * gamma
+        np.fill_diagonal(adj, True)
+        return _support_diagnostics(adj)
+    return _memoized(P, "gate", cfg.edge_tol, gate)
 
 
 def min_uniformization_rate(B: GeneratorMatrix) -> float:

@@ -90,6 +90,9 @@ def load_model(path, *, cfg: Tolerances = DEFAULT) -> LoadedModel:
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"model file {p} is not valid JSON: {e}",
                                path=str(p)) from e
+    except RecursionError as e:
+        raise ModelFormatError(f"model file {p} is nested too deeply to parse",
+                               path=str(p)) from e
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model file {p} must contain a JSON object",
                                path=str(p))

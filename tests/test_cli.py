@@ -282,8 +282,12 @@ class TestModelFile:
          "field 'actions' must be a JSON integer, got \"x\""),
         ('{"kind": "dtmc", "states": 1, "P": [[1]], "f": [0]}\udcff',
          "codec can't decode byte 0xff"),
+        ('{"kind": "dtmc", "states": 1, "P": %s, "f": [0]}'
+         % ("[" * 100_000 + "]" * 100_000), "is nested too deeply to parse"),
+        ('{"kind": "dtmc", "states": 1, "P": [[1]], "f": [0], "x": %s}'
+         % ("[" * 100_000 + "]" * 100_000), "is nested too deeply to parse"),
     ], ids=["states-string", "states-null", "states-float", "states-bool",
-            "actions-string", "non-utf8"])
+            "actions-string", "non-utf8", "deep-P", "deep-unused-field"])
     def test_malformed_field_or_bytes(self, capsys, tmp_path, text, message):
         p = tmp_path / "m.json"
         p.write_bytes(text.encode("utf-8", "surrogateescape"))
@@ -459,7 +463,7 @@ class TestCommands:
 
     def test_ctmc_check_runs_ergodicity_gate_once(self, capsys, monkeypatch,
                                                   models_dir):
-        calls = count_calls(monkeypatch, ctmc, "_diagnose_generator")
+        calls = count_calls(monkeypatch, ctmc, "diagnose_chain")
         for argv in (["check"], ["check", "--poisson"],
                      ["ctmc-stationary", "--reference", "stationary"],
                      ["ctmc-potentials", "--reference", "stationary"]):
@@ -577,6 +581,13 @@ class TestCommands:
         assert json.loads(out) == {
             "error": "ModelFormat",
             "message": "unknown schedule kind 'foo'; use power: or constant:"}
+        for schedule in ("constant:nan", "constant:inf", "power:nan,10,1",
+                         "power:inf,10,1"):
+            code, out, _ = run_cli(capsys, "estimate", "--model", model,
+                                   "--schedule", schedule)
+            assert code == 2
+            assert out.count("\n") == 1
+            assert json.loads(out)["error"] == "ScheduleInvalid"
 
     def test_trace_needs_a_single_seed(self, capsys, models_dir, tmp_path):
         code, out, _ = run_cli(capsys, "estimate", "--seeds", "1,2",

@@ -54,9 +54,17 @@ def test_import_loads_no_scipy():
     assert out == {"scipy": False}
 
 
-@pytest.mark.parametrize("command", ["validate", "estimate", "series"])
-def test_commands_that_never_factor_load_no_scipy(command):
-    out = _cli(command, "--model", "models/two_state.json")
+@pytest.mark.parametrize("command, model", [
+    ("validate", "two_state"), ("estimate", "two_state"),
+    ("series", "two_state"),
+    # the rate-matrix gate is diagnose_chain too; a 2-state support
+    # stays on the numpy route
+    ("validate", "ctmc_two_state"),
+    # an mdp validate runs no gate; this guards only its own path
+    ("validate", "mdp_two_state"),
+], ids=["validate", "estimate", "series", "validate-ctmc", "validate-mdp"])
+def test_commands_that_never_factor_load_no_scipy(command, model):
+    out = _cli(command, "--model", f"models/{model}.json")
     assert out["code"] == 0
     assert not out["imported"] and not out["scipy"]
 

@@ -11,6 +11,7 @@ from gfmarkov import (
     ctmc_potentials,
     ctmc_potentials_classic,
     ctmc_stationary,
+    diagnose_chain,
     min_uniformization_rate,
     potentials,
     reference_vector,
@@ -20,8 +21,7 @@ from gfmarkov import (
     validate_generator,
     verify_generator_spectrum,
 )
-from gfmarkov import ctmc
-from gfmarkov.config import DEFAULT
+from gfmarkov import model
 from gfmarkov.gfm import NORM_MINUS_ETA
 
 from conftest import (
@@ -132,7 +132,7 @@ class TestCtmcPotentials:
         B = random_generator_matrix(rng, 7)
         f = rng.uniform(size=7)
         factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
-        gates = count_calls(monkeypatch, ctmc, "_support_diagnostics")
+        gates = count_calls(monkeypatch, model, "_support_diagnostics")
         sol = ctmc_potentials(B, f)
         pi = ctmc_stationary(B)
         assert (len(factors), len(gates)) == (1, 1)
@@ -252,7 +252,7 @@ class TestDiagnoseGenerator:
         B = validate_generator(off - np.diag(off.sum(axis=1)))
         gamma = min_uniformization_rate(B) + 1.0
         expected = reference_diagnose_chain(uniformize(B, gamma))
-        assert ctmc._diagnose_generator(B, DEFAULT) == expected
+        assert diagnose_chain(B) == expected
         if ring and n > 1:
             assert expected.irreducible
 
@@ -261,6 +261,6 @@ class TestDiagnoseGenerator:
         # positive: the process is ergodic, and the solve then hits the
         # pivot floor
         B = validate_generator([[-1e300, 1e300], [1e-30, -1e-30]])
-        assert ctmc._diagnose_generator(B, DEFAULT).irreducible
+        assert diagnose_chain(B).irreducible
         with pytest.raises(NearSingularError):
             ctmc_stationary(B)

@@ -50,12 +50,25 @@ class TestStepSchedule:
             StepSchedule.robbins_monro(1.0, 10.0, 1.5)
         with pytest.raises(ScheduleInvalidError):
             StepSchedule.constant(0.0)
+        for bad in (np.nan, np.inf):
+            for make in (lambda: StepSchedule.robbins_monro(bad, 10.0, 1.0),
+                         lambda: StepSchedule.robbins_monro(1.0, bad, 1.0),
+                         lambda: StepSchedule.robbins_monro(1.0, 10.0, bad),
+                         lambda: StepSchedule.constant(bad)):
+                with pytest.raises(ScheduleInvalidError):
+                    make()
 
     def test_custom_validated_at_run(self):
         s = StepSchedule.custom(lambda t: 0.1 - 0.2 * (t > 5))
         with pytest.raises(ScheduleInvalidError):
             s.alphas(10)
         assert s.alphas(3).tolist() == [0.1, 0.1, 0.1]
+        for bad in (np.nan, np.inf, -np.inf):
+            s = StepSchedule.custom(lambda t: bad if t in (4, 7) else 0.1)
+            with pytest.raises(ScheduleInvalidError) as exc:
+                s.alphas(10)
+            assert exc.value.detail == {"t": 4}
+            assert str(exc.value).endswith("is not positive and finite")
 
 
 class TestSimulateChain:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph as scipy_csgraph
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -22,8 +23,7 @@ from gfmarkov import (
     validate_mdp,
     validate_stochastic,
 )
-from gfmarkov import ctmc, model
-from gfmarkov.config import DEFAULT
+from gfmarkov import model
 from gfmarkov.ctmc import ctmc_stationary
 from gfmarkov.errors import (
     ModelError,
@@ -443,8 +443,9 @@ class TestFrontierRouteMatchesOracle:
         adj = _dense_support(seed, n, density, kind, period)
         P = _chain_on(adj, seed)
         expected = reference_diagnose_chain(P)
-        with mock.patch.object(model, "connected_components",
-                               wraps=model.connected_components) as csgraph:
+        with mock.patch.object(
+                scipy_csgraph, "connected_components",
+                wraps=scipy_csgraph.connected_components) as csgraph:
             assert diagnose_chain(P) == expected
         # the frontier route decides exactly the irreducible self-looped
         # supports that are dense or small and within its level cap
@@ -461,8 +462,9 @@ class TestFrontierRouteMatchesOracle:
         three = (np.arange(n)[None, :] % 3) == ((np.arange(n)[:, None] + 1) % 3)
         for adj, period, calls in ((full, 1, 0), (hollow, 1, 1), (three, 3, 1)):
             P = _chain_on(adj)
-            with mock.patch.object(model, "connected_components",
-                                   wraps=model.connected_components) as csgraph:
+            with mock.patch.object(
+                    scipy_csgraph, "connected_components",
+                    wraps=scipy_csgraph.connected_components) as csgraph:
                 d = diagnose_chain(P)
             assert d == reference_diagnose_chain(P)
             assert d.irreducible and d.period == period
@@ -518,16 +520,16 @@ class TestGateRoute:
 
     def test_dense_dtmc_and_ctmc_skip_csgraph(self, monkeypatch):
         rng = np.random.default_rng(19)
-        calls = count_calls(monkeypatch, model, "connected_components")
+        calls = count_calls(monkeypatch, scipy_csgraph, "connected_components")
         assert diagnose_chain(random_chain(rng, 60)).irreducible
         B = random_generator_matrix(rng, 60)
-        assert ctmc._diagnose_generator(B, DEFAULT).irreducible
+        assert diagnose_chain(B).irreducible
         assert calls == []
 
     @pytest.mark.parametrize("name", sorted(_CSGRAPH_SUPPORTS))
     def test_other_supports_use_csgraph(self, monkeypatch, name):
         P = _chain_on(_CSGRAPH_SUPPORTS[name]())
-        calls = count_calls(monkeypatch, model, "connected_components")
+        calls = count_calls(monkeypatch, scipy_csgraph, "connected_components")
         d = diagnose_chain(P)
         assert len(calls) == 1
         assert d.irreducible == (not name.startswith("reducible"))
@@ -541,7 +543,7 @@ class TestSelfLoopRule:
                                       "reducible_dense_0_closed"])
     def test_self_loops_skip_the_level_pass(self, monkeypatch, name):
         P = _chain_on(_CSGRAPH_SUPPORTS[name]())
-        calls = count_calls(monkeypatch, model, "dijkstra")
+        calls = count_calls(monkeypatch, scipy_csgraph, "dijkstra")
         d = diagnose_chain(P)
         assert calls == []
         assert d == reference_diagnose_chain(P)
@@ -549,13 +551,13 @@ class TestSelfLoopRule:
     def test_sparse_ctmc_skips_the_level_pass(self, monkeypatch):
         ring = _chain_on(_ring(300, [1, 2])).matrix
         B = validate_generator(ring - np.eye(300))
-        calls = count_calls(monkeypatch, model, "dijkstra")
-        assert ctmc._diagnose_generator(B, DEFAULT).irreducible
+        calls = count_calls(monkeypatch, scipy_csgraph, "dijkstra")
+        assert diagnose_chain(B).irreducible
         assert calls == []
 
     def test_cycle_takes_one_level_pass(self, monkeypatch):
         P = _chain_on(_CSGRAPH_SUPPORTS["cycle_500"]())
-        calls = count_calls(monkeypatch, model, "dijkstra")
+        calls = count_calls(monkeypatch, scipy_csgraph, "dijkstra")
         assert diagnose_chain(P).period == 500
         assert len(calls) == 1
 
