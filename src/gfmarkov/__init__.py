@@ -18,6 +18,7 @@ from .ctmc import (
 )
 from .errors import (
     DimensionMismatchError,
+    EstimateDivergentError,
     GammaTooSmallError,
     GfmError,
     ModelError,

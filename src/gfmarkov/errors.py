@@ -92,3 +92,7 @@ class NearSingularError(NumericalError):
 
 class SeriesDivergentError(NumericalError):
     code = "SeriesDivergent"
+
+
+class EstimateDivergentError(NumericalError):
+    code = "EstimateDivergent"

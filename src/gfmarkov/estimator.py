@@ -13,7 +13,14 @@ statistical, never per-seed guaranteed.
 Because one component moves per step, sum_i r(i) ghat(i) is carried as
 a running sum (each step adds r(s) alpha_t z_t), so a step costs O(1),
 not O(n). The sum is recomputed exactly at the first step of every
-check interval, which bounds its rounding drift.
+check interval, which bounds its rounding drift. The loop runs on plain
+Python ints and floats: it reads the sampled path as the list the
+sampler builds, and zips slices of the path and of the step sizes, since
+list indexing per step costs more than iteration.
+
+A run whose estimate ends non-finite (a step size too large for the
+chain makes the update overflow) raises ``EstimateDivergentError``
+rather than returning it.
 
 Randomness comes from numpy's PCG64 bit generator, which has a
 documented, platform-stable 64-bit stream: identical seeds reproduce
@@ -29,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import ScheduleInvalidError
+from .errors import EstimateDivergentError, ScheduleInvalidError
 from .gfm import _as_chain, _as_reference, _as_rewards, _require_irreducible
 from .model import RewardVector, StochasticMatrix
 
@@ -179,12 +186,14 @@ class EstimateTrace:
         return max(var, 0.0) ** 0.5
 
 
-def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> np.ndarray:
+def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> list[int]:
     """Walk the chain for `steps` transitions by inverse-CDF sampling.
 
     Each transition consumes one uniform draw and picks the first index
     whose cumulative row probability exceeds it, in stored row order; a
     draw past every cumulative sum but the last picks the last state.
+    Returns the `steps + 1` visited states, s0 first, as a list of ints,
+    the form the estimator's loop reads.
     """
     n = P.shape[0]
     if not 0 <= s0 < n:
@@ -194,8 +203,7 @@ def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> np.ndarray:
     # without the last column bisect_right returns at most n - 1
     rows = np.cumsum(P, axis=1)[:, :-1].tolist()
     s = int(s0)
-    return np.array([s] + [s := bisect_right(rows[s], x) for x in u],
-                    dtype=np.int64)
+    return [s] + [s := bisect_right(rows[s], x) for x in u]
 
 
 def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +216,8 @@ def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np
         raise ValueError("steps must be >= 1")
     P = _as_chain(P)
     f = _as_rewards(f, P.size)
-    states = _sample_states(np.asarray(P.matrix), s0, steps, seed)
+    states = np.array(_sample_states(np.asarray(P.matrix), s0, steps, seed),
+                      dtype=np.int64)
     return states, f.values[states]
 
 
@@ -247,6 +256,8 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
 
     Stops when the max-abs change of ghat over a check interval falls
     below cfg.epsilon, or at cfg.max_steps. eta_hat = r.ghat at the end.
+    Raises EstimateDivergentError (detail: seed, steps_run) when ghat or
+    eta_hat is not finite then; the test runs once per run, not per step.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     cfg = cfg or SimulationConfig()
@@ -255,8 +266,8 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
         source = _as_chain(source)
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
-        states = _sample_states(np.asarray(source.matrix), s0,
-                                cfg.max_steps, cfg.seed)
+        st = _sample_states(np.asarray(source.matrix), s0, cfg.max_steps,
+                            cfg.seed)
         n = source.size
     else:
         states = np.asarray(source, dtype=np.int64)
@@ -265,14 +276,15 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
         n = len(f) if isinstance(f, RewardVector) else np.size(f)
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")
+        st = states.tolist()
 
     f = _as_rewards(f, n)
     r = _as_reference(r, n, tolerances)
-    steps = states.shape[0] - 1
+    steps = len(st) - 1
     alphas = schedule.alphas(steps).tolist()
 
-    # hot loop in plain python floats; numpy scalar indexing is slower here
-    st = states.tolist()
+    # hot loop on plain python lists (the path st too); numpy scalar
+    # indexing is slower here
     fv = f.values.tolist()
     rv = r.values.tolist()
     g = [0.0] * n if g0 is None else [float(x) for x in np.asarray(g0).reshape(-1)]
@@ -308,10 +320,10 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
             zc += 1
             zs += z
             zss += z * z
-        for t in range(start + 1, end):
-            s = st[t]
-            z = fv[s] - rdot + g[st[t + 1]] - g[s]
-            dz = alphas[t] * z
+        for s, s2, a in zip(st[start + 1:end], st[start + 2:end + 1],
+                            alphas[start + 1:end]):
+            z = fv[s] - rdot + g[s2] - g[s]
+            dz = a * z
             g[s] += dz
             rdot += rv[s] * dz
             if track_residuals:
@@ -329,6 +341,11 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
 
     g_arr = np.array(g)
     eta_hat = float(r.values @ g_arr)
+    if not (np.isfinite(g_arr).all() and np.isfinite(eta_hat)):
+        raise EstimateDivergentError(
+            f"online estimate diverged: g_hat or eta_hat is not finite "
+            f"after {steps_run} steps",
+            seed=int(cfg.seed), steps_run=steps_run)
     return EstimateTrace(
         g_hat=g_arr,
         eta_hat=eta_hat,

@@ -27,6 +27,7 @@ from gfmarkov import (
     EstimateTrace,
     GeneratorMatrix,
     MdpModel,
+    RewardVector,
     SimulationConfig,
     StepSchedule,
     StochasticMatrix,
@@ -243,8 +244,9 @@ def reference_online_potentials(source, f, r=None,
     if isinstance(source, StochasticMatrix):
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
-        states = _sample_states(np.asarray(source.matrix), s0,
-                                cfg.max_steps, cfg.seed)
+        states = np.asarray(_sample_states(np.asarray(source.matrix), s0,
+                                           cfg.max_steps, cfg.seed),
+                            dtype=np.int64)
         n = source.size
     else:
         states = np.asarray(source, dtype=np.int64)
@@ -301,6 +303,115 @@ def reference_online_potentials(source, f, r=None,
             if delta < eps:
                 converged = True
                 steps_run = t + 1
+                break
+            snapshot = list(g)
+
+    g_arr = np.array(g)
+    eta_hat = float(r.values @ g_arr)
+    return EstimateTrace(
+        g_hat=g_arr,
+        eta_hat=eta_hat,
+        steps_run=steps_run,
+        converged=converged,
+        seed=int(cfg.seed),
+        history=tuple(history),
+        samples=tuple(samples),
+        residual_count=zc,
+        residual_sum=zs,
+        residual_sumsq=zss,
+    )
+
+
+def reference_indexed_online_potentials(
+        source, f, r=None, schedule: StepSchedule | None = None,
+        cfg: SimulationConfig | None = None, *, s0: int = 0, g0=None,
+        track_residuals: bool = False, allow_unchecked: bool = False,
+        tolerances: Tolerances = DEFAULT) -> EstimateTrace:
+    """Running-sum estimator that indexes the path and step sizes by t.
+
+    The loop the library's zipped-slice update replaced, kept as its
+    bit-for-bit oracle: the sampled path goes list -> int64 array -> list,
+    and each step after a chunk's first reads st[t], st[t + 1] and
+    alphas[t]. The arithmetic and its order are the library's, so every
+    EstimateTrace field must match exactly; it never raises on divergence.
+    """
+    schedule = schedule or DEFAULT_SCHEDULE
+    cfg = cfg or SimulationConfig()
+
+    if isinstance(source, StochasticMatrix) or np.ndim(source) == 2:
+        source = _as_chain(source)
+        if not allow_unchecked:
+            _require_irreducible(source, tolerances, need_aperiodic=True)
+        states = np.asarray(_sample_states(np.asarray(source.matrix), s0,
+                                           cfg.max_steps, cfg.seed),
+                            dtype=np.int64)
+        n = source.size
+    else:
+        states = np.asarray(source, dtype=np.int64)
+        if states.ndim != 1 or states.shape[0] < 2:
+            raise ValueError("state path must be 1-D with at least 2 entries")
+        n = len(f) if isinstance(f, RewardVector) else np.size(f)
+        if states.min() < 0 or states.max() >= n:
+            raise ValueError("state path entries out of range for the rewards")
+
+    f = _as_rewards(f, n)
+    r = _as_reference(r, n, tolerances)
+    steps = states.shape[0] - 1
+    alphas = schedule.alphas(steps).tolist()
+
+    # hot loop in plain python floats; numpy scalar indexing is slower here
+    st = states.tolist()
+    fv = f.values.tolist()
+    rv = r.values.tolist()
+    g = [0.0] * n if g0 is None else [float(x) for x in np.asarray(g0).reshape(-1)]
+    if len(g) != n:
+        raise ValueError(f"g0 must have length {n}")
+
+    interval = cfg.check_interval
+    eps = cfg.epsilon
+    snapshot = list(g)
+    history: list[tuple[int, float]] = []
+    samples: list[tuple[int, int, float, float, float]] = []
+    converged = False
+    steps_run = steps
+    zc = 0
+    zs = 0.0
+    zss = 0.0
+
+    # rdot is the running r.ghat; the first step of a chunk is the sample
+    # row and resets it to the exact sum
+    rdot = 0.0
+    for ri, gi in zip(rv, g):
+        rdot += ri * gi
+    for start in range(0, steps, interval):
+        end = min(start + interval, steps)
+        s = st[start]
+        z = fv[s] - rdot + g[st[start + 1]] - g[s]
+        g[s] += alphas[start] * z
+        rdot = 0.0
+        for ri, gi in zip(rv, g):
+            rdot += ri * gi
+        samples.append((start, s, fv[s], z, rdot))
+        if track_residuals:
+            zc += 1
+            zs += z
+            zss += z * z
+        for t in range(start + 1, end):
+            s = st[t]
+            z = fv[s] - rdot + g[st[t + 1]] - g[s]
+            dz = alphas[t] * z
+            g[s] += dz
+            rdot += rv[s] * dz
+            if track_residuals:
+                zc += 1
+                zs += z
+                zss += z * z
+        if end - start == interval:
+            delta = max(abs(a - b) for a, b in zip(g, snapshot))
+            history.append((end, delta))
+            if delta < eps:
+                converged = True
+                steps_run = end
                 break
             snapshot = list(g)
 

@@ -43,6 +43,14 @@ class TestGoldenInvocations:
         assert doc["eta"] == 0.5
         assert doc["normalization"] == "r·g=eta"
 
+    def test_estimate_two_state_sym(self, capsys, models_dir, golden_dir):
+        code, out, _ = run_cli(capsys, "estimate",
+                               "--model", str(models_dir / "two_state_sym.json"),
+                               "--seeds", "1,2,3", "--steps", "20000")
+        assert code == 0
+        golden = (golden_dir / "estimate_two_state_sym.json").read_bytes()
+        assert out.encode("utf-8") == golden
+
     def test_validate_bad_rows(self, capsys, models_dir, golden_dir):
         code, out, err = run_cli(capsys, "validate",
                                  "--model", str(models_dir / "bad_rows.json"))
@@ -126,6 +134,22 @@ class TestExitCodes:
                                "--reference", "[1.5,1.0]")
         assert code == 3
         assert json.loads(out)["error"] == "SeriesDivergent"
+
+    @pytest.mark.parametrize("schedule, seeds, seed", [
+        ("constant:5", [], 0), ("constant:1e300", [], 0),
+        ("power:1e300,10,1", [], 0), ("constant:5", ["--seeds", "4,2"], 2)])
+    def test_divergent_estimate_exits_3(self, capsys, models_dir, schedule,
+                                        seeds, seed):
+        code, out, err = run_cli(capsys, "estimate",
+                                 "--model", str(models_dir / "two_state.json"),
+                                 "--schedule", schedule, "--steps", "2000",
+                                 *seeds)
+        assert code == 3
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["error"] == "EstimateDivergent"
+        assert doc["detail"] == {"seed": seed, "steps_run": 2000}
+        assert err.count("\n") == 1 and "EstimateDivergent" in err
 
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_non_finite_gamma_document_is_json(self, capsys, models_dir, gamma):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfmarkov import (
+    EstimateDivergentError,
     NotAperiodicError,
     ScheduleInvalidError,
     SimulationConfig,
@@ -23,6 +24,7 @@ from conftest import (
     random_chain,
     random_periodic_chain,
     random_reference,
+    reference_indexed_online_potentials,
     reference_online_potentials,
     reference_sample_states,
 )
@@ -81,6 +83,7 @@ class TestSimulateChain:
     def test_deterministic_alternation(self):
         P = validate_stochastic([[0.0, 1.0], [1.0, 0.0]])
         states, _ = simulate_chain(P, [0.0, 0.0], 0, 9, 3)
+        assert states.dtype == np.int64
         assert np.array_equal(states, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_visit_frequency_matches_stationary(self):
@@ -103,7 +106,7 @@ class TestSimulateChain:
             raw / raw.sum(axis=1, keepdims=True)).matrix)
         s0 = data.draw(st.integers(0, n - 1), label="s0")
         path = _sample_states(P, s0, steps, seed)
-        assert path.dtype == np.int64
+        assert all(type(s) is int for s in path)
         assert np.array_equal(path, reference_sample_states(P, s0, steps, seed))
 
     def test_seed_determinism(self):
@@ -158,6 +161,28 @@ class TestOnlinePotentials:
         tr = online_potentials(SYM, F, E1, StepSchedule.constant(0.5), cfg)
         assert not tr.converged
         assert np.isfinite(tr.g_hat).all()
+
+    @pytest.mark.parametrize("schedule", [
+        StepSchedule.constant(5.0), StepSchedule.constant(1e300),
+        StepSchedule.robbins_monro(1e300, 10.0, 1.0)])
+    def test_divergent_estimate_raises(self, schedule):
+        P = validate_stochastic([[0.9, 0.1], [0.4, 0.6]])
+        cfg = SimulationConfig(seed=3, max_steps=2000, epsilon=1e-12)
+        with pytest.raises(EstimateDivergentError) as info:
+            online_potentials(P, F, E1, schedule, cfg)
+        assert info.value.code == "EstimateDivergent"
+        assert info.value.detail == {"seed": 3, "steps_run": 2000}
+        # the oracle loop returns the non-finite estimate the library refuses
+        ref = reference_indexed_online_potentials(P, F, E1, schedule, cfg)
+        assert not np.isfinite(ref.g_hat).all()
+
+    def test_non_finite_g0_raises(self):
+        # a non-finite g0 poisons the estimate whatever the steps; the
+        # history delta is NaN, so the stopping rule never fires
+        cfg = SimulationConfig(seed=4, max_steps=3000, check_interval=1000)
+        with pytest.raises(EstimateDivergentError) as info:
+            online_potentials(SYM, F, E1, None, cfg, g0=[np.inf, 0.0])
+        assert info.value.detail == {"seed": 4, "steps_run": 3000}
 
     def test_zero_mean_residual_from_exact_start(self):
         exact = potentials(SYM, F, E1).g
@@ -214,6 +239,43 @@ class TestOnlinePotentials:
         assert first[0] == "0" and first[1] in {"0", "1"}
 
 
+# estimator runs drawn for the oracle comparisons: both sources, g0,
+# residual tracking, intervals 1, 7, 1000 and beyond the run, early stops
+_estimator_runs = given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+    steps=st.integers(1, 2500),
+    schedule=st.sampled_from(["power", "constant"]),
+    interval=st.sampled_from([1, 7, 1000, "beyond"]),
+    source=st.sampled_from(["matrix", "path"]),
+    with_g0=st.booleans(), track=st.booleans(),
+    epsilon=st.sampled_from([1e-12, 1e-4, 1e-2]))
+
+
+def _estimator_run(seed, n, steps, schedule, interval, source, with_g0,
+                   track, epsilon):
+    """Positional and keyword arguments of online_potentials for one draw."""
+    rng = np.random.default_rng(seed)
+    P = random_chain(rng, n)
+    f = rng.normal(size=n)
+    r = reference_vector(random_reference(rng, n))
+    if schedule == "power":
+        sched = StepSchedule.robbins_monro(rng.uniform(0.5, 2.0),
+                                           rng.uniform(10.0, 1000.0),
+                                           rng.uniform(0.55, 1.0))
+    else:
+        sched = StepSchedule.constant(rng.uniform(0.005, 0.1))
+    if interval == "beyond":
+        interval = steps + 1 + int(rng.integers(0, 100))
+    cfg = SimulationConfig(seed=seed, max_steps=steps, epsilon=epsilon,
+                           check_interval=interval)
+    s0 = int(rng.integers(0, n))
+    src = P if source == "matrix" else simulate_chain(P, f, s0, steps,
+                                                      seed + 1)[0]
+    kw = {"s0": s0, "track_residuals": track,
+          "g0": rng.normal(size=n) if with_g0 else None}
+    return (src, f, r, sched, cfg), kw
+
+
 class TestOnlinePotentialsMatchesOracle:
     """The running-sum estimator against the O(n)-per-step oracle loop.
 
@@ -223,37 +285,11 @@ class TestOnlinePotentialsMatchesOracle:
     """
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
-           steps=st.integers(1, 2500),
-           schedule=st.sampled_from(["power", "constant"]),
-           interval=st.sampled_from([1, 7, 1000, "beyond"]),
-           source=st.sampled_from(["matrix", "path"]),
-           with_g0=st.booleans(), track=st.booleans(),
-           epsilon=st.sampled_from([1e-12, 1e-4, 1e-2]))
-    def test_random_chains(self, seed, n, steps, schedule, interval, source,
-                           with_g0, track, epsilon):
-        rng = np.random.default_rng(seed)
-        P = random_chain(rng, n)
-        f = rng.normal(size=n)
-        r = reference_vector(random_reference(rng, n))
-        if schedule == "power":
-            sched = StepSchedule.robbins_monro(rng.uniform(0.5, 2.0),
-                                               rng.uniform(10.0, 1000.0),
-                                               rng.uniform(0.55, 1.0))
-        else:
-            sched = StepSchedule.constant(rng.uniform(0.005, 0.1))
-        if interval == "beyond":
-            interval = steps + 1 + int(rng.integers(0, 100))
-        cfg = SimulationConfig(seed=seed, max_steps=steps, epsilon=epsilon,
-                               check_interval=interval)
-        s0 = int(rng.integers(0, n))
-        src = P if source == "matrix" else simulate_chain(P, f, s0, steps,
-                                                          seed + 1)[0]
-        kw = {"s0": s0, "track_residuals": track,
-              "g0": rng.normal(size=n) if with_g0 else None}
-
-        new = online_potentials(src, f, r, sched, cfg, **kw)
-        ref = reference_online_potentials(src, f, r, sched, cfg, **kw)
+    @_estimator_runs
+    def test_random_chains(self, **draw):
+        args, kw = _estimator_run(**draw)
+        new = online_potentials(*args, **kw)
+        ref = reference_online_potentials(*args, **kw)
 
         tol = 1e-10 * max(1.0, float(np.abs(ref.g_hat).max()))
         assert new.steps_run == ref.steps_run
@@ -270,3 +306,27 @@ class TestOnlinePotentialsMatchesOracle:
         assert abs(new.residual_sum - ref.residual_sum) <= tol
         assert (abs(new.residual_sumsq - ref.residual_sumsq)
                 <= 1e-10 * max(1.0, ref.residual_sumsq))
+
+
+class TestOnlinePotentialsMatchesIndexedLoop:
+    """The zipped-slice update against the loop that indexed by t.
+
+    Same arithmetic in the same order, so every field is bit-identical.
+    """
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @_estimator_runs
+    def test_random_chains(self, **draw):
+        args, kw = _estimator_run(**draw)
+        new = online_potentials(*args, **kw)
+        ref = reference_indexed_online_potentials(*args, **kw)
+        assert np.array_equal(new.g_hat, ref.g_hat)
+        assert new.eta_hat == ref.eta_hat
+        assert new.steps_run == ref.steps_run
+        assert new.converged == ref.converged
+        assert new.seed == ref.seed
+        assert new.history == ref.history
+        assert new.samples == ref.samples
+        assert new.residual_count == ref.residual_count
+        assert new.residual_sum == ref.residual_sum
+        assert new.residual_sumsq == ref.residual_sumsq
