@@ -3,9 +3,9 @@
 Loads a model file, dispatches to the computation modules, and emits a
 machine-readable result document (JSON by default, CSV for vector
 outputs). Exit status: 0 success, 1 failed verification checks, 2 model
-or validation errors, 3 numerical errors. Human-readable diagnostics go
-to stderr; every library error surfaces as a stable code string in the
-output document.
+or validation errors (an unwritable --out or --trace path among them), 3
+numerical errors. Human-readable diagnostics go to stderr; every library
+error surfaces as a stable code string in the output document.
 """
 
 from __future__ import annotations
@@ -282,8 +282,11 @@ def _cmd_estimate(args, cfg: Tolerances):
                                   sim, s0=args.s0, allow_unchecked=True,
                                   tolerances=cfg)
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                write_trace_csv(trace, fh)
+            try:
+                with open(args.trace, "w", encoding="utf-8") as fh:
+                    write_trace_csv(trace, fh)
+            except OSError as e:
+                raise _unwritable(args.trace, e) from e
         runs.append({
             "seed": seed, "g_hat": _vector(trace.g_hat),
             "eta_hat": trace.eta_hat, "steps_run": trace.steps_run,
@@ -427,11 +430,18 @@ _HANDLERS = {
 }
 
 
-def _write(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _unwritable(path: str, e: OSError) -> ModelFormatError:
+    return ModelFormatError(f"cannot write {path!r}: {e.strerror or e}",
+                            path=path)
+
+
+def _fault(e: GfmError) -> tuple[str, int]:
+    """The JSON error document and exit status of e; names it on stderr."""
+    doc = {"error": e.code, "message": str(e)}
+    if e.detail:
+        doc["detail"] = e.detail
+    print(f"error [{e.code}]: {e}", file=sys.stderr)
+    return dumps_document(doc), 3 if isinstance(e, NumericalError) else 2
 
 
 def _print_warning(message, *_) -> None:
@@ -453,15 +463,13 @@ def main(argv=None) -> int:
         text = (_to_csv(args.command, doc) if args.output == "csv"
                 else dumps_document(doc))
     except GfmError as e:
-        doc = {"error": e.code, "message": str(e)}
-        if e.detail:
-            doc["detail"] = e.detail
-        code = 3 if isinstance(e, NumericalError) else 2
-        text = dumps_document(doc)
-        print(f"error [{e.code}]: {e}", file=sys.stderr)
-    _write(text, args)
+        text, code = _fault(e)
+    if args.out:
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+            return code
+        except OSError as e:
+            # the fault that replaces the unwritten document goes to stdout
+            text, code = _fault(_unwritable(args.out, e))
+    sys.stdout.write(text)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

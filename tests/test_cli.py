@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -13,7 +15,7 @@ from gfmarkov.cli import main
 from gfmarkov.errors import ModelFormatError
 from gfmarkov.modelio import load_model
 
-from conftest import count_calls
+from conftest import MODELS, count_calls
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -285,6 +287,42 @@ class TestExitCodes:
                                "--model", str(models_dir / "two_state.json"))
         assert code == 2
         assert json.loads(out)["error"] == "ModelFormat"
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_output_path_exits_2(self, capsys, models_dir, tmp_path,
+                                            flag, where):
+        path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+        code, out, err = run_cli(capsys, "estimate", "--steps", "10",
+                                 "--model", str(models_dir / "two_state.json"),
+                                 flag, str(path))
+        assert code == 2
+        # no --out, or an unwritable one: the fault goes to stdout
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["error"] == "ModelFormat"
+        assert str(path) in doc["message"]
+        assert doc["detail"] == {"path": str(path)}
+        assert err.count("\n") == 1 and err.startswith("error [ModelFormat]: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_trace_fault_goes_to_out(self, capsys, models_dir,
+                                                tmp_path):
+        dest = tmp_path / "doc.json"
+        code, out, _ = run_cli(capsys, "estimate", "--steps", "10",
+                               "--model", str(models_dir / "two_state.json"),
+                               "--trace", str(tmp_path), "--out", str(dest))
+        assert code == 2 and out == ""
+        assert json.loads(dest.read_text())["error"] == "ModelFormat"
+
+    def test_divergent_estimate_writes_no_trace(self, capsys, models_dir,
+                                                tmp_path):
+        trace = tmp_path / "t.csv"
+        code, _, _ = run_cli(capsys, "estimate", "--schedule", "constant:5",
+                             "--steps", "2000", "--trace", str(trace),
+                             "--model", str(models_dir / "two_state.json"))
+        assert code == 3
+        assert not trace.exists()
 
 
 _TWO = [[0.5, 0.5], [0.5, 0.5]]
@@ -716,3 +754,53 @@ class TestSubprocessEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["g"] == [0.5, -0.5]
+
+    @pytest.mark.parametrize("argv", [
+        ("stationary", "two_state", "--reference", "e1"),
+        ("potentials", "two_state_sym", "--reference", "e1"),
+        ("estimate", "two_state_sym", "--seeds", "1,2,3", "--steps", "20000"),
+        ("validate", "bad_rows"),
+        *(("check", m.stem) for m in sorted(MODELS.glob("*.json")))],
+        ids="-".join)
+    def test_module_prints_what_main_prints(self, capsys, argv):
+        command, model, *rest = argv
+        argv = [command, "--model", str(MODELS / f"{model}.json"), *rest]
+        proc = subprocess.run([sys.executable, "-m", "gfmarkov", *argv],
+                              capture_output=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == (2 if model == "bad_rows" else 0)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out.encode("utf-8"), captured.err.encode("utf-8"))
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "two_state"), ("estimate", "two_state", "--steps", "1000"),
+        ("qfactors", "two_state")], ids=lambda argv: argv[0])
+    def test_main_leaves_the_collector_as_it_finds_it(self, capsys, argv):
+        command, model, *rest = argv
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        main([command, "--model", str(MODELS / f"{model}.json"), *rest])
+        capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+    def test_process_entry_runs_no_collection(self, models_dir):
+        # cli is imported and gen 0 emptied first, so the count starts
+        # where run() would; a check loads scipy.linalg, whose import
+        # collects when gc is on
+        probe = textwrap.dedent(f"""
+            import atexit, gc, runpy, sys
+            import gfmarkov.cli
+            gc.collect()
+            runs = []
+            gc.callbacks.append(
+                lambda phase, info: runs.append(1) if phase == "start" else None)
+            atexit.register(lambda: print(
+                gc.isenabled(), gc.get_freeze_count() > 0, len(runs)))
+            sys.argv = ["gfmarkov", "check",
+                        "--model", {str(models_dir / "two_state.json")!r}]
+            runpy.run_module("gfmarkov", run_name="__main__")
+        """)
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False True 0"
