@@ -1,10 +1,11 @@
 """Dense linear-algebra helpers.
 
-``ShiftedSystem`` owns every shifted matrix M = A + e r (A = I - P for a
-chain, A = B for a rate matrix): it factors M^T in place by pivoted LU,
-checks the pivots and serves g, pi and the explicit inverse from that
-one factorization; :func:`shifted_system` keeps the last one on the
-validated matrix, so later calls with the same r reuse it.
+This module owns every shifted matrix M = A + e r (A = I - P for a
+chain, A = B for a rate matrix): :func:`shifted_matrix` alone forms it
+and :func:`shifted_system` alone factors it, into a ``ShiftedSystem``
+that checks the pivots and serves g, pi and the explicit inverse from
+one LU of M^T, kept on the validated matrix for later calls with the
+same r.
 ``scipy.linalg`` is imported at the first factorization, not with the
 package, so callers that never factor (validation, the structural gate,
 the estimator) never load it; ``lu_factor`` and ``lu_solve`` are looked
@@ -29,11 +30,12 @@ OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 class ShiftedSystem:
     """Pivoted LU of M^T for M = A + e r; rejects singular M.
 
-    Build through :meth:`for_chain` or :meth:`for_rates`. M is written in
-    C order, which is M^T in Fortran order, so LAPACK factors M^T in place
-    with no copy and no finiteness scan; :meth:`solve` is then the
-    transposed solve. A NaN or infinite pivot is refused, and so is a
-    smallest |U_ii| at or below pivot_tol * max(1, largest |U_ii|).
+    Built only by :func:`shifted_system`, on the C-ordered M of
+    :func:`shifted_matrix`. That is M^T in Fortran order, so LAPACK
+    factors M^T in place, over M, with no copy and no finiteness scan;
+    :meth:`solve` is then the transposed solve. A NaN or infinite pivot
+    is refused, and so is a smallest |U_ii| at or below
+    pivot_tol * max(1, largest |U_ii|).
     dgecon with norm "I" on this LU estimates rcond_1(M).
     """
 
@@ -56,21 +58,6 @@ class ShiftedSystem:
                 f"working precision (min pivot {pivots.min():.3e})",
                 min_pivot=float(pivots.min()),
             )
-
-    @classmethod
-    def for_chain(cls, P: np.ndarray, r: np.ndarray,
-                  pivot_tol: float) -> ShiftedSystem:
-        """I - P + e r for a chain or state-action chain P."""
-        M = np.subtract(r, P)
-        np.fill_diagonal(M, (1.0 - np.diagonal(P)) + r)
-        return cls(M, pivot_tol)
-
-    @classmethod
-    def for_rates(cls, B: np.ndarray, r: np.ndarray,
-                  pivot_tol: float) -> ShiftedSystem:
-        """B + e r for a rate matrix B."""
-        with np.errstate(over="ignore"):
-            return cls(np.add(B, r), pivot_tol)
 
     def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
         # scipy's getrs wrapper shifts the pivot array to 1-based in place
@@ -95,6 +82,19 @@ class ShiftedSystem:
         return self.solve(np.eye(self._lu_piv[0].shape[0]))
 
 
+def shifted_matrix(source: StochasticMatrix | GeneratorMatrix,
+                   r: np.ndarray) -> np.ndarray:
+    """I - P + e r for a chain, or B + e r for a rate matrix: a fresh
+    C-ordered array, which an overflow leaves infinite for the pivot check."""
+    if isinstance(source, GeneratorMatrix):
+        with np.errstate(over="ignore"):
+            return np.add(source.matrix, r)
+    P = source.matrix
+    M = np.subtract(r, P)
+    np.fill_diagonal(M, (1.0 - np.diagonal(P)) + r)
+    return M
+
+
 def shifted_system(source: StochasticMatrix | GeneratorMatrix, r: np.ndarray,
                    pivot_tol: float) -> ShiftedSystem:
     """The factored I - P + e r of a chain, or B + e r of a rate matrix.
@@ -103,10 +103,9 @@ def shifted_system(source: StochasticMatrix | GeneratorMatrix, r: np.ndarray,
     same r and pivot_tol, else factored and stored there. A NearSingular
     factorization is not stored, so every call with it raises again.
     """
-    build = (ShiftedSystem.for_rates if isinstance(source, GeneratorMatrix)
-             else ShiftedSystem.for_chain)
     return _memoized(source, "lu", (r.tobytes(), pivot_tol),
-                     lambda: build(source.matrix, r, pivot_tol))
+                     lambda: ShiftedSystem(shifted_matrix(source, r),
+                                           pivot_tol))
 
 
 def _polish_root(x: complex, coeffs: tuple[float, ...]) -> complex:

@@ -161,23 +161,18 @@ def _load(args, cfg: Tolerances, kind: str | None,
     """Load --model of `kind` (any if None) and run its structural gate once.
 
     Model faults thus come before argument faults, and the command's solves
-    skip the gate. Returns the model and the dtmc gate's diagnostics.
+    skip the gate. Returns the model and the gate's diagnostics (None for
+    an mdp).
     """
     loaded = load_model(args.model, cfg=cfg)
     if kind is not None and loaded.kind != kind:
         raise ModelFormatError(
             f"command {args.command!r} needs a {kind!r} model, got {loaded.kind!r}",
             expected=kind, got=loaded.kind)
-    diag = None
-    if loaded.kind == "dtmc":
-        diag = gfm._require_irreducible(loaded.chain, cfg, need_aperiodic)
-    elif loaded.kind == "ctmc":
-        ctmc_mod._require_ergodic(loaded.generator, cfg)
-    return loaded, diag
-
-
-def _vector(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
+    if loaded.kind == "mdp":
+        return loaded, None
+    matrix = loaded.chain if loaded.kind == "dtmc" else loaded.generator
+    return loaded, gfm._require_irreducible(matrix, cfg, need_aperiodic)
 
 
 def _cmd_validate(args, cfg: Tolerances):
@@ -210,7 +205,7 @@ def _cmd_stationary(args, cfg: Tolerances):
     loaded, _ = _load(args, cfg, "dtmc")
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     pi = gfm.stationary(loaded.chain, r, allow_unchecked=True, cfg=cfg)
-    return {"pi": _vector(pi.pi)}
+    return {"pi": pi.pi}
 
 
 def _cmd_potentials(args, cfg: Tolerances):
@@ -218,7 +213,7 @@ def _cmd_potentials(args, cfg: Tolerances):
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     sol = gfm.potentials(loaded.chain, loaded.rewards, r,
                          allow_unchecked=True, cfg=cfg)
-    return {"g": _vector(sol.g), "eta": sol.eta,
+    return {"g": sol.g, "eta": sol.eta,
             "normalization": sol.normalization}
 
 
@@ -227,8 +222,8 @@ def _cmd_qfactors(args, cfg: Tolerances):
     n = loaded.mdp.states * loaded.mdp.actions
     r = _resolve_reference(args.reference, n, loaded, cfg)
     sol = qf.qfactors_solve(loaded.mdp, r, cfg=cfg)
-    return {"Q": _vector(sol.q), "eta": sol.eta,
-            "normalization": "r·Q=eta", "induced_g": _vector(sol.induced_g)}
+    return {"Q": sol.q, "eta": sol.eta,
+            "normalization": "r·Q=eta", "induced_g": sol.induced_g}
 
 
 def _cmd_ctmc_stationary(args, cfg: Tolerances):
@@ -236,7 +231,7 @@ def _cmd_ctmc_stationary(args, cfg: Tolerances):
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     pi = ctmc_mod.ctmc_stationary(loaded.generator, r, allow_unchecked=True,
                                   cfg=cfg)
-    return {"pi": _vector(pi.pi)}
+    return {"pi": pi.pi}
 
 
 def _cmd_ctmc_potentials(args, cfg: Tolerances):
@@ -244,7 +239,7 @@ def _cmd_ctmc_potentials(args, cfg: Tolerances):
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     sol = ctmc_mod.ctmc_potentials(loaded.generator, loaded.rewards, r,
                                    allow_unchecked=True, cfg=cfg)
-    return {"g": _vector(sol.g), "eta": sol.eta,
+    return {"g": sol.g, "eta": sol.eta,
             "normalization": sol.normalization}
 
 
@@ -288,7 +283,7 @@ def _cmd_estimate(args, cfg: Tolerances):
             except OSError as e:
                 raise _unwritable(args.trace, e) from e
         runs.append({
-            "seed": seed, "g_hat": _vector(trace.g_hat),
+            "seed": seed, "g_hat": trace.g_hat,
             "eta_hat": trace.eta_hat, "steps_run": trace.steps_run,
             "converged": trace.converged,
         })
@@ -300,7 +295,7 @@ def _cmd_series(args, cfg: Tolerances):
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     fm = gfm.series_fundamental(loaded.chain, r, args.terms,
                                 allow_unchecked=True, cfg=cfg)
-    return {"Z": [_vector(row) for row in fm.Z], "terms": fm.terms,
+    return {"Z": fm.Z, "terms": fm.terms,
             "tail_norm": fm.tail_norm}
 
 

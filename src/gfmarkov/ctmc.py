@@ -6,8 +6,9 @@ eigenvector e, so B + e r is invertible whenever r.e != 0, giving
 * pi from one transposed solve of pi (B + e r) = r, and
 * potentials from (B + e r) g = -f.
 
-Ergodicity is judged by ``model.diagnose_chain`` and B + e r factored by
-``_linalg.shifted_system``, the same two entry points that chains take.
+Ergodicity is judged by ``gfm._require_irreducible`` (NotErgodic for a
+rate matrix), and B + e r is formed by ``_linalg.shifted_matrix`` and
+factored by ``_linalg.shifted_system``, the entry points chains take.
 
 Sign convention: the unique solution of the second system satisfies
 r.g = -eta (substituting the Poisson equation -B g = f - eta e forces
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import _linalg
 from .config import DEFAULT, Tolerances
-from .errors import NotErgodicError
 from .gfm import (
     NORM_ETA,
     NORM_MINUS_ETA,
@@ -29,12 +29,12 @@ from .gfm import (
     StationaryDistribution,
     _as_reference,
     _as_rewards,
+    _require_irreducible,
     _stationary_from,
 )
 from .model import (
     GeneratorMatrix,
     _checked_gamma,
-    diagnose_chain,
     reference_vector,
     validate_generator,
 )
@@ -54,22 +54,13 @@ def _as_generator(B) -> GeneratorMatrix:
     return validate_generator(B)
 
 
-def _require_ergodic(B: GeneratorMatrix, cfg: Tolerances) -> None:
-    diag = diagnose_chain(B, cfg=cfg)
-    if not diag.irreducible:
-        raise NotErgodicError(
-            "generator is not ergodic "
-            f"({diag.num_closed_classes} closed class(es))",
-            num_closed_classes=diag.num_closed_classes)
-
-
 def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
                     cfg: Tolerances = DEFAULT) -> StationaryDistribution:
     """Stationary distribution of the process: pi solves pi (B + e r) = r."""
     B = _as_generator(B)
     r = _as_reference(r, B.size, cfg)
     if not allow_unchecked:
-        _require_ergodic(B, cfg)
+        _require_irreducible(B, cfg)
     system = _linalg.shifted_system(B, r.values, cfg.pivot_tol)
     return _stationary_from(system, r, cfg, "process")
 
@@ -86,7 +77,7 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, B.size, cfg)
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
-        _require_ergodic(B, cfg)
+        _require_irreducible(B, cfg)
     system = _linalg.shifted_system(B, r.values, cfg.pivot_tol)
     g = system.solve(-f.values)
     pi = _stationary_from(system, r, cfg, "process")
@@ -104,7 +95,7 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     B = _as_generator(B)
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
-        _require_ergodic(B, cfg)
+        _require_irreducible(B, cfg)
     pi = ctmc_stationary(B, None, allow_unchecked=True, cfg=cfg)
     g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)
@@ -134,7 +125,7 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     checks.append(CheckResult("generator_zero_row_sums",
                               resid <= cfg.row_tol, resid))
 
-    D = B.matrix + r.values
+    D = _linalg.shifted_matrix(B, r.values)
     resid = float(np.abs(D @ ones - r.dot_with_ones * ones).max())
     checks.append(CheckResult("ones_column_eigenvector",
                               resid <= cfg.solve_tol_for(n), resid))

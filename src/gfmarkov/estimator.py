@@ -146,8 +146,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:  # NaN fails too
+            raise ValueError("epsilon must be positive and finite")
         if self.check_interval < 1:
             raise ValueError("check_interval must be >= 1")
 

@@ -26,12 +26,14 @@ from .errors import (
     DimensionMismatchError,
     NearSingularError,
     NotAperiodicError,
+    NotErgodicError,
     NotIrreducibleError,
     ReferenceNotDistributionLikeError,
     SeriesDivergentError,
 )
 from .model import (
     ChainDiagnostics,
+    GeneratorMatrix,
     ReferenceVector,
     RewardVector,
     StochasticMatrix,
@@ -144,14 +146,16 @@ def _as_rewards(f, n: int) -> RewardVector:
     return reward_vector(f.values if isinstance(f, RewardVector) else f, n)
 
 
-def _require_irreducible(P: StochasticMatrix, cfg: Tolerances,
+def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
                          need_aperiodic: bool = False) -> ChainDiagnostics:
+    """The structural gate of a chain, or of a rate matrix (NotErgodic)."""
     diag = diagnose_chain(P, cfg=cfg)
     if not diag.irreducible:
-        raise NotIrreducibleError(
-            "chain is not irreducible "
-            f"({diag.num_closed_classes} closed class(es))",
-            num_closed_classes=diag.num_closed_classes)
+        error, what = ((NotErgodicError, "generator is not ergodic")
+                       if isinstance(P, GeneratorMatrix)
+                       else (NotIrreducibleError, "chain is not irreducible"))
+        raise error(f"{what} ({diag.num_closed_classes} closed class(es))",
+                    num_closed_classes=diag.num_closed_classes)
     if need_aperiodic and not diag.aperiodic:
         raise NotAperiodicError(
             f"chain is periodic with period {diag.period}", period=diag.period)
@@ -188,9 +192,7 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
         _require_irreducible(P, cfg)
     Z = _linalg.shifted_system(P, r.values, cfg.pivot_tol).inverse()
     # the LU overwrote its own copy of M
-    M = r.values - P.matrix
-    M.flat[::P.size + 1] += 1.0
-    norm = np.abs(M, out=M).sum(axis=0).max()
+    norm = np.abs(_linalg.shifted_matrix(P, r.values)).sum(axis=0).max()
     cond = float(norm * np.abs(Z).sum(axis=0).max())
     return FundamentalMatrix(Z, r, P, condition_estimate=cond)
 
@@ -373,7 +375,7 @@ def verify_spectral_shift(P, r=None, *, cfg: Tolerances = DEFAULT) -> Verificati
     n = P.size
     checks: list[CheckResult] = []
 
-    M = np.eye(n) - P.matrix + r.values
+    M = _linalg.shifted_matrix(P, r.values)
     ones = np.ones(n)
     resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
     tol = cfg.solve_tol_for(n)

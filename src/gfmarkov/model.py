@@ -10,7 +10,8 @@ threads; every operation in this module is a pure function of its
 inputs. A validated StochasticMatrix or GeneratorMatrix carries one
 private memo: the LU of its last shifted matrix A + e r and its last
 structural-gate verdict, so a second solve or gate with the same
-reference and tolerances reuses them. The memo costs at most one n x n
+reference and tolerances reuses them; an MdpModel's memo keeps its
+policy chain P_pi, a StochasticMatrix. A memo costs at most one n x n
 array per matrix and never changes a result; concurrent first calls may
 each compute an entry, with identical bits.
 
@@ -141,6 +142,9 @@ class MdpModel:
     transitions: np.ndarray
     rewards: np.ndarray
     policy: np.ndarray
+    # {"policy_chain": (None, StochasticMatrix)}, as StochasticMatrix._memo
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def states(self) -> int:

@@ -14,6 +14,9 @@ matrix I - P_pi + e r_S is, with r_S(s) = sum_a r(s,a) and r_S.e = r.e.
 One factorization of the latter gives the state potentials g and
 eta = r_S.g; the Q-factors are g lifted to pairs plus the advantage
 f(s,a) - f_pi(s) + p(s,a,.).g - P_pi(s,.).g, shifted so that r.Q = eta.
+P_pi is formed once, kept on the model as a StochasticMatrix and
+factored through ``_linalg.shifted_system`` like any chain, so the
+Q-factor solve and the pair distribution share it and its LU.
 
 State-action vectors are ordered state-major: (s0,a0), (s0,a1), ...,
 (s1,a0), ..., the same order as ``rewards.reshape(-1)``.
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ShiftedSystem
+from ._linalg import shifted_system
 from .config import DEFAULT, Tolerances
 from .gfm import _as_reference, stationary
-from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze
+from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze, _memoized
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -118,9 +121,11 @@ def _zero_probability_actions(m: MdpModel) -> list[tuple[int, int]]:
     return [(int(s), int(a)) for s, a in pairs]
 
 
-def _policy_chain(m: MdpModel) -> np.ndarray:
-    """The S x S policy chain P_pi = L P_sa."""
-    return np.einsum("sa,sat->st", m.policy, m.transitions)
+def _policy_chain(m: MdpModel) -> StochasticMatrix:
+    """The S x S policy chain P_pi = L P_sa, formed once and kept on m;
+    its rows mix validated rows, so it is not validated again."""
+    return _memoized(m, "policy_chain", None, lambda: StochasticMatrix(
+        _freeze(np.einsum("sa,sat->st", m.policy, m.transitions))))
 
 
 def _pair_distribution(m: MdpModel, cfg: Tolerances) -> np.ndarray:
@@ -158,12 +163,13 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
     f_pi = (m.policy * m.rewards).sum(axis=1)
     with np.errstate(over="ignore"):  # an inf r_S fails the pivot check
         r_S = r.values.reshape(S, A).sum(axis=1)
-    g = ShiftedSystem.for_chain(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
+    g = shifted_system(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
     eta = float(r_S @ g)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the
     # advantage vanishes exactly when A = 1
     adv = ((m.rewards - f_pi[:, None]).reshape(-1)
-           + m.transitions.reshape(S * A, S) @ g - np.repeat(P_pi @ g, A))
+           + m.transitions.reshape(S * A, S) @ g
+           - np.repeat(P_pi.matrix @ g, A))
     q = np.repeat(g, A) + adv
     q += (eta - float(r.values @ q)) / r.dot_with_ones
     induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gfmarkov import cli, ctmc, gfm
+from gfmarkov import cli, gfm
 from gfmarkov import qfactors as qf
 from gfmarkov.cli import main
 from gfmarkov.errors import ModelFormatError
@@ -525,7 +525,7 @@ class TestCommands:
 
     def test_ctmc_check_runs_ergodicity_gate_once(self, capsys, monkeypatch,
                                                   models_dir):
-        calls = count_calls(monkeypatch, ctmc, "diagnose_chain")
+        calls = count_calls(monkeypatch, gfm, "diagnose_chain")
         for argv in (["check"], ["check", "--poisson"],
                      ["ctmc-stationary", "--reference", "stationary"],
                      ["ctmc-potentials", "--reference", "stationary"]):
@@ -570,6 +570,23 @@ class TestCommands:
         assert code == 0
         assert len(builds) == 1
         assert factors and all(args[0].shape == (2, 2) for args, _ in factors)
+
+    @pytest.mark.parametrize("argv, lus", [
+        (["check"], 1),
+        # once for the pair distribution's r_S, once for the reference it gives
+        (["qfactors", "--reference", "stationary"], 2),
+    ], ids=["check", "qfactors-stationary"])
+    def test_mdp_forms_policy_chain_once(self, capsys, monkeypatch,
+                                         models_dir, argv, lus):
+        # P_pi is kept on the model, so the Q-factor solve and the pair
+        # distribution share it, and its LU when their r_S agree
+        einsums = count_calls(monkeypatch, np, "einsum")
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        code, _, _ = run_cli(capsys, *argv, "--model",
+                             str(models_dir / "mdp_two_state.json"))
+        assert code == 0
+        assert [args[0] for args, _ in einsums] == ["sa,sat->st"]
+        assert len(factors) == lus
 
     def test_library_warning_is_one_plain_line(self, capsys, tmp_path):
         path = tmp_path / "dead_action.json"
@@ -650,6 +667,13 @@ class TestCommands:
             assert code == 2
             assert out.count("\n") == 1
             assert json.loads(out)["error"] == "ScheduleInvalid"
+        for schedule in ("power:1,2", "constant:", "power:a,1,1"):
+            code, out, _ = run_cli(capsys, "estimate", "--model", model,
+                                   "--schedule", schedule)
+            assert code == 2
+            assert json.loads(out) == {
+                "error": "ModelFormat",
+                "message": f"cannot parse schedule {schedule!r}"}
 
     def test_trace_needs_a_single_seed(self, capsys, models_dir, tmp_path):
         code, out, _ = run_cli(capsys, "estimate", "--seeds", "1,2",

@@ -73,6 +73,24 @@ class TestStepSchedule:
             assert str(exc.value).endswith("is not positive and finite")
 
 
+class TestSimulationConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_steps", 0, "max_steps must be >= 1"),
+        ("max_steps", -5, "max_steps must be >= 1"),
+        ("check_interval", 0, "check_interval must be >= 1"),
+        ("check_interval", -1, "check_interval must be >= 1"),
+        ("epsilon", 0.0, "epsilon must be positive and finite"),
+        ("epsilon", -1e-4, "epsilon must be positive and finite"),
+        # NaN would switch the stopping rule off, inf would stop at the
+        # first check
+        ("epsilon", np.nan, "epsilon must be positive and finite"),
+        ("epsilon", np.inf, "epsilon must be positive and finite"),
+    ])
+    def test_refused_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimulationConfig(**{field: value})
+
+
 class TestSimulateChain:
     def test_absorbing_state(self):
         states, rewards = simulate_chain(validate_stochastic([[1.0]]), [2.0],

@@ -27,11 +27,12 @@ from gfmarkov import (
     spectral_radius_estimate,
     stationary,
     uniform_reference,
+    validate_generator,
     validate_stochastic,
     verify_spectral_shift,
 )
 from gfmarkov import model
-from gfmarkov.ctmc import ctmc_potentials
+from gfmarkov.ctmc import ctmc_potentials, ctmc_stationary
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
 
@@ -277,6 +278,27 @@ class TestStationary:
         P = random_periodic_chain(4)
         pi = stationary(P, uniform_reference(4)).pi
         assert np.abs(pi - 0.25).max() < 1e-10
+
+    @pytest.mark.parametrize("process", [False, True],
+                             ids=["chain", "rate-matrix"])
+    def test_negative_entry_guard(self, monkeypatch, process):
+        # r.e ~ 7.1e-12, just above the re_tol floor: the factorization
+        # passes its pivot check, but pi has an entry far below -solve_tol
+        P = validate_stochastic([[0.9999964316829352, 3.5683170647280886e-06],
+                                 [0.7382560348921869, 0.2617439651078131]])
+        r = reference_vector([1.0504674632795423, -1.0504674632724371])
+        assert 0 < r.dot_with_ones < 1e-11
+        source = (validate_generator(np.asarray(P.matrix) - np.eye(2))
+                  if process else P)
+        solve = ctmc_stationary if process else stationary
+        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        # the memo keeps the LU, not a verdict on pi: each call raises
+        for _ in range(2):
+            with pytest.raises(NearSingularError) as exc:
+                solve(source, r, allow_unchecked=True)
+            assert exc.value.code == "NearSingular"
+            assert exc.value.detail["min_entry"] < -Tolerances().solve_tol_for(2)
+        assert len(factors) == 1
 
 
 class TestPotentials:

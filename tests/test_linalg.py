@@ -16,9 +16,9 @@ from gfmarkov import (
     qfactors_solve,
     stationary,
 )
-from gfmarkov._linalg import ShiftedSystem
+from gfmarkov._linalg import ShiftedSystem, shifted_system
 from gfmarkov.errors import NearSingularError
-from gfmarkov.model import validate_stochastic
+from gfmarkov.model import GeneratorMatrix, StochasticMatrix, validate_stochastic
 from gfmarkov.modelio import load_model
 
 from conftest import (
@@ -42,7 +42,7 @@ def _sparse_irreducible(rng: np.random.Generator, n: int, density: float):
 
 
 def _random_system(seed, n, density, zero_r, rates):
-    """(A, r, ShiftedSystem of A + e r, rng) for a random chain or generator."""
+    """(A, r, factored A + e r, rng) for a random chain or generator."""
     rng = np.random.default_rng(seed)
     W = _sparse_irreducible(rng, n, density)
     r = random_reference(rng, n)
@@ -53,11 +53,11 @@ def _random_system(seed, n, density, zero_r, rates):
     if rates:
         np.fill_diagonal(W, 0.0)
         A = W - np.diag(W.sum(axis=1))
-        system = ShiftedSystem.for_rates(A, r, 1e-12)
+        system = shifted_system(GeneratorMatrix(A), r, 1e-12)
     else:
         P = W / W.sum(axis=1, keepdims=True)
         A = np.eye(n) - P
-        system = ShiftedSystem.for_chain(P, r, 1e-12)
+        system = shifted_system(StochasticMatrix(P), r, 1e-12)
     return A, r, system, rng
 
 
@@ -67,7 +67,8 @@ _SYSTEMS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
 
 
 class TestShiftedSystemMatchesOracle:
-    """for_chain / for_rates against the literal C-ordered build.
+    """shifted_system on a chain or a rate matrix against the literal
+    C-ordered build.
 
     Both factor the transpose of the same entries, so every solve must be
     bit-identical to the oracle's with trans swapped.
@@ -130,11 +131,12 @@ class TestForwardErrorAgainstExactSolve:
     def test_forward_error(self, seed, n, e1):
         rng = np.random.default_rng(seed)
         U = rng.random((n, n)) ** 3 + 1e-3
-        P = validate_stochastic(U / U.sum(axis=1, keepdims=True)).matrix
+        chain = validate_stochastic(U / U.sum(axis=1, keepdims=True))
+        P = chain.matrix
         r = np.eye(n)[0] if e1 else random_reference(rng, n)
         f = rng.normal(size=n)
         g = potentials(P, f, r, allow_unchecked=True).g
-        pi = ShiftedSystem.for_chain(P, r, 1e-12).solve_row(r)
+        pi = shifted_system(chain, r, 1e-12).solve_row(r)
 
         M = np.eye(n) - P + r
         for ours, true, cond in (
