@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = subs.add_parser("estimate", help="online potential estimation")
     _add_common(est)
-    est.add_argument("--seed", type=_ranged(int, 0), default=0)
-    est.add_argument("--seeds", type=_seed_list, default=None,
-                     help="comma-separated seeds; runs are ordered by seed")
+    seeds = est.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=_ranged(int, 0), default=0)
+    seeds.add_argument("--seeds", type=_seed_list, default=None,
+                       help="comma-separated seeds; runs are ordered by seed")
     est.add_argument("--steps", type=_ranged(int, 1), default=100_000)
     est.add_argument("--epsilon", type=_ranged(float, 0.0, strict=True),
                      default=1e-4)
@@ -133,6 +135,15 @@ def _tolerances(args) -> Tolerances:
     return dataclasses.replace(DEFAULT, **overrides) if overrides else DEFAULT
 
 
+# per chain or process model kind: the matrix its commands gate and solve
+# on, and its stationary and potentials calls
+_KINDS = {
+    "dtmc": (lambda m: m.chain, gfm.stationary, gfm.potentials),
+    "ctmc": (lambda m: m.generator, ctmc_mod.ctmc_stationary,
+             ctmc_mod.ctmc_potentials),
+}
+
+
 def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
     if text == "uniform":
         return uniform_reference(n, cfg=cfg)
@@ -140,13 +151,11 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
         return e1_reference(n, cfg=cfg)
     if text == "stationary":
         # _load has run the structural gate
-        if loaded.kind == "dtmc":
-            pi = gfm.stationary(loaded.chain, allow_unchecked=True, cfg=cfg).pi
-        elif loaded.kind == "ctmc":
-            pi = ctmc_mod.ctmc_stationary(loaded.generator, allow_unchecked=True,
-                                          cfg=cfg).pi
-        else:
+        if loaded.kind == "mdp":
             pi = qf._pair_distribution(loaded.mdp, cfg)
+        else:
+            matrix, stationary, _ = _KINDS[loaded.kind]
+            pi = stationary(matrix(loaded), allow_unchecked=True, cfg=cfg).pi
         return reference_vector(pi, cfg=cfg)
     items = text.strip().strip("[]").split(",")
     try:
@@ -171,48 +180,44 @@ def _load(args, cfg: Tolerances, kind: str | None,
             expected=kind, got=loaded.kind)
     if loaded.kind == "mdp":
         return loaded, None
-    matrix = loaded.chain if loaded.kind == "dtmc" else loaded.generator
+    matrix = _KINDS[loaded.kind][0](loaded)
     return loaded, gfm._require_irreducible(matrix, cfg, need_aperiodic)
 
 
 def _cmd_validate(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
-    if loaded.kind == "dtmc":
-        d = diagnose_chain(loaded.chain, cfg=cfg)
+    if loaded.kind == "mdp":
+        m = loaded.mdp
         return {
-            "valid": True, "kind": "dtmc", "states": loaded.states,
-            "max_correction": loaded.chain.max_correction,
-            "irreducible": d.irreducible, "aperiodic": d.aperiodic,
-            "period": d.period, "num_closed_classes": d.num_closed_classes,
+            "valid": True, "kind": "mdp", "states": m.states,
+            "actions": m.actions, "state_action_pairs": m.states * m.actions,
+            "zero_probability_actions": qf._zero_probability_actions(m),
         }
+    matrix = _KINDS[loaded.kind][0](loaded)
+    d = diagnose_chain(matrix, cfg=cfg)
+    doc = {"valid": True, "kind": loaded.kind, "states": loaded.states,
+           "max_correction": matrix.max_correction}
     if loaded.kind == "ctmc":
-        d = diagnose_chain(loaded.generator, cfg=cfg)
-        return {
-            "valid": True, "kind": "ctmc", "states": loaded.states,
-            "max_correction": loaded.generator.max_correction,
-            "ergodic": d.irreducible,
-            "min_uniformization_rate": min_uniformization_rate(loaded.generator),
-        }
-    m = loaded.mdp
-    return {
-        "valid": True, "kind": "mdp", "states": m.states,
-        "actions": m.actions, "state_action_pairs": m.states * m.actions,
-        "zero_probability_actions": qf._zero_probability_actions(m),
-    }
+        return {**doc, "ergodic": d.irreducible,
+                "min_uniformization_rate": min_uniformization_rate(matrix)}
+    return {**doc, "irreducible": d.irreducible, "aperiodic": d.aperiodic,
+            "period": d.period, "num_closed_classes": d.num_closed_classes}
 
 
-def _cmd_stationary(args, cfg: Tolerances):
-    loaded, _ = _load(args, cfg, "dtmc")
+def _cmd_stationary(args, cfg: Tolerances, kind: str = "dtmc"):
+    loaded, _ = _load(args, cfg, kind)
+    matrix, stationary, _ = _KINDS[kind]
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    pi = gfm.stationary(loaded.chain, r, allow_unchecked=True, cfg=cfg)
+    pi = stationary(matrix(loaded), r, allow_unchecked=True, cfg=cfg)
     return {"pi": pi.pi}
 
 
-def _cmd_potentials(args, cfg: Tolerances):
-    loaded, _ = _load(args, cfg, "dtmc")
+def _cmd_potentials(args, cfg: Tolerances, kind: str = "dtmc"):
+    loaded, _ = _load(args, cfg, kind)
+    matrix, _, potentials = _KINDS[kind]
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    sol = gfm.potentials(loaded.chain, loaded.rewards, r,
-                         allow_unchecked=True, cfg=cfg)
+    sol = potentials(matrix(loaded), loaded.rewards, r,
+                     allow_unchecked=True, cfg=cfg)
     return {"g": sol.g, "eta": sol.eta,
             "normalization": sol.normalization}
 
@@ -224,23 +229,6 @@ def _cmd_qfactors(args, cfg: Tolerances):
     sol = qf.qfactors_solve(loaded.mdp, r, cfg=cfg)
     return {"Q": sol.q, "eta": sol.eta,
             "normalization": "r·Q=eta", "induced_g": sol.induced_g}
-
-
-def _cmd_ctmc_stationary(args, cfg: Tolerances):
-    loaded, _ = _load(args, cfg, "ctmc")
-    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    pi = ctmc_mod.ctmc_stationary(loaded.generator, r, allow_unchecked=True,
-                                  cfg=cfg)
-    return {"pi": pi.pi}
-
-
-def _cmd_ctmc_potentials(args, cfg: Tolerances):
-    loaded, _ = _load(args, cfg, "ctmc")
-    r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    sol = ctmc_mod.ctmc_potentials(loaded.generator, loaded.rewards, r,
-                                   allow_unchecked=True, cfg=cfg)
-    return {"g": sol.g, "eta": sol.eta,
-            "normalization": sol.normalization}
 
 
 def _parse_schedule(text: str) -> StepSchedule:
@@ -348,7 +336,6 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     r = uniform_reference(loaded.states, cfg=cfg)
     sol = ctmc_mod.ctmc_potentials(gen, f, r, allow_unchecked=True, cfg=cfg)
     g, eta = sol.g, sol.eta
-    pi = ctmc_mod.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg).pi
     B = np.asarray(gen.matrix)
 
     checks = []
@@ -361,6 +348,7 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     if poisson_only:
         return checks
 
+    pi = ctmc_mod.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg).pi
     rate = min_uniformization_rate(gen)
     base = rate if rate > 0 else 1.0
     for mult in (1.0, 2.0, 10.0):
@@ -417,8 +405,8 @@ _HANDLERS = {
     "stationary": _cmd_stationary,
     "potentials": _cmd_potentials,
     "qfactors": _cmd_qfactors,
-    "ctmc-stationary": _cmd_ctmc_stationary,
-    "ctmc-potentials": _cmd_ctmc_potentials,
+    "ctmc-stationary": partial(_cmd_stationary, kind="ctmc"),
+    "ctmc-potentials": partial(_cmd_potentials, kind="ctmc"),
     "estimate": _cmd_estimate,
     "series": _cmd_series,
     "check": _cmd_check,

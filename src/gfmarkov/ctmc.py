@@ -7,8 +7,10 @@ eigenvector e, so B + e r is invertible whenever r.e != 0, giving
 * potentials from (B + e r) g = -f.
 
 Ergodicity is judged by ``gfm._require_irreducible`` (NotErgodic for a
-rate matrix), and B + e r is formed by ``_linalg.shifted_matrix`` and
-factored by ``_linalg.shifted_system``, the entry points chains take.
+rate matrix), B + e r is formed by ``_linalg.shifted_matrix`` and
+factored by ``_linalg.shifted_system``, and pi comes from
+``gfm._stationary_from``: the entry points chains take, which tell a
+rate matrix from a chain by its type.
 
 Sign convention: the unique solution of the second system satisfies
 r.g = -eta (substituting the Poisson equation -B g = f - eta e forces
@@ -61,8 +63,7 @@ def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, B.size, cfg)
     if not allow_unchecked:
         _require_irreducible(B, cfg)
-    system = _linalg.shifted_system(B, r.values, cfg.pivot_tol)
-    return _stationary_from(system, r, cfg, "process")
+    return _stationary_from(B, r, cfg)
 
 
 def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
@@ -78,9 +79,8 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     f = _as_rewards(f, B.size)
     if not allow_unchecked:
         _require_irreducible(B, cfg)
-    system = _linalg.shifted_system(B, r.values, cfg.pivot_tol)
-    g = system.solve(-f.values)
-    pi = _stationary_from(system, r, cfg, "process")
+    g = _linalg.shifted_system(B, r.values, cfg.pivot_tol).solve(-f.values)
+    pi = _stationary_from(B, r, cfg)
     eta = float(pi.pi @ f.values)
     return PotentialSolution(g, eta, r, NORM_MINUS_ETA)
 

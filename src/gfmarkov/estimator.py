@@ -29,6 +29,7 @@ identical paths and traces bit for bit.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
@@ -144,12 +145,18 @@ class SimulationConfig:
     check_interval: int = 1000
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        # the counts size arrays and the seed seeds PCG64, so each must be a
+        # Python or numpy integer; a float would fail at sampling or truncate
+        for name, low in (("seed", 0), ("max_steps", 1), ("check_interval", 1)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.epsilon < np.inf:  # NaN fails too
             raise ValueError("epsilon must be positive and finite")
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ the rest stay at 1 - lambda_i). One factorization of it produces:
 No pre-computation of pi is needed for the first two. Whenever
 0 < r.e < 2 the inverse also equals the power series sum_n (P - e r)^n,
 which grounds the truncated/sample-path approximations in this module.
+
+The stationary solve and its guard are one body for chains and rate
+matrices, which ``ctmc`` calls too; only the matrix type tells them apart.
 """
 
 from __future__ import annotations
@@ -162,19 +165,21 @@ def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
     return diag
 
 
-def _stationary_from(system: _linalg.ShiftedSystem, r: ReferenceVector,
-                     cfg: Tolerances, kind: str) -> StationaryDistribution:
-    """pi from pi (A + e r) = r, on the factored system A + e r.
+def _stationary_from(source: StochasticMatrix | GeneratorMatrix,
+                     r: ReferenceVector, cfg: Tolerances) -> StationaryDistribution:
+    """pi from pi (A + e r) = r, on the LU that ``_linalg.shifted_system``
+    keeps for a chain (A = I - P) or a rate matrix (A = B).
 
     Entries within solve tolerance below zero are clamped and the vector
     renormalized; anything more negative signals numerical failure.
     """
-    pi = system.solve_row(r.values)
+    pi = _linalg.shifted_system(source, r.values, cfg.pivot_tol).solve_row(r.values)
     low = float(pi.min(initial=0.0))
     if low < -cfg.solve_tol_for(pi.shape[0]):
+        what = "process" if isinstance(source, GeneratorMatrix) else "chain"
         raise NearSingularError(
             f"stationary solve produced entry {low:.3e} below -solve_tol; "
-            f"the {kind} is numerically reducible", min_entry=low)
+            f"the {what} is numerically reducible", min_entry=low)
     pi = np.maximum(pi, 0.0)
     return StationaryDistribution(pi / pi.sum())
 
@@ -210,8 +215,7 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
-    system = _linalg.shifted_system(P, r.values, cfg.pivot_tol)
-    return _stationary_from(system, r, cfg, "chain")
+    return _stationary_from(P, r, cfg)
 
 
 def potentials(P, f, r=None, *, allow_unchecked: bool = False,

@@ -7,13 +7,14 @@ continuous-time process into an equivalent discrete chain.
 
 All types are immutable after construction and safe to share across
 threads; every operation in this module is a pure function of its
-inputs. A validated StochasticMatrix or GeneratorMatrix carries one
-private memo: the LU of its last shifted matrix A + e r and its last
-structural-gate verdict, so a second solve or gate with the same
-reference and tolerances reuses them; an MdpModel's memo keeps its
-policy chain P_pi, a StochasticMatrix. A memo costs at most one n x n
-array per matrix and never changes a result; concurrent first calls may
-each compute an entry, with identical bits.
+inputs. StochasticMatrix and GeneratorMatrix take their fields from one
+private base: only the type tells a chain from a rate matrix. A
+validated matrix carries one private memo: the LU of its last shifted
+matrix A + e r and its last structural-gate verdict, so a second solve
+or gate with the same reference and tolerances reuses them; an
+MdpModel's memo keeps its policy chain P_pi, a StochasticMatrix. A memo
+costs at most one n x n array per matrix and never changes a result;
+concurrent first calls may each compute an entry, with identical bits.
 
 :func:`diagnose_chain` is the one structural gate, for chains and rate
 matrices alike. Its csgraph route imports ``scipy.sparse`` at each call,
@@ -65,13 +66,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
-    """Row-stochastic transition matrix of a finite discrete-time chain.
-
-    Construct through :func:`validate_stochastic`; rows are guaranteed
-    nonnegative with sums within a few ulp of 1. ``max_correction``
-    reports the largest entry change validation applied.
-    """
+class _ValidatedMatrix:
+    """The fields of both validated matrix types, which differ only in
+    type; ``==`` compares classes, so a chain never equals a rate matrix."""
 
     matrix: np.ndarray
     max_correction: float = 0.0
@@ -85,23 +82,21 @@ class StochasticMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class StochasticMatrix(_ValidatedMatrix):
+    """Row-stochastic transition matrix of a finite discrete-time chain.
+
+    Construct through :func:`validate_stochastic`; rows are guaranteed
+    nonnegative with sums within a few ulp of 1. ``max_correction``
+    reports the largest entry change validation applied.
+    """
+
+
+class GeneratorMatrix(_ValidatedMatrix):
     """Transition-rate matrix of a finite continuous-time process.
 
     Off-diagonal entries are nonnegative rates (1/time); each row sums to
     zero, with the diagonal adjusted during validation to absorb rounding.
     """
-
-    matrix: np.ndarray
-    max_correction: float = 0.0
-    # as StochasticMatrix._memo
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,7 @@ class MdpModel:
     transitions: np.ndarray
     rewards: np.ndarray
     policy: np.ndarray
-    # {"policy_chain": (None, StochasticMatrix)}, as StochasticMatrix._memo
+    # {"policy_chain": (None, StochasticMatrix)}, as _ValidatedMatrix._memo
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 

@@ -263,6 +263,11 @@ def test_criterion_7_cli_golden(capsys, models_dir, golden_dir, tmp_path):
           "--reference", "e1"], 0, "potentials_two_state_sym.json"),
         (["validate", "--model", str(models_dir / "bad_rows.json")], 2,
          "validate_bad_rows.json"),
+        *((["ctmc-" + command, "--model", str(models_dir / "ctmc_two_state.json"),
+            "--reference", "e1", "--output", output], 0,
+           f"ctmc_{command}_ctmc_two_state.{output}")
+          for command in ("stationary", "potentials")
+          for output in ("json", "csv")),
     ]
     golden_ok = True
     for argv, want_code, golden_name in cases:

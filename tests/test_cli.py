@@ -226,6 +226,7 @@ class TestExitCodes:
                      ["check", "--reference", "e1"], ["estimate", "--seed", "-1"],
                      ["estimate", "--seeds", "1,x"],
                      ["estimate", "--seeds", "-2"],
+                     ["estimate", "--seed", "1", "--seeds", "2,3"],
                      ["check", "--poisson-tol", "-1"],
                      ["potentials", "--row-tol", "-1"],
                      ["stationary", "--solve-tol", "nan"],
@@ -379,6 +380,12 @@ class TestModelFile:
         with pytest.raises(ModelFormatError) as exc:
             load_model(p)
         assert str(exc.value) == message.format(p=p)
+
+    @pytest.mark.parametrize("name", ["two_state", "ctmc_two_state",
+                                      "mdp_two_state"])
+    def test_loaded_states(self, models_dir, name):
+        path = models_dir / f"{name}.json"
+        assert load_model(path).states == json.loads(path.read_text())["states"]
 
 
 class TestCommands:
@@ -558,6 +565,16 @@ class TestCommands:
                              str(models_dir / name))
         assert code == 0
         assert len(factors) == lus
+
+    def test_ctmc_poisson_check_solves_g_and_pi_once(self, capsys, monkeypatch,
+                                                     models_dir):
+        # both solves come from ctmc_potentials; the battery's own pi is
+        # read only by the uniformization checks that --poisson skips
+        solves = count_calls(monkeypatch, scipy.linalg, "lu_solve")
+        code, _, _ = run_cli(capsys, "check", "--poisson", "--model",
+                             str(models_dir / "ctmc_two_state.json"))
+        assert code == 0
+        assert len(solves) == 2
 
     def test_mdp_check_factors_only_state_systems(self, capsys, monkeypatch,
                                                   models_dir):

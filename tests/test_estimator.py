@@ -60,6 +60,14 @@ class TestStepSchedule:
                 with pytest.raises(ScheduleInvalidError):
                     make()
 
+    @pytest.mark.parametrize("schedule", [
+        StepSchedule.robbins_monro(2.0, 3.0, 0.75), StepSchedule.constant(0.25),
+        StepSchedule.custom(lambda t: 1.0 / (t + 2))],
+        ids=["power", "constant", "custom"])
+    def test_alpha_matches_alphas(self, schedule):
+        assert [schedule.alpha(t) for t in range(6)] == pytest.approx(
+            schedule.alphas(6).tolist(), rel=1e-15)
+
     def test_custom_validated_at_run(self):
         s = StepSchedule.custom(lambda t: 0.1 - 0.2 * (t > 5))
         with pytest.raises(ScheduleInvalidError):
@@ -85,10 +93,27 @@ class TestSimulationConfig:
         # first check
         ("epsilon", np.nan, "epsilon must be positive and finite"),
         ("epsilon", np.inf, "epsilon must be positive and finite"),
+        # a float count or seed fails only at sampling, or runs truncated
+        ("max_steps", 1500.5, r"max_steps must be an integer, got 1500\.5"),
+        ("max_steps", np.nan, "max_steps must be an integer, got nan"),
+        ("check_interval", 10.5,
+         r"check_interval must be an integer, got 10\.5"),
+        ("check_interval", np.inf,
+         "check_interval must be an integer, got inf"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, r"seed must be an integer, got 1\.5"),
+        ("seed", np.float64(2.0),  # repr is np.float64(2.0) from numpy 2
+         r"seed must be an integer, got (np\.float64\()?2\.0\)?"),
     ])
     def test_refused_values(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SimulationConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimulationConfig(seed=np.int64(3), max_steps=np.int32(50),
+                               check_interval=np.uint16(10))
+        trace = online_potentials(SYM, F, E1, cfg=cfg)
+        assert trace.seed == 3 and trace.steps_run <= 50
 
 
 class TestSimulateChain:
