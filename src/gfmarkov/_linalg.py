@@ -6,10 +6,13 @@ and :func:`shifted_system` alone factors it, into a ``ShiftedSystem``
 that checks the pivots and serves g, pi and the explicit inverse from
 one LU of M^T, kept on the validated matrix for later calls with the
 same r.
-``scipy.linalg`` is imported at the first factorization, not with the
-package, so callers that never factor (validation, the structural gate,
-the estimator) never load it; ``lu_factor`` and ``lu_solve`` are looked
-up on that module at each call.
+The LU comes from LAPACK's dgetrf and dgetrs (Anderson et al., *LAPACK
+Users' Guide*, 3rd ed., 1999), called through :func:`getrf` and
+:func:`getrs` on scipy's f2py extension ``scipy.linalg._flapack``. That
+module is loaded by file at the first factorization, so callers that
+never factor (validation, the structural gate, the estimator) load no
+scipy, and a factoring process never runs ``scipy/linalg/__init__.py``.
+The LAPACK routines are looked up on the module at each call.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -17,7 +20,12 @@ characteristic polynomial; nothing here requires a general eigensolver.
 from __future__ import annotations
 
 import cmath
-import warnings
+import importlib
+import os
+import sys
+import threading
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -26,26 +34,79 @@ from .model import GeneratorMatrix, StochasticMatrix, _memoized
 
 OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _flapack():
+    """scipy's f2py LAPACK module, loaded once per process.
+
+    The extension file is found under ``scipy/linalg`` and loaded on its
+    own, so the package's ``__init__`` (and the numpy.f2py, numpy.testing
+    and numpy.ma imports it pulls in) never runs. It is registered in
+    ``sys.modules`` under its own name, so a later ``import scipy.linalg``
+    reuses it, and a module already there is used as it is. If the file
+    is not found, the module is imported the usual way.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    with _flapack_lock:  # threads share the first factorization
+        module = sys.modules.get(_FLAPACK)
+        if module is not None:
+            return module
+        import scipy
+
+        spec = PathFinder.find_spec(
+            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            return importlib.import_module(_FLAPACK)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+        return module
+
+
+def getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK dgetrf: the pivoted LU of a, with 0-based pivots.
+
+    An F-contiguous float64 `a` is factored in place, and no finiteness
+    scan is made. A pivot that is exactly zero is left for the caller to
+    judge.
+    """
+    lu, piv, info = _flapack().dgetrf(a, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    return lu, piv
+
+
+def getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray,
+          trans: int) -> np.ndarray:
+    """LAPACK dgetrs: x with A x = b (trans 0) or A^T x = b (trans 1),
+    for the LU of A from :func:`getrf`; a NaN or infinite b is refused
+    with ValueError. The wrapper shifts `piv` in place during the call.
+    """
+    x, info = _flapack().dgetrs(lu, piv, np.asarray_chkfinite(b), trans=trans)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
+
 
 class ShiftedSystem:
     """Pivoted LU of M^T for M = A + e r; rejects singular M.
 
     Built only by :func:`shifted_system`, on the C-ordered M of
-    :func:`shifted_matrix`. That is M^T in Fortran order, so LAPACK
+    :func:`shifted_matrix`. That is M^T in Fortran order, so :func:`getrf`
     factors M^T in place, over M, with no copy and no finiteness scan;
-    :meth:`solve` is then the transposed solve. A NaN or infinite pivot
-    is refused, and so is a smallest |U_ii| at or below
+    :meth:`solve` is then the transposed :func:`getrs`. The first
+    factorization in a process loads the LAPACK module. A NaN or
+    infinite pivot is refused, and so is a smallest |U_ii| at or below
     pivot_tol * max(1, largest |U_ii|).
     dgecon with norm "I" on this LU estimates rcond_1(M).
     """
 
     def __init__(self, M: np.ndarray, pivot_tol: float):
-        import scipy.linalg
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu_piv = scipy.linalg.lu_factor(M.T, overwrite_a=True,
-                                                  check_finite=False)
+        self._lu_piv = getrf(M.T)
         pivots = np.abs(self._lu_piv[0].diagonal())
         largest = float(pivots.max(initial=0.0))  # NaN if any pivot is NaN
         if not np.isfinite(largest):
@@ -60,14 +121,12 @@ class ShiftedSystem:
             )
 
     def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
-        # scipy's getrs wrapper shifts the pivot array to 1-based in place
+        # the f2py getrs wrapper shifts the pivot array to 1-based in place
         # for the LAPACK call and back after it; two threads solving on one
         # memoized system must not share that array, or the shifts stack
         # and rows are swapped out of bounds
-        import scipy.linalg
-
         lu, piv = self._lu_piv
-        return scipy.linalg.lu_solve((lu, piv.copy()), b, trans=trans)
+        return getrs(lu, piv.copy(), b, trans)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with M x = b."""

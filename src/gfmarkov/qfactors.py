@@ -31,7 +31,7 @@ import numpy as np
 
 from ._linalg import shifted_system
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, stationary
+from .gfm import _as_reference, _checked_eta, stationary
 from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze, _memoized
 from .report import CheckResult, VerificationReport
 
@@ -147,9 +147,11 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
     chain's potential vector bit for bit.
 
     Only simplicity of the chain's unit eigenvalue is required (the solve
-    raises NearSingular otherwise); actions the policy never takes keep
-    their rows and get a warning, since they can make the state-action
-    chain reducible even when the induced state chain is fine.
+    raises NearSingular otherwise, as it does for an eta outside
+    [min f_pi, max f_pi] beyond solve tolerance); actions the policy
+    never takes keep their rows and get a warning, since they can make
+    the state-action chain reducible even when the induced state chain
+    is fine.
     """
     S, A = m.states, m.actions
     r = _as_reference(r, S * A, cfg)
@@ -164,7 +166,7 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
     with np.errstate(over="ignore"):  # an inf r_S fails the pivot check
         r_S = r.values.reshape(S, A).sum(axis=1)
     g = shifted_system(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
-    eta = float(r_S @ g)
+    eta = _checked_eta(r_S, g, f_pi, cfg)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the
     # advantage vanishes exactly when A = 1
     adv = ((m.rewards - f_pi[:, None]).reshape(-1)

@@ -7,9 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from gfmarkov import cli, gfm
+from gfmarkov import _linalg, cli, gfm
 from gfmarkov import qfactors as qf
 from gfmarkov.cli import main
 from gfmarkov.errors import ModelFormatError
@@ -129,6 +128,21 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "NearSingular"
         assert "not finite" in json.loads(out)["message"]
         assert err.count("\n") == 1 and "warning" not in err
+
+    def test_eta_outside_reward_range_exits_3(self, capsys, tmp_path):
+        # r.e ~ 7.1e-12: the LU passes its pivot check, but r.g = 1.0000030
+        # is no average of f = (1, 0)
+        path = tmp_path / "guard.json"
+        path.write_text(json.dumps({
+            "kind": "dtmc", "states": 2,
+            "P": [[0.9999964316829352, 3.5683170647280886e-06],
+                  [0.7382560348921869, 0.2617439651078131]],
+            "f": [1, 0]}))
+        code, out, _ = run_cli(capsys, "potentials", "--model", str(path),
+                               "--reference=1.0504674632795423,"
+                               "-1.0504674632724371")
+        assert code == 3
+        assert json.loads(out)["error"] == "NearSingular"
 
     def test_series_divergent_exits_3(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "series",
@@ -560,7 +574,7 @@ class TestCommands:
     def test_check_factors_each_shifted_matrix_once(self, capsys, monkeypatch,
                                                     models_dir, name, poisson,
                                                     lus):
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         code, _, _ = run_cli(capsys, "check", *poisson, "--model",
                              str(models_dir / name))
         assert code == 0
@@ -570,7 +584,7 @@ class TestCommands:
                                                      models_dir):
         # both solves come from ctmc_potentials; the battery's own pi is
         # read only by the uniformization checks that --poisson skips
-        solves = count_calls(monkeypatch, scipy.linalg, "lu_solve")
+        solves = count_calls(monkeypatch, _linalg, "getrs")
         code, _, _ = run_cli(capsys, "check", "--poisson", "--model",
                              str(models_dir / "ctmc_two_state.json"))
         assert code == 0
@@ -581,7 +595,7 @@ class TestCommands:
         # PL is built once, for the checks on the literal chain; every LU
         # is of an S x S policy-chain system
         builds = count_calls(monkeypatch, qf, "build_state_action_chain")
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         code, _, _ = run_cli(capsys, "check", "--model",
                              str(models_dir / "mdp_two_state.json"))
         assert code == 0
@@ -598,7 +612,7 @@ class TestCommands:
         # P_pi is kept on the model, so the Q-factor solve and the pair
         # distribution share it, and its LU when their r_S agree
         einsums = count_calls(monkeypatch, np, "einsum")
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         code, _, _ = run_cli(capsys, *argv, "--model",
                              str(models_dir / "mdp_two_state.json"))
         assert code == 0
@@ -826,8 +840,8 @@ class TestSubprocessEntryPoint:
 
     def test_process_entry_runs_no_collection(self, models_dir):
         # cli is imported and gen 0 emptied first, so the count starts
-        # where run() would; a check loads scipy.linalg, whose import
-        # collects when gc is on
+        # where run() would; a check loads scipy and its LAPACK module,
+        # whose imports collect when gc is on
         probe = textwrap.dedent(f"""
             import atexit, gc, runpy, sys
             import gfmarkov.cli

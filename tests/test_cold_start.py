@@ -1,7 +1,8 @@
 """scipy is loaded at the first factorization or csgraph gate, not at import.
 
-conftest imports scipy itself, so each check runs in a fresh interpreter
-that prints one JSON line on stdout.
+A factorization loads only scipy's LAPACK extension, never the
+``scipy.linalg`` package. conftest imports scipy itself, so each check
+runs in a fresh interpreter that prints one JSON line on stdout.
 """
 
 import json
@@ -22,6 +23,7 @@ CLI_RUN = """
         code = cli.main({argv!r})
     print(json.dumps({{"imported": imported, "code": code,
                       "linalg": "scipy.linalg" in sys.modules,
+                      "flapack": "scipy.linalg._flapack" in sys.modules,
                       "sparse": "scipy.sparse" in sys.modules,
                       "scipy": "scipy" in sys.modules}}))
 """
@@ -70,9 +72,10 @@ def test_commands_that_never_factor_load_no_scipy(command, model):
 
 
 def test_factoring_command_loads_scipy_linalg_quietly():
+    # the LAPACK module alone, loaded by file: the package never runs
     out = _cli("potentials", "--model", "models/two_state.json")
     assert out["code"] == 0
-    assert not out["imported"] and out["linalg"]
+    assert not out["imported"] and out["flapack"] and not out["linalg"]
 
 
 def test_csgraph_gate_loads_scipy_sparse_quietly(tmp_path):
@@ -103,7 +106,7 @@ def test_estimator_on_a_dense_chain_loads_no_scipy():
 
 def test_threads_import_scipy_at_their_first_shared_factorization():
     # four threads race to the first factorization of one chain, so the
-    # scipy.linalg import and the memoized LU are both built under contention
+    # LAPACK module load and the memoized LU are both built under contention
     out = _run("""
         import json, sys, threading
         import numpy as np
@@ -145,3 +148,59 @@ def test_threads_import_scipy_at_their_first_shared_factorization():
     """)
     assert out == {"before": False, "alive": False, "runs": 120,
                    "mismatches": 0}
+
+
+# g, pi and Z of one fixed chain, as hex bytes; each call validates the
+# chain anew, so it factors anew
+SOLVE_FIXED_CHAIN = """
+import json, sys
+import numpy as np
+from gfmarkov import (_linalg, fundamental_matrix, potentials, stationary,
+                      validate_stochastic)
+
+def solve():
+    rng = np.random.default_rng(61)
+    raw = rng.random((9, 9)) + 0.05
+    P = validate_stochastic(raw / raw.sum(axis=1, keepdims=True))
+    r = rng.normal(size=9)
+    r *= 0.7 / r.sum()
+    f = rng.normal(size=9)
+    return [potentials(P, f, r).g.tobytes().hex(),
+            stationary(P, r).pi.tobytes().hex(),
+            fundamental_matrix(P, r).Z.tobytes().hex()]
+"""
+
+LAPACK_ROUTES = {
+    # the file route registers the module that the package then reuses
+    "file-then-package": """
+        first = solve()
+        held = _linalg._flapack()
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg, scipy.linalg.lapack
+        assert scipy.linalg.lapack._flapack is held
+        assert solve() == first
+    """,
+    "package-first": """
+        import scipy.linalg
+        first = solve()
+    """,
+    # no extension file found: the package import is the fallback
+    "fallback": """
+        class NoFile:
+            @staticmethod
+            def find_spec(*args):
+                return None
+
+        _linalg.PathFinder = NoFile
+        first = solve()
+        assert "scipy.linalg" in sys.modules
+    """,
+}
+
+
+def test_lapack_routes_give_the_same_bits():
+    outs = {route: _run(SOLVE_FIXED_CHAIN + textwrap.dedent(body)
+                        + "print(json.dumps(first))\n")
+            for route, body in LAPACK_ROUTES.items()}
+    assert outs["package-first"] == outs["file-then-package"]
+    assert outs["fallback"] == outs["file-then-package"]

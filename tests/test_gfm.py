@@ -4,7 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,7 @@ from gfmarkov import (
     potentials,
     potentials_classic,
     potentials_reference_level,
+    qfactors_solve,
     reference_vector,
     renormalize_potentials,
     series_fundamental,
@@ -28,10 +28,11 @@ from gfmarkov import (
     stationary,
     uniform_reference,
     validate_generator,
+    validate_mdp,
     validate_stochastic,
     verify_spectral_shift,
 )
-from gfmarkov import model
+from gfmarkov import _linalg, model
 from gfmarkov.ctmc import ctmc_potentials, ctmc_stationary
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
@@ -51,6 +52,11 @@ SYM = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
 LOPSIDED = validate_stochastic([[0.9, 0.1], [0.2, 0.8]])
 E1 = reference_vector([1.0, 0.0])
 HALF = reference_vector([0.5, 0.5])
+# r.e ~ 7.1e-12, just above the re_tol floor: the LU of I - P + e r
+# passes its pivot check, but pi and eta come out wrong
+GUARD_P = [[0.9999964316829352, 3.5683170647280886e-06],
+           [0.7382560348921869, 0.2617439651078131]]
+GUARD_R = [1.0504674632795423, -1.0504674632724371]
 
 
 class TestFundamentalMatrix:
@@ -108,8 +114,8 @@ class TestFundamentalMatrix:
         assert np.isfinite(fm.Z).all()
 
     def test_one_factorization_and_one_block_solve(self, monkeypatch):
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
-        solves = count_calls(monkeypatch, scipy.linalg, "lu_solve")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
+        solves = count_calls(monkeypatch, _linalg, "getrs")
         P = random_chain(np.random.default_rng(37), 6)
         fundamental_matrix(P, uniform_reference(6))
         assert len(factors) == 1
@@ -138,7 +144,7 @@ class TestFactorizationMemo:
         rng = np.random.default_rng(41)
         P = random_chain(rng, 8)
         r = reference_vector(random_reference(rng, 8))
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         gates = count_calls(monkeypatch, model, "_support_diagnostics")
         potentials(P, rng.uniform(size=8), r)
         stationary(P, reference_vector(r.values.copy()))
@@ -160,7 +166,7 @@ class TestFactorizationMemo:
         else:
             other_cfg = dataclasses.replace(
                 cfg, **{change: 2 * getattr(cfg, change) or 1e-6})
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         gates = count_calls(monkeypatch, model, "_support_diagnostics")
         potentials(P, np.ones(6), r, cfg=cfg)
         stationary(P, other_r, cfg=other_cfg)
@@ -170,7 +176,7 @@ class TestFactorizationMemo:
 
     def test_near_singular_is_not_stored(self, monkeypatch):
         P = validate_stochastic(np.eye(2))  # two closed classes
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         for _ in range(2):
             with pytest.raises(NearSingularError):
                 potentials(P, [1.0, 0.0], allow_unchecked=True)
@@ -282,16 +288,14 @@ class TestStationary:
     @pytest.mark.parametrize("process", [False, True],
                              ids=["chain", "rate-matrix"])
     def test_negative_entry_guard(self, monkeypatch, process):
-        # r.e ~ 7.1e-12, just above the re_tol floor: the factorization
-        # passes its pivot check, but pi has an entry far below -solve_tol
-        P = validate_stochastic([[0.9999964316829352, 3.5683170647280886e-06],
-                                 [0.7382560348921869, 0.2617439651078131]])
-        r = reference_vector([1.0504674632795423, -1.0504674632724371])
+        # pi has an entry far below -solve_tol
+        P = validate_stochastic(GUARD_P)
+        r = reference_vector(GUARD_R)
         assert 0 < r.dot_with_ones < 1e-11
         source = (validate_generator(np.asarray(P.matrix) - np.eye(2))
                   if process else P)
         solve = ctmc_stationary if process else stationary
-        factors = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        factors = count_calls(monkeypatch, _linalg, "getrf")
         # the memo keeps the LU, not a verdict on pi: each call raises
         for _ in range(2):
             with pytest.raises(NearSingularError) as exc:
@@ -365,6 +369,46 @@ class TestPotentials:
             sol = potentials(P, f, r)
             pi = stationary(P, r).pi
             assert abs(sol.eta - pi @ f) <= 1e-8
+
+
+class TestEtaBound:
+    """eta = r.g equals pi.f in exact arithmetic, so it lies in
+    [min f, max f]; outside that range widened by
+    solve_tol_for(n) * max(1, max |f|) it is NearSingular."""
+
+    def test_guard_chain_with_signed_r(self):
+        # g ~ -6e10 and eta 1.0000030 on the parent's code, exit 0
+        P = validate_stochastic(GUARD_P)
+        with pytest.raises(NearSingularError, match="average reward") as exc:
+            potentials(P, [1.0, 0.0], reference_vector(GUARD_R))
+        assert exc.value.detail["eta"] > 1.0 + Tolerances().solve_tol_for(2)
+
+    def test_qfactors_inherit_the_bound(self):
+        # one action per state: the policy chain is the guard chain
+        m = validate_mdp(np.asarray(GUARD_P)[:, None, :], [[1.0], [0.0]],
+                         [[1.0], [1.0]])
+        with pytest.raises(NearSingularError, match="average reward"):
+            qfactors_solve(m, GUARD_R)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           ring=st.booleans())
+    def test_random_chains_with_signed_r_pass(self, seed, n, ring):
+        # dense chains, and lazy rings, the slowest mixers here; r.e in
+        # [0.1, 1.9] with signed entries, f over six decades of scale
+        rng = np.random.default_rng(seed)
+        if ring:
+            stay = rng.uniform(0.05, 0.9)
+            ahead = (1.0 - stay) * rng.uniform()
+            eye = np.eye(n)
+            P = validate_stochastic(stay * eye
+                                    + ahead * np.roll(eye, 1, axis=1)
+                                    + (1.0 - stay - ahead) * np.roll(eye, -1, axis=1))
+        else:
+            P = random_chain(rng, n)
+        r = reference_vector(random_reference(rng, n))
+        f = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        potentials(P, f, r)
 
 
 class TestInputLengths:
