@@ -11,8 +11,9 @@ Users' Guide*, 3rd ed., 1999), called through :func:`getrf` and
 :func:`getrs` on scipy's f2py extension ``scipy.linalg._flapack``. That
 module is loaded by file at the first factorization, so callers that
 never factor (validation, the structural gate, the estimator) load no
-scipy, and a factoring process never runs ``scipy/linalg/__init__.py``.
-The LAPACK routines are looked up on the module at each call.
+scipy, and a factoring process runs neither ``scipy/__init__.py`` nor
+``scipy/linalg/__init__.py``: the scipy package is only located, never
+imported. The LAPACK routines are looked up on the module at each call.
 Eigenvalues of 2x2 and 3x3 matrices come from closed-form roots of the
 characteristic polynomial; nothing here requires a general eigensolver.
 """
@@ -25,7 +26,7 @@ import os
 import sys
 import threading
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -38,15 +39,33 @@ _FLAPACK = "scipy.linalg._flapack"
 _flapack_lock = threading.Lock()
 
 
+def _flapack_by_file():
+    """``_flapack`` loaded from its file under the located scipy package,
+    or None if scipy or the file is not found."""
+    scipy = find_spec("scipy")  # locates the package; its __init__ never runs
+    if scipy is None:
+        return None
+    spec = PathFinder.find_spec(
+        _FLAPACK, [os.path.join(path, "linalg")
+                   for path in scipy.submodule_search_locations])
+    if spec is None:
+        return None
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _flapack():
     """scipy's f2py LAPACK module, loaded once per process.
 
     The extension file is found under ``scipy/linalg`` and loaded on its
-    own, so the package's ``__init__`` (and the numpy.f2py, numpy.testing
-    and numpy.ma imports it pulls in) never runs. It is registered in
-    ``sys.modules`` under its own name, so a later ``import scipy.linalg``
-    reuses it, and a module already there is used as it is. If the file
-    is not found, the module is imported the usual way.
+    own, so neither ``scipy/__init__.py`` nor the ``scipy.linalg``
+    package's ``__init__`` (and the numpy.f2py, numpy.testing and numpy.ma
+    imports it pulls in) runs. It is registered in ``sys.modules`` under
+    its own name, so a later ``import scipy.linalg`` reuses it, and a
+    module already there is used as it is. If the file is not found, or
+    loading it on its own fails (on some platforms scipy's ``__init__``
+    prepares the DLL search path), the module is imported the usual way.
     """
     module = sys.modules.get(_FLAPACK)
     if module is not None:
@@ -55,14 +74,12 @@ def _flapack():
         module = sys.modules.get(_FLAPACK)
         if module is not None:
             return module
-        import scipy
-
-        spec = PathFinder.find_spec(
-            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
-        if spec is None:
+        try:
+            module = _flapack_by_file()
+        except ImportError:
+            module = None
+        if module is None:
             return importlib.import_module(_FLAPACK)
-        module = module_from_spec(spec)
-        spec.loader.exec_module(module)
         sys.modules[_FLAPACK] = module
         return module
 

@@ -2,7 +2,9 @@
 
 Loads a model file, dispatches to the computation modules, and emits a
 machine-readable result document (JSON by default, CSV for vector
-outputs). Exit status: 0 success, 1 failed verification checks, 2 model
+outputs). The ctmc, qfactors and estimator modules are imported inside
+the handlers that call them, so a command loads only the modules it
+runs. Exit status: 0 success, 1 failed verification checks, 2 model
 or validation errors (an unwritable --out or --trace path among them), 3
 numerical errors. Human-readable diagnostics go to stderr; every library
 error surfaces as a stable code string in the output document.
@@ -20,16 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gfm
-from . import ctmc as ctmc_mod
-from . import qfactors as qf
 from .config import DEFAULT, Tolerances
 from .errors import GfmError, ModelFormatError, NumericalError
-from .estimator import (
-    SimulationConfig,
-    StepSchedule,
-    online_potentials,
-    write_trace_csv,
-)
 from .model import (
     diagnose_chain,
     e1_reference,
@@ -135,13 +129,19 @@ def _tolerances(args) -> Tolerances:
     return dataclasses.replace(DEFAULT, **overrides) if overrides else DEFAULT
 
 
-# per chain or process model kind: the matrix its commands gate and solve
-# on, and its stationary and potentials calls
-_KINDS = {
-    "dtmc": (lambda m: m.chain, gfm.stationary, gfm.potentials),
-    "ctmc": (lambda m: m.generator, ctmc_mod.ctmc_stationary,
-             ctmc_mod.ctmc_potentials),
-}
+def _matrix(loaded: LoadedModel):
+    """The chain or rate matrix that a dtmc or ctmc model's commands gate
+    and solve on."""
+    return loaded.chain if loaded.kind == "dtmc" else loaded.generator
+
+
+def _solvers(kind: str):
+    """The stationary and potentials calls of a dtmc or ctmc model."""
+    if kind == "dtmc":
+        return gfm.stationary, gfm.potentials
+    from . import ctmc
+
+    return ctmc.ctmc_stationary, ctmc.ctmc_potentials
 
 
 def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
@@ -152,10 +152,12 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
     if text == "stationary":
         # _load has run the structural gate
         if loaded.kind == "mdp":
-            pi = qf._pair_distribution(loaded.mdp, cfg)
+            from .qfactors import _pair_distribution
+
+            pi = _pair_distribution(loaded.mdp, cfg)
         else:
-            matrix, stationary, _ = _KINDS[loaded.kind]
-            pi = stationary(matrix(loaded), allow_unchecked=True, cfg=cfg).pi
+            stationary, _ = _solvers(loaded.kind)
+            pi = stationary(_matrix(loaded), allow_unchecked=True, cfg=cfg).pi
         return reference_vector(pi, cfg=cfg)
     items = text.strip().strip("[]").split(",")
     try:
@@ -180,20 +182,22 @@ def _load(args, cfg: Tolerances, kind: str | None,
             expected=kind, got=loaded.kind)
     if loaded.kind == "mdp":
         return loaded, None
-    matrix = _KINDS[loaded.kind][0](loaded)
-    return loaded, gfm._require_irreducible(matrix, cfg, need_aperiodic)
+    return loaded, gfm._require_irreducible(_matrix(loaded), cfg,
+                                            need_aperiodic)
 
 
 def _cmd_validate(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
     if loaded.kind == "mdp":
+        from .qfactors import _zero_probability_actions
+
         m = loaded.mdp
         return {
             "valid": True, "kind": "mdp", "states": m.states,
             "actions": m.actions, "state_action_pairs": m.states * m.actions,
-            "zero_probability_actions": qf._zero_probability_actions(m),
+            "zero_probability_actions": _zero_probability_actions(m),
         }
-    matrix = _KINDS[loaded.kind][0](loaded)
+    matrix = _matrix(loaded)
     d = diagnose_chain(matrix, cfg=cfg)
     doc = {"valid": True, "kind": loaded.kind, "states": loaded.states,
            "max_correction": matrix.max_correction}
@@ -206,32 +210,36 @@ def _cmd_validate(args, cfg: Tolerances):
 
 def _cmd_stationary(args, cfg: Tolerances, kind: str = "dtmc"):
     loaded, _ = _load(args, cfg, kind)
-    matrix, stationary, _ = _KINDS[kind]
+    stationary, _ = _solvers(kind)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    pi = stationary(matrix(loaded), r, allow_unchecked=True, cfg=cfg)
+    pi = stationary(_matrix(loaded), r, allow_unchecked=True, cfg=cfg)
     return {"pi": pi.pi}
 
 
 def _cmd_potentials(args, cfg: Tolerances, kind: str = "dtmc"):
     loaded, _ = _load(args, cfg, kind)
-    matrix, _, potentials = _KINDS[kind]
+    _, potentials = _solvers(kind)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    sol = potentials(matrix(loaded), loaded.rewards, r,
+    sol = potentials(_matrix(loaded), loaded.rewards, r,
                      allow_unchecked=True, cfg=cfg)
     return {"g": sol.g, "eta": sol.eta,
             "normalization": sol.normalization}
 
 
 def _cmd_qfactors(args, cfg: Tolerances):
+    from .qfactors import qfactors_solve
+
     loaded, _ = _load(args, cfg, "mdp")
     n = loaded.mdp.states * loaded.mdp.actions
     r = _resolve_reference(args.reference, n, loaded, cfg)
-    sol = qf.qfactors_solve(loaded.mdp, r, cfg=cfg)
+    sol = qfactors_solve(loaded.mdp, r, cfg=cfg)
     return {"Q": sol.q, "eta": sol.eta,
             "normalization": "r·Q=eta", "induced_g": sol.induced_g}
 
 
 def _parse_schedule(text: str) -> StepSchedule:
+    from .estimator import StepSchedule
+
     kind, _, rest = text.partition(":")
     try:
         if kind == "power":
@@ -245,6 +253,8 @@ def _parse_schedule(text: str) -> StepSchedule:
 
 
 def _cmd_estimate(args, cfg: Tolerances):
+    from .estimator import SimulationConfig, online_potentials, write_trace_csv
+
     loaded, _ = _load(args, cfg, "dtmc", need_aperiodic=True)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     schedule = _parse_schedule(args.schedule)
@@ -332,9 +342,11 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
                  cfg: Tolerances) -> list[CheckResult]:
     # g, pi and eta = pi.f all come from the one factorization of B + e r
     # that the generator keeps
+    from . import ctmc
+
     gen, f = loaded.generator, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = ctmc_mod.ctmc_potentials(gen, f, r, allow_unchecked=True, cfg=cfg)
+    sol = ctmc.ctmc_potentials(gen, f, r, allow_unchecked=True, cfg=cfg)
     g, eta = sol.g, sol.eta
     B = np.asarray(gen.matrix)
 
@@ -348,7 +360,7 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     if poisson_only:
         return checks
 
-    pi = ctmc_mod.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg).pi
+    pi = ctmc.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg).pi
     rate = min_uniformization_rate(gen)
     base = rate if rate > 0 else 1.0
     for mult in (1.0, 2.0, 10.0):
@@ -357,7 +369,7 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
         resid = float(np.abs(pi - pi_chain.pi).max())
         checks.append(CheckResult(f"uniformization_consistency_gamma_{mult:g}x",
                                   resid <= 1e-8, resid))
-    checks.extend(ctmc_mod.verify_generator_spectrum(
+    checks.extend(ctmc.verify_generator_spectrum(
         gen, gamma if gamma is not None else 2.0 * base, r, cfg=cfg).checks)
     return checks
 
@@ -374,8 +386,10 @@ def _cmd_check(args, cfg: Tolerances):
     elif loaded.kind == "ctmc":
         checks = _ctmc_checks(loaded, args.poisson, args.gamma, cfg)
     else:
-        sol = qf.qfactors_solve(loaded.mdp, None, cfg=cfg)
-        checks = list(qf.q_consistency_report(loaded.mdp, sol, cfg=cfg).checks)
+        from .qfactors import q_consistency_report, qfactors_solve
+
+        sol = qfactors_solve(loaded.mdp, None, cfg=cfg)
+        checks = list(q_consistency_report(loaded.mdp, sol, cfg=cfg).checks)
     report = VerificationReport(tuple(checks))
     for c in report.failures():
         print(f"check failed: {c.name} (residual {c.residual})",

@@ -291,7 +291,11 @@ def series_fundamental(P, r=None, terms: int = 50, *,
     Converges to the exact inverse iff the spectral radius of P - e r is
     below one, which for an irreducible aperiodic chain happens exactly
     when 0 < r.e < 2. The reported tail_norm is ||(P - e r)^(T+1)||_inf.
-    The sum is built by binary doubling in O(log T) matrix products.
+    The sum is built by binary doubling in O(log T) matrix products, and
+    the products stop once a power of P - e r is exactly zero: every later
+    step would add exact zeros to a sum that holds no -0.0, so Z,
+    tail_norm and terms are bit for bit those of the full loop. A NaN or
+    infinite power is not zero and never stops it.
     """
     P = _as_chain(P)
     r = _as_reference(r, P.size, cfg)
@@ -310,6 +314,8 @@ def series_fundamental(P, r=None, terms: int = 50, *,
     S = np.eye(P.size)
     W = M
     for digit in bin(terms + 1)[3:]:
+        if not W.any():
+            break
         S += W @ S
         W = W @ W
         if digit == "1":

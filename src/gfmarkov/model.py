@@ -179,6 +179,9 @@ def _require_square(raw: np.ndarray, err: str) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{err}: expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise NonSquareError(f"{err}: a model needs at least one state, "
+                             f"got shape {a.shape}")
     return a
 
 
@@ -316,14 +319,16 @@ def reference_vector(values, *, cfg: Tolerances = DEFAULT) -> ReferenceVector:
 
 
 def uniform_reference(n: int, *, cfg: Tolerances = DEFAULT) -> ReferenceVector:
-    """The default reference (1/n, ..., 1/n); r.e = 1."""
-    return reference_vector(np.full(n, 1.0 / n), cfg=cfg)
+    """The default reference (1/n, ..., 1/n); r.e = 1. Refused for n = 0,
+    as the empty vector is."""
+    return reference_vector(np.full(n, 1.0 / max(n, 1)), cfg=cfg)
 
 
 def e1_reference(n: int, *, cfg: Tolerances = DEFAULT) -> ReferenceVector:
-    """The first coordinate vector (1, 0, ..., 0)."""
+    """The first coordinate vector (1, 0, ..., 0). Refused for n = 0, as
+    the empty vector is."""
     v = np.zeros(n)
-    v[0] = 1.0
+    v[:1] = 1.0
     return reference_vector(v, cfg=cfg)
 
 
@@ -340,6 +345,9 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     if p.ndim != 3 or p.shape[0] != p.shape[2]:
         raise NonSquareError(
             f"transition tensor must have shape (S, A, S), got {p.shape}")
+    if p.shape[0] == 0:
+        raise NonSquareError("transition tensor: a model needs at least one "
+                             f"state, got shape {p.shape}")
     S, A = p.shape[0], p.shape[1]
     f = np.asarray(rewards, dtype=float)
     if f.shape != (S, A):

@@ -434,6 +434,38 @@ def reference_indexed_online_potentials(
 def reference_series_fundamental(P, r=None, terms: int = 50, *,
                                  allow_unchecked: bool = False,
                                  cfg: Tolerances = DEFAULT) -> FundamentalMatrix:
+    """Binary-doubling series sum_{n=0}^{T} (P - e r)^n, every product taken.
+
+    The loop as it was before the library's build learned to stop at an
+    exactly-zero power, kept as its bit-for-bit oracle.
+    """
+    P = _as_chain(P)
+    r = _as_reference(r, P.size, cfg)
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
+    re = r.dot_with_ones
+    if not (cfg.series_margin < re < 2.0 - cfg.series_margin):
+        raise SeriesDivergentError(
+            f"series diverges: r.e = {re:.6g} is outside (0, 2)",
+            dot_with_ones=re)
+    if not allow_unchecked:
+        _require_irreducible(P, cfg, need_aperiodic=True)
+    M = P.matrix - r.values
+    S = np.eye(P.size)
+    W = M
+    for digit in bin(terms + 1)[3:]:
+        S += W @ S
+        W = W @ W
+        if digit == "1":
+            S += W
+            W = W @ M
+    tail_norm = float(np.abs(W).sum(axis=1).max())
+    return FundamentalMatrix(S, r, P, tail_norm=tail_norm, terms=terms)
+
+
+def termwise_series_fundamental(P, r=None, terms: int = 50, *,
+                                allow_unchecked: bool = False,
+                                cfg: Tolerances = DEFAULT) -> FundamentalMatrix:
     """Term-by-term truncated series sum_{n=0}^{T} (P - e r)^n.
 
     The loop the library's binary-doubling build replaced, kept as its

@@ -1,8 +1,10 @@
 """scipy is loaded at the first factorization or csgraph gate, not at import.
 
-A factorization loads only scipy's LAPACK extension, never the
-``scipy.linalg`` package. conftest imports scipy itself, so each check
-runs in a fresh interpreter that prints one JSON line on stdout.
+A factorization loads only scipy's LAPACK extension, never the ``scipy``
+or ``scipy.linalg`` package. ``import gfmarkov`` runs neither ``ctmc``,
+``qfactors`` nor ``estimator``, and a command runs only the ones it
+calls. conftest imports scipy and every gfmarkov module itself, so each
+check runs in a fresh interpreter that prints one JSON line on stdout.
 """
 
 import json
@@ -25,8 +27,13 @@ CLI_RUN = """
                       "linalg": "scipy.linalg" in sys.modules,
                       "flapack": "scipy.linalg._flapack" in sys.modules,
                       "sparse": "scipy.sparse" in sys.modules,
-                      "scipy": "scipy" in sys.modules}}))
+                      "scipy": "scipy" in sys.modules,
+                      "lazy": sorted(m for m in sys.modules
+                                     if m in {lazy!r})}}))
 """
+
+# the submodules that `import gfmarkov` does not run
+LAZY = ["gfmarkov.ctmc", "gfmarkov.estimator", "gfmarkov.qfactors"]
 
 
 def _run(code: str) -> dict:
@@ -44,7 +51,7 @@ def _run(code: str) -> dict:
 
 
 def _cli(*argv: str) -> dict:
-    return _run(CLI_RUN.format(argv=list(argv)))
+    return _run(CLI_RUN.format(argv=list(argv), lazy=LAZY))
 
 
 def test_import_loads_no_scipy():
@@ -54,6 +61,39 @@ def test_import_loads_no_scipy():
         print(json.dumps({"scipy": "scipy" in sys.modules}))
     """)
     assert out == {"scipy": False}
+
+
+def test_import_runs_none_of_the_lazy_modules():
+    out = _run(f"""
+        import json, sys
+        import gfmarkov
+        print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))
+    """)
+    assert out == []
+
+
+# command, model file, and the lazy submodules the command runs
+COMMAND_MODULES = [
+    ("validate", "two_state", []),
+    ("validate", "ctmc_two_state", []),
+    ("validate", "mdp_two_state", ["gfmarkov.qfactors"]),
+    ("check", "two_state", []),
+    ("check", "ctmc_two_state", ["gfmarkov.ctmc"]),
+    ("check", "mdp_two_state", ["gfmarkov.qfactors"]),
+    ("potentials", "two_state", []),
+    ("series", "two_state", []),
+    ("estimate", "two_state", ["gfmarkov.estimator"]),
+    ("ctmc-potentials", "ctmc_two_state", ["gfmarkov.ctmc"]),
+    ("qfactors", "mdp_two_state", ["gfmarkov.qfactors"]),
+]
+
+
+@pytest.mark.parametrize("command, model, lazy", COMMAND_MODULES,
+                         ids=[f"{c}-{m}" for c, m, _ in COMMAND_MODULES])
+def test_each_command_runs_only_the_modules_it_calls(command, model, lazy):
+    out = _cli(command, "--model", f"models/{model}.json")
+    assert out["code"] == 0
+    assert out["lazy"] == lazy
 
 
 @pytest.mark.parametrize("command, model", [
@@ -72,10 +112,13 @@ def test_commands_that_never_factor_load_no_scipy(command, model):
 
 
 def test_factoring_command_loads_scipy_linalg_quietly():
-    # the LAPACK module alone, loaded by file: the package never runs
-    out = _cli("potentials", "--model", "models/two_state.json")
-    assert out["code"] == 0
-    assert not out["imported"] and out["flapack"] and not out["linalg"]
+    # the LAPACK module alone, loaded by file: neither scipy's package
+    # __init__ nor scipy.linalg's runs
+    for command in ("check", "potentials"):
+        out = _cli(command, "--model", "models/two_state.json")
+        assert out["code"] == 0
+        assert out["flapack"], command
+        assert not (out["imported"] or out["scipy"] or out["linalg"]), command
 
 
 def test_csgraph_gate_loads_scipy_sparse_quietly(tmp_path):
@@ -195,6 +238,15 @@ LAPACK_ROUTES = {
         first = solve()
         assert "scipy.linalg" in sys.modules
     """,
+    # the file is found but will not load on its own: the same fallback
+    "load-fails": """
+        def refuse(spec):
+            raise ImportError("no DLL search path")
+
+        _linalg.module_from_spec = refuse
+        first = solve()
+        assert "scipy.linalg" in sys.modules
+    """,
 }
 
 
@@ -204,3 +256,84 @@ def test_lapack_routes_give_the_same_bits():
             for route, body in LAPACK_ROUTES.items()}
     assert outs["package-first"] == outs["file-then-package"]
     assert outs["fallback"] == outs["file-then-package"]
+    assert outs["load-fails"] == outs["file-then-package"]
+
+
+# dir(gfmarkov) after a bare import, as it was when every submodule ran at
+# import; the package now also holds its PEP 562 hooks and their tables
+PUBLIC_SURFACE = [
+    "ActionTransitionMatrix", "ChainDiagnostics", "CheckResult", "DEFAULT",
+    "DimensionMismatchError", "EstimateDivergentError", "EstimateTrace",
+    "FundamentalMatrix", "GammaTooSmallError", "GeneratorMatrix", "GfmError",
+    "LoadedModel", "MdpModel", "ModelError", "ModelFormatError", "NORM_ETA",
+    "NORM_MINUS_ETA", "NORM_ZERO", "NearSingularError", "NegativeEntryError",
+    "NegativeOffDiagonalError", "NonSquareError", "NotAperiodicError",
+    "NotErgodicError", "NotIrreducibleError", "NumericalError",
+    "PolicyMatrix", "PotentialSolution", "QSolution",
+    "ReferenceDegenerateError", "ReferenceNotDistributionLikeError",
+    "ReferenceVector", "RewardVector", "RowSumViolationError",
+    "ScheduleInvalidError", "SeriesDivergentError", "SimulationConfig",
+    "SpectralRadiusEstimate", "StateActionChain", "StationaryDistribution",
+    "StepSchedule", "StochasticMatrix", "Tolerances", "VerificationReport",
+    "action_transition_matrix", "build_policy_matrix",
+    "build_state_action_chain", "config", "ctmc", "ctmc_potentials",
+    "ctmc_potentials_classic", "ctmc_stationary", "diagnose_chain",
+    "dumps_document", "e1_reference", "errors", "estimator",
+    "fundamental_matrix", "gfm", "load_model", "min_uniformization_rate",
+    "model", "modelio", "online_potentials", "potentials",
+    "potentials_classic", "potentials_reference_level",
+    "q_consistency_report", "qfactors", "qfactors_solve", "reference_vector",
+    "renormalize_potentials", "report", "reward_vector", "series_fundamental",
+    "simulate_chain", "spectral_radius_estimate", "stationary",
+    "truncated_accumulated_reward", "uniform_reference", "uniformize",
+    "validate_generator", "validate_mdp", "validate_stochastic",
+    "verify_generator_spectrum", "verify_spectral_shift", "write_trace_csv",
+]
+PRIVATE_SURFACE = [
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__", "__version__",
+    "_linalg",
+]
+HOOKS = ["_LAZY", "_LAZY_OWNER", "__all__", "__dir__", "__getattr__"]
+# the names each lazy submodule serves
+LAZY_NAMES = {
+    "ctmc": ["ctmc_potentials", "ctmc_potentials_classic", "ctmc_stationary",
+             "verify_generator_spectrum"],
+    "estimator": ["EstimateTrace", "SimulationConfig", "StepSchedule",
+                  "online_potentials", "simulate_chain",
+                  "truncated_accumulated_reward", "write_trace_csv"],
+    "qfactors": ["ActionTransitionMatrix", "PolicyMatrix", "QSolution",
+                 "StateActionChain", "action_transition_matrix",
+                 "build_policy_matrix", "build_state_action_chain",
+                 "q_consistency_report", "qfactors_solve"],
+}
+
+
+def test_public_surface_is_unchanged():
+    out = _run(f"""
+        import json
+        import gfmarkov
+        listed = dir(gfmarkov)
+        modules = {{name: getattr(gfmarkov, name).__name__
+                    for name in {sorted(LAZY_NAMES)!r}}}
+        exports = {{name: sorted(getattr(gfmarkov, name).__all__)
+                    for name in {sorted(LAZY_NAMES)!r}}}
+        star = {{}}
+        exec("from gfmarkov import *", star)
+        star.pop("__builtins__")
+        # a lazy name is the very object its submodule holds
+        same = [getattr(gfmarkov, name) is getattr(getattr(gfmarkov, module), name)
+                and star[name] is getattr(gfmarkov, name)
+                for module, names in {LAZY_NAMES!r}.items() for name in names]
+        print(json.dumps({{"dir": listed, "star": sorted(star),
+                          "modules": modules, "exports": exports,
+                          "same": all(same),
+                          "after": dir(gfmarkov)}}))
+    """)
+    assert out["dir"] == sorted(PUBLIC_SURFACE + PRIVATE_SURFACE + HOOKS)
+    assert out["after"] == out["dir"]
+    assert out["star"] == PUBLIC_SURFACE
+    assert out["modules"] == {name: f"gfmarkov.{name}" for name in LAZY_NAMES}
+    # the package serves every name each lazy submodule exports
+    assert out["exports"] == LAZY_NAMES
+    assert out["same"]

@@ -46,6 +46,7 @@ from conftest import (
     random_reference,
     reference_series_fundamental,
     spectra_gap,
+    termwise_series_fundamental,
 )
 
 SYM = validate_stochastic([[0.5, 0.5], [0.5, 0.5]])
@@ -535,7 +536,7 @@ class TestSeriesFundamentalMatchesOracle:
         P = random_chain(rng, n)
         r = reference_vector(random_reference(rng, n))
         new = series_fundamental(P, r, terms)
-        ref = reference_series_fundamental(P, r, terms)
+        ref = termwise_series_fundamental(P, r, terms)
 
         M = P.matrix - np.outer(np.ones(n), r.values)
         norm_m = float(np.abs(M).sum(axis=1).max())
@@ -545,6 +546,59 @@ class TestSeriesFundamentalMatchesOracle:
         assert new.terms == ref.terms == terms
         assert float(np.abs(new.Z - ref.Z).max()) <= tol
         assert abs(new.tail_norm - ref.tail_norm) <= 1e-7 * ref.tail_norm + tol
+
+
+def _same_series(P, r, terms):
+    """series_fundamental bit for bit as the loop that takes every product;
+    returns the oracle's tail_norm."""
+    new = series_fundamental(P, r, terms)
+    ref = reference_series_fundamental(P, r, terms)
+    assert new.Z.tobytes() == ref.Z.tobytes()
+    assert new.tail_norm.hex() == ref.tail_norm.hex()
+    assert new.terms == ref.terms == terms
+    return ref.tail_norm
+
+
+class TestSeriesStopsAtZeroPower:
+    """Leaving the doubling loop at an exactly-zero power changes no bit."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    def test_fast_mixers(self, seed, n):
+        # strictly positive rows and |1 - r.e| <= 1/2: the power underflows
+        # to exactly zero long before 4096 terms
+        rng = np.random.default_rng(seed)
+        P = random_chain(rng, n)
+        r = reference_vector(random_reference(rng, n, 0.5, 1.5))
+        assert _same_series(P, r, 4096) == 0.0
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a=st.floats(1e-3, 0.05),
+           b=st.floats(1e-3, 0.05), terms=st.integers(0, 4096))
+    def test_slow_mixers(self, seed, a, b, terms):
+        # second eigenvalue 1 - a - b >= 0.9: 0.9^4097 is far above the
+        # smallest double, so the power never reaches zero
+        rng = np.random.default_rng(seed)
+        P = validate_stochastic([[1.0 - a, a], [b, 1.0 - b]])
+        r = reference_vector(random_reference(rng, 2, 0.5, 1.5))
+        assert _same_series(P, r, terms) > 0.0
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20),
+           terms=st.one_of(st.integers(0, 4096),
+                           st.sampled_from([0, 1, 2, 4095, 4096])))
+    def test_any_terms(self, seed, n, terms):
+        rng = np.random.default_rng(seed)
+        P = random_chain(rng, n)
+        r = reference_vector(random_reference(rng, n))
+        _same_series(P, r, terms)
+
+    def test_zero_shifted_matrix(self):
+        # rows equal to r make P - e r itself exactly zero
+        P = validate_stochastic([[0.25, 0.75], [0.25, 0.75]])
+        r = reference_vector([0.25, 0.75])
+        for terms in (0, 1, 4096):
+            assert _same_series(P, r, terms) == 0.0
 
 
 class TestReferenceLevel:

@@ -14,10 +14,13 @@ from gfmarkov import (
     GammaTooSmallError,
     NegativeEntryError,
     diagnose_chain,
+    e1_reference,
     min_uniformization_rate,
+    potentials,
     reference_vector,
     reward_vector,
     stationary,
+    uniform_reference,
     uniformize,
     validate_generator,
     validate_mdp,
@@ -631,6 +634,37 @@ class TestInputErrors:
     def test_validate_mdp(self, p, f, pol, code, message):
         with pytest.raises(ModelError) as exc:
             validate_mdp(p, f, pol)
+        assert (exc.value.code, str(exc.value)) == (code, message)
+
+    @pytest.mark.parametrize("call, code, message", [
+        (lambda: validate_stochastic(np.zeros((0, 0))), "NonSquare",
+         "transition matrix: a model needs at least one state, got shape (0, 0)"),
+        (lambda: validate_generator(np.zeros((0, 0))), "NonSquare",
+         "generator matrix: a model needs at least one state, got shape (0, 0)"),
+        (lambda: validate_mdp(np.zeros((0, 2, 0)), np.zeros((0, 2)),
+                              np.zeros((0, 2))), "NonSquare",
+         "transition tensor: a model needs at least one state, "
+         "got shape (0, 2, 0)"),
+        # the solvers validate a raw array first, so they never divide by n = 0
+        (lambda: potentials(np.zeros((0, 0)), []), "NonSquare",
+         "transition matrix: a model needs at least one state, got shape (0, 0)"),
+        (lambda: stationary(np.zeros((0, 0))), "NonSquare",
+         "transition matrix: a model needs at least one state, got shape (0, 0)"),
+        (lambda: ctmc_stationary(np.zeros((0, 0))), "NonSquare",
+         "generator matrix: a model needs at least one state, got shape (0, 0)"),
+        # as reference_vector([]) is
+        (lambda: uniform_reference(0), "ReferenceDegenerate",
+         "|r.e| = 0.000e+00 is below re_tol; the shifted matrix would be "
+         "singular"),
+        (lambda: e1_reference(0), "ReferenceDegenerate",
+         "|r.e| = 0.000e+00 is below re_tol; the shifted matrix would be "
+         "singular"),
+    ], ids=["validate_stochastic", "validate_generator", "validate_mdp",
+            "potentials", "stationary", "ctmc_stationary", "uniform_reference",
+            "e1_reference"])
+    def test_empty_model(self, call, code, message):
+        with pytest.raises(ModelError) as exc:
+            call()
         assert (exc.value.code, str(exc.value)) == (code, message)
 
     def test_non_finite_vectors(self):
