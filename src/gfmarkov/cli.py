@@ -4,10 +4,12 @@ Loads a model file, dispatches to the computation modules, and emits a
 machine-readable result document (JSON by default, CSV for vector
 outputs). The ctmc, qfactors and estimator modules are imported inside
 the handlers that call them, so a command loads only the modules it
-runs. Exit status: 0 success, 1 failed verification checks, 2 model
-or validation errors (an unwritable --out or --trace path among them), 3
-numerical errors. Human-readable diagnostics go to stderr; every library
-error surfaces as a stable code string in the output document.
+runs. A command gates its model at load, and the solves it calls read
+that verdict off the model's matrix. Exit status: 0 success, 1 failed
+verification checks, 2 model or validation errors (an unwritable --out
+or --trace path among them), 3 numerical errors. Human-readable
+diagnostics go to stderr; every library error surfaces as a stable
+code string in the output document.
 """
 
 from __future__ import annotations
@@ -150,14 +152,13 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
     if text == "e1":
         return e1_reference(n, cfg=cfg)
     if text == "stationary":
-        # _load has run the structural gate
         if loaded.kind == "mdp":
             from .qfactors import _pair_distribution
 
             pi = _pair_distribution(loaded.mdp, cfg)
         else:
             stationary, _ = _solvers(loaded.kind)
-            pi = stationary(_matrix(loaded), allow_unchecked=True, cfg=cfg).pi
+            pi = stationary(_matrix(loaded), cfg=cfg).pi
         return reference_vector(pi, cfg=cfg)
     items = text.strip().strip("[]").split(",")
     try:
@@ -168,22 +169,20 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
 
 
 def _load(args, cfg: Tolerances, kind: str | None,
-          need_aperiodic: bool = False):
-    """Load --model of `kind` (any if None) and run its structural gate once.
+          need_aperiodic: bool = False) -> LoadedModel:
+    """Load --model of `kind` (any if None) and run its structural gate.
 
-    Model faults thus come before argument faults, and the command's solves
-    skip the gate. Returns the model and the gate's diagnostics (None for
-    an mdp).
+    Model faults thus come before argument faults. The verdict stays on
+    the model's matrix, so the gate of each later solve reads it there.
     """
     loaded = load_model(args.model, cfg=cfg)
     if kind is not None and loaded.kind != kind:
         raise ModelFormatError(
             f"command {args.command!r} needs a {kind!r} model, got {loaded.kind!r}",
             expected=kind, got=loaded.kind)
-    if loaded.kind == "mdp":
-        return loaded, None
-    return loaded, gfm._require_irreducible(_matrix(loaded), cfg,
-                                            need_aperiodic)
+    if loaded.kind != "mdp":
+        gfm._require_irreducible(_matrix(loaded), cfg, need_aperiodic)
+    return loaded
 
 
 def _cmd_validate(args, cfg: Tolerances):
@@ -209,19 +208,18 @@ def _cmd_validate(args, cfg: Tolerances):
 
 
 def _cmd_stationary(args, cfg: Tolerances, kind: str = "dtmc"):
-    loaded, _ = _load(args, cfg, kind)
+    loaded = _load(args, cfg, kind)
     stationary, _ = _solvers(kind)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    pi = stationary(_matrix(loaded), r, allow_unchecked=True, cfg=cfg)
+    pi = stationary(_matrix(loaded), r, cfg=cfg)
     return {"pi": pi.pi}
 
 
 def _cmd_potentials(args, cfg: Tolerances, kind: str = "dtmc"):
-    loaded, _ = _load(args, cfg, kind)
+    loaded = _load(args, cfg, kind)
     _, potentials = _solvers(kind)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    sol = potentials(_matrix(loaded), loaded.rewards, r,
-                     allow_unchecked=True, cfg=cfg)
+    sol = potentials(_matrix(loaded), loaded.rewards, r, cfg=cfg)
     return {"g": sol.g, "eta": sol.eta,
             "normalization": sol.normalization}
 
@@ -229,7 +227,7 @@ def _cmd_potentials(args, cfg: Tolerances, kind: str = "dtmc"):
 def _cmd_qfactors(args, cfg: Tolerances):
     from .qfactors import qfactors_solve
 
-    loaded, _ = _load(args, cfg, "mdp")
+    loaded = _load(args, cfg, "mdp")
     n = loaded.mdp.states * loaded.mdp.actions
     r = _resolve_reference(args.reference, n, loaded, cfg)
     sol = qfactors_solve(loaded.mdp, r, cfg=cfg)
@@ -255,7 +253,7 @@ def _parse_schedule(text: str) -> StepSchedule:
 def _cmd_estimate(args, cfg: Tolerances):
     from .estimator import SimulationConfig, online_potentials, write_trace_csv
 
-    loaded, _ = _load(args, cfg, "dtmc", need_aperiodic=True)
+    loaded = _load(args, cfg, "dtmc", need_aperiodic=True)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
     schedule = _parse_schedule(args.schedule)
     if not 0 <= args.s0 < loaded.states:
@@ -272,8 +270,7 @@ def _cmd_estimate(args, cfg: Tolerances):
                                epsilon=args.epsilon,
                                check_interval=args.check_interval)
         trace = online_potentials(loaded.chain, loaded.rewards, r, schedule,
-                                  sim, s0=args.s0, allow_unchecked=True,
-                                  tolerances=cfg)
+                                  sim, s0=args.s0, tolerances=cfg)
         if args.trace:
             try:
                 with open(args.trace, "w", encoding="utf-8") as fh:
@@ -289,18 +286,15 @@ def _cmd_estimate(args, cfg: Tolerances):
 
 
 def _cmd_series(args, cfg: Tolerances):
-    loaded, _ = _load(args, cfg, "dtmc", need_aperiodic=True)
+    loaded = _load(args, cfg, "dtmc", need_aperiodic=True)
     r = _resolve_reference(args.reference, loaded.states, loaded, cfg)
-    fm = gfm.series_fundamental(loaded.chain, r, args.terms,
-                                allow_unchecked=True, cfg=cfg)
+    fm = gfm.series_fundamental(loaded.chain, r, args.terms, cfg=cfg)
     return {"Z": fm.Z, "terms": fm.terms,
             "tail_norm": fm.tail_norm}
 
 
 def _series_agreement_check(chain, r, exact, cfg: Tolerances) -> CheckResult:
-    # the caller has run the structural gate, aperiodicity included
-    approx = gfm.series_fundamental(chain, r, 4096, allow_unchecked=True,
-                                    cfg=cfg)
+    approx = gfm.series_fundamental(chain, r, 4096, cfg=cfg)
     if approx.tail_norm < 1e-8:
         gap = float(np.abs(approx.Z - exact).max())
         return CheckResult("series_vs_solve", gap <= 1e-8, gap)
@@ -308,15 +302,15 @@ def _series_agreement_check(chain, r, exact, cfg: Tolerances) -> CheckResult:
                        note="tail bound did not reach 1e-8; skipped")
 
 
-def _dtmc_checks(loaded: LoadedModel, aperiodic: bool, poisson_only: bool,
+def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
                  cfg: Tolerances) -> list[CheckResult]:
     # g, eta, pi and Z all come from the one factorization of I - P + e r
     # that the chain keeps
     chain, f = loaded.chain, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = gfm.potentials(chain, f, r, allow_unchecked=True, cfg=cfg)
+    sol = gfm.potentials(chain, f, r, cfg=cfg)
     g, eta = sol.g, sol.eta
-    pi = gfm.stationary(chain, r, allow_unchecked=True, cfg=cfg).pi
+    pi = gfm.stationary(chain, r, cfg=cfg).pi
     P = np.asarray(chain.matrix)
 
     checks = []
@@ -332,8 +326,8 @@ def _dtmc_checks(loaded: LoadedModel, aperiodic: bool, poisson_only: bool,
     resid = float(abs(pi.sum() - 1.0))
     checks.append(CheckResult("stationary_sums_to_one", resid <= 1e-8, resid))
     checks.extend(gfm.verify_spectral_shift(chain, r, cfg=cfg).checks)
-    if aperiodic:
-        Z = gfm.fundamental_matrix(chain, r, allow_unchecked=True, cfg=cfg).Z
+    if diagnose_chain(chain, cfg=cfg).aperiodic:
+        Z = gfm.fundamental_matrix(chain, r, cfg=cfg).Z
         checks.append(_series_agreement_check(chain, r, Z, cfg))
     return checks
 
@@ -346,7 +340,7 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
 
     gen, f = loaded.generator, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = ctmc.ctmc_potentials(gen, f, r, allow_unchecked=True, cfg=cfg)
+    sol = ctmc.ctmc_potentials(gen, f, r, cfg=cfg)
     g, eta = sol.g, sol.eta
     B = np.asarray(gen.matrix)
 
@@ -360,10 +354,11 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     if poisson_only:
         return checks
 
-    pi = ctmc.ctmc_stationary(gen, r, allow_unchecked=True, cfg=cfg).pi
+    pi = ctmc.ctmc_stationary(gen, r, cfg=cfg).pi
     rate = min_uniformization_rate(gen)
     base = rate if rate > 0 else 1.0
     for mult in (1.0, 2.0, 10.0):
+        # a fresh chain, irreducible since B passed its gate: not gated
         pi_chain = gfm.stationary(uniformize(gen, base * mult, cfg=cfg), r,
                                   allow_unchecked=True, cfg=cfg)
         resid = float(np.abs(pi - pi_chain.pi).max())
@@ -375,14 +370,14 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
 
 
 def _cmd_check(args, cfg: Tolerances):
-    loaded, diag = _load(args, cfg, None)
+    loaded = _load(args, cfg, None)
     if args.gamma is not None and (loaded.kind != "ctmc" or args.poisson):
         raise ModelFormatError("--gamma applies only to a ctmc check "
                                "without --poisson")
     if args.poisson and loaded.kind == "mdp":
         raise ModelFormatError("--poisson does not apply to an mdp model")
     if loaded.kind == "dtmc":
-        checks = _dtmc_checks(loaded, diag.aperiodic, args.poisson, cfg)
+        checks = _dtmc_checks(loaded, args.poisson, cfg)
     elif loaded.kind == "ctmc":
         checks = _ctmc_checks(loaded, args.poisson, args.gamma, cfg)
     else:

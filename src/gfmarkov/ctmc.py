@@ -94,9 +94,7 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     """
     B = _as_generator(B)
     f = _as_rewards(f, B.size)
-    if not allow_unchecked:
-        _require_irreducible(B, cfg)
-    pi = ctmc_stationary(B, None, allow_unchecked=True, cfg=cfg)
+    pi = ctmc_stationary(B, None, allow_unchecked=allow_unchecked, cfg=cfg)
     g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)
     r_pi = reference_vector(pi.pi, cfg=cfg)

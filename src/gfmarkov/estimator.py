@@ -135,6 +135,14 @@ class StepSchedule:
 DEFAULT_SCHEDULE = StepSchedule.robbins_monro(1.0, 10.0, 1.0)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, or a ValueError naming it; int() would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run length, stopping rule, and seed for one estimation run."""
@@ -148,12 +156,7 @@ class SimulationConfig:
         # the counts size arrays and the seed seeds PCG64, so each must be a
         # Python or numpy integer; a float would fail at sampling or truncate
         for name, low in (("seed", 0), ("max_steps", 1), ("check_interval", 1)):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < low:
+            if _integer(name, getattr(self, name)) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.epsilon < np.inf:  # NaN fails too
             raise ValueError("epsilon must be positive and finite")
@@ -203,13 +206,13 @@ def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> list[int]:
     the form the estimator's loop reads.
     """
     n = P.shape[0]
-    if not 0 <= s0 < n:
-        raise ValueError(f"start state {s0} out of range [0, {n})")
+    s = _integer("s0", s0)
+    if not 0 <= s < n:
+        raise ValueError(f"start state {s} out of range [0, {n})")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     u = rng.random(steps).tolist()
     # without the last column bisect_right returns at most n - 1
     rows = np.cumsum(P, axis=1)[:, :-1].tolist()
-    s = int(s0)
     return [s] + [s := bisect_right(rows[s], x) for x in u]
 
 
@@ -252,8 +255,9 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     """Estimate potentials online from a sample path.
 
     ``source`` is either a StochasticMatrix (a path of cfg.max_steps
-    transitions is simulated with cfg.seed) or a precomputed integer
-    state path. Every step updates the single component ghat(s) and adds
+    transitions is simulated with cfg.seed from s0) or a precomputed
+    state path of integers (a float path or s0 is a ValueError, not
+    truncated). Every step updates the single component ghat(s) and adds
     r(s) alpha_t z_t to a running sum_i r(i) ghat(i), so a step is O(1).
     The steps run in chunks of cfg.check_interval: the first step of a
     chunk records the sample row and resets the running sum to the exact
@@ -277,9 +281,12 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
                             cfg.seed)
         n = source.size
     else:
-        states = np.asarray(source, dtype=np.int64)
+        states = np.asarray(source)
         if states.ndim != 1 or states.shape[0] < 2:
             raise ValueError("state path must be 1-D with at least 2 entries")
+        if states.dtype.kind not in "iu":
+            raise ValueError(
+                f"state path must hold integers, got dtype {states.dtype}")
         n = len(f) if isinstance(f, RewardVector) else np.size(f)
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")

@@ -35,7 +35,6 @@ from .errors import (
     SeriesDivergentError,
 )
 from .model import (
-    ChainDiagnostics,
     GeneratorMatrix,
     ReferenceVector,
     RewardVector,
@@ -150,7 +149,7 @@ def _as_rewards(f, n: int) -> RewardVector:
 
 
 def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
-                         need_aperiodic: bool = False) -> ChainDiagnostics:
+                         need_aperiodic: bool = False) -> None:
     """The structural gate of a chain, or of a rate matrix (NotErgodic)."""
     diag = diagnose_chain(P, cfg=cfg)
     if not diag.irreducible:
@@ -162,7 +161,6 @@ def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
     if need_aperiodic and not diag.aperiodic:
         raise NotAperiodicError(
             f"chain is periodic with period {diag.period}", period=diag.period)
-    return diag
 
 
 def _checked_eta(r: np.ndarray, g: np.ndarray, f: np.ndarray,
@@ -264,11 +262,9 @@ def potentials_classic(P, f, *, allow_unchecked: bool = False,
     pi.g = eta.
     """
     P = _as_chain(P)
-    if not allow_unchecked:
-        _require_irreducible(P, cfg)
-    pi = stationary(P, None, allow_unchecked=True, cfg=cfg)
+    pi = stationary(P, None, allow_unchecked=allow_unchecked, cfg=cfg)
     r_pi = reference_vector(pi.pi, cfg=cfg)
-    return potentials(P, f, r_pi, allow_unchecked=True, cfg=cfg)
+    return potentials(P, f, r_pi, allow_unchecked=allow_unchecked, cfg=cfg)
 
 
 def renormalize_potentials(sol: PotentialSolution, r_new, *,
@@ -349,7 +345,7 @@ def potentials_reference_level(P, f, r=None, horizon: int = 50, *,
     from .estimator import truncated_accumulated_reward
     acc = truncated_accumulated_reward(P, f, horizon)
     g = acc - float(r.values @ acc)
-    pi = stationary(P, r, allow_unchecked=True, cfg=cfg)
+    pi = stationary(P, r, allow_unchecked=allow_unchecked, cfg=cfg)
     eta = float(pi.pi @ f.values)
     return PotentialSolution(g, eta, r, NORM_ZERO)
 

@@ -134,6 +134,7 @@ def _pair_distribution(m: MdpModel, cfg: Tolerances) -> np.ndarray:
     pi_sa(s,a) = pi_S(s) policy(s,a) with pi_S stationary for P_pi:
     nu = pi_sa P_sa is pi_S P_pi = pi_S, so pi_sa P_sa L = pi_sa.
     """
+    # Q-factors need only a simple unit eigenvalue: P_pi is never gated
     pi_S = stationary(_policy_chain(m), None, allow_unchecked=True, cfg=cfg).pi
     return (pi_S[:, None] * m.policy).reshape(-1)
 

@@ -11,9 +11,12 @@ from gfmarkov import (
     StepSchedule,
     online_potentials,
     potentials,
+    potentials_reference_level,
     reference_vector,
     reward_vector,
+    series_fundamental,
     simulate_chain,
+    spectral_radius_estimate,
     truncated_accumulated_reward,
     validate_stochastic,
     write_trace_csv,
@@ -373,3 +376,46 @@ class TestOnlinePotentialsMatchesIndexedLoop:
         assert new.residual_count == ref.residual_count
         assert new.residual_sum == ref.residual_sum
         assert new.residual_sumsq == ref.residual_sumsq
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: simulate_chain(SYM, F, 2, 5, 0), ValueError,
+         r"start state 2 out of range \[0, 2\)"),
+        (lambda: online_potentials(SYM, F, s0=-1), ValueError,
+         r"start state -1 out of range \[0, 2\)"),
+        # int() would start these runs in states 1 and 0
+        (lambda: simulate_chain(SYM, F, 1.9, 5, 0), ValueError,
+         r"s0 must be an integer, got 1\.9"),
+        (lambda: online_potentials(SYM, F, s0=0.5), ValueError,
+         r"s0 must be an integer, got 0\.5"),
+        (lambda: simulate_chain(SYM, F, 0, 0, 0), ValueError,
+         "steps must be >= 1"),
+        (lambda: truncated_accumulated_reward(SYM, F, -1), ValueError,
+         "horizon must be >= 0"),
+        (lambda: online_potentials([0], F), ValueError,
+         "state path must be 1-D with at least 2 entries"),
+        (lambda: online_potentials([0, 2], F), ValueError,
+         "state path entries out of range for the rewards"),
+        # the int64 cast would read this path as 0, 1, 0, 1, 0
+        (lambda: online_potentials([0.7, 1.2, 0.9, 1.5, 0.1], F), ValueError,
+         "state path must hold integers, got dtype float64"),
+        (lambda: online_potentials(SYM, F, g0=[0.0]), ValueError,
+         "g0 must have length 2"),
+        (lambda: StepSchedule("custom"), ScheduleInvalidError,
+         "custom schedule needs a callable"),
+        (lambda: StepSchedule("bogus"), ScheduleInvalidError,
+         "unknown schedule kind 'bogus'"),
+        (lambda: series_fundamental(SYM, None, -1), ValueError,
+         "terms must be >= 0"),
+        (lambda: potentials_reference_level(SYM, F, E1, 0), ValueError,
+         "horizon must be >= 1"),
+        (lambda: spectral_radius_estimate(np.eye(2), 0), ValueError,
+         "iters must be >= 1"),
+    ], ids=["s0-high", "s0-negative", "s0-float", "s0-float-online",
+            "steps", "horizon", "path-short", "path-range", "path-float",
+            "g0-length", "custom-no-callable", "unknown-kind", "terms",
+            "reference-horizon", "iters"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()

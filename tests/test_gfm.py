@@ -11,6 +11,7 @@ from gfmarkov import (
     DimensionMismatchError,
     NearSingularError,
     NotAperiodicError,
+    NotErgodicError,
     NotIrreducibleError,
     ReferenceDegenerateError,
     SeriesDivergentError,
@@ -33,7 +34,11 @@ from gfmarkov import (
     verify_spectral_shift,
 )
 from gfmarkov import _linalg, model
-from gfmarkov.ctmc import ctmc_potentials, ctmc_stationary
+from gfmarkov.ctmc import (
+    ctmc_potentials,
+    ctmc_potentials_classic,
+    ctmc_stationary,
+)
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
 
@@ -455,6 +460,45 @@ class TestPotentialsClassic:
             pi = stationary(P, r).pi
             shifted = renormalize_potentials(potentials(P, f, r), pi)
             assert np.abs(classic.g - shifted.g).max() <= 1e-8
+
+
+# state 0 is transient, so neither is irreducible, but the unit (zero)
+# eigenvalue is simple: pi = (0, 6/13, 7/13) and (0, 3/5, 2/5)
+UNICHAIN_P = [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]]
+UNICHAIN_B = [[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.0, 3.0, -3.0]]
+IRREDUCIBLE_P = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.6, 0.4]]
+IRREDUCIBLE_B = [[-1.0, 1.0, 0.0], [1.0, -3.0, 2.0], [0.0, 3.0, -3.0]]
+F3 = [1.0, 0.0, 2.0]
+
+
+class TestCompositeRoutesPassTheFlag:
+    """The routes built from other public solves hand allow_unchecked on:
+    the first inner call gates, the others read its verdict."""
+
+    ROUTES = pytest.mark.parametrize("route, validate, unichain, irreducible, "
+                                     "error, eta", [
+        (potentials_classic, validate_stochastic, UNICHAIN_P, IRREDUCIBLE_P,
+         NotIrreducibleError, 14 / 13),
+        (ctmc_potentials_classic, validate_generator, UNICHAIN_B,
+         IRREDUCIBLE_B, NotErgodicError, 0.8),
+        (potentials_reference_level, validate_stochastic, UNICHAIN_P,
+         IRREDUCIBLE_P, NotIrreducibleError, 14 / 13),
+    ], ids=["classic", "ctmc-classic", "reference-level"])
+
+    @ROUTES
+    def test_unichain_refused_unless_unchecked(self, route, validate, unichain,
+                                               irreducible, error, eta):
+        with pytest.raises(error):
+            route(validate(unichain), F3)
+        sol = route(validate(unichain), F3, allow_unchecked=True)
+        assert sol.eta == pytest.approx(eta, abs=1e-12)
+
+    @ROUTES
+    def test_one_support_pass(self, monkeypatch, route, validate, unichain,
+                              irreducible, error, eta):
+        passes = count_calls(monkeypatch, model, "_support_diagnostics")
+        route(validate(irreducible), F3)
+        assert len(passes) == 1
 
 
 class TestRenormalize:
