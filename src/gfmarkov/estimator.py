@@ -29,7 +29,6 @@ identical paths and traces bit for bit.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,7 +38,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import EstimateDivergentError, ScheduleInvalidError
 from .gfm import _as_chain, _as_reference, _as_rewards, _require_irreducible
-from .model import RewardVector, StochasticMatrix
+from .model import RewardVector, StochasticMatrix, _integer
 
 __all__ = [
     "StepSchedule",
@@ -135,14 +134,6 @@ class StepSchedule:
 DEFAULT_SCHEDULE = StepSchedule.robbins_monro(1.0, 10.0, 1.0)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, or a ValueError naming it; int() would truncate."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run length, stopping rule, and seed for one estimation run."""
@@ -209,7 +200,7 @@ def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> list[int]:
     s = _integer("s0", s0)
     if not 0 <= s < n:
         raise ValueError(f"start state {s} out of range [0, {n})")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(_integer("seed", seed)))
     u = rng.random(steps).tolist()
     # without the last column bisect_right returns at most n - 1
     rows = np.cumsum(P, axis=1)[:, :-1].tolist()
@@ -220,7 +211,8 @@ def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np
     """Deterministic seeded sample path of (state, reward) pairs.
 
     Returns `steps` transitions as arrays of length steps + 1: the
-    visited states starting at s0, and the reward f(state) at each.
+    visited states starting at s0, and the reward f(state) at each. An
+    s0 or seed that is not an integer is a ValueError, not truncated.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -39,6 +39,7 @@ from .model import (
     ReferenceVector,
     RewardVector,
     StochasticMatrix,
+    _integer,
     diagnose_chain,
     reference_vector,
     reward_vector,
@@ -357,12 +358,13 @@ def spectral_radius_estimate(M, iters: int = 200, seed: int = 0) -> SpectralRadi
     the geometric mean over a trailing window, which smooths the
     oscillation a dominant complex pair induces. This is an estimate, not
     a certificate; ``uncertain`` is set when the last two windows disagree.
+    A seed that is not an integer is a ValueError, not truncated.
     """
     M = np.asarray(M, dtype=float)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n = M.shape[0]
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(_integer("seed", seed)))
     v = rng.standard_normal(n)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:

@@ -17,13 +17,15 @@ costs at most one n x n array per matrix and never changes a result;
 concurrent first calls may each compute an entry, with identical bits.
 
 :func:`diagnose_chain` is the one structural gate, for chains and rate
-matrices alike. Its csgraph route imports ``scipy.sparse`` at each call,
-not with the package: a self-looped support that is small or dense is
-decided by numpy alone, with no scipy loaded.
+matrices alike. It decides every irreducible support, its period
+included, by numpy alone, with no scipy loaded; only a reducible support
+takes the csgraph route, which imports ``scipy.sparse`` at each call,
+not with the package, to count the closed classes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +160,14 @@ class ChainDiagnostics:
     aperiodic: bool
     period: int
     num_closed_classes: int
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, or a ValueError naming it; int() would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _memoized(source, slot: str, key, compute):
@@ -370,55 +380,52 @@ def validate_mdp(transitions, rewards, policy, row_tol: float | None = None, *,
     )
 
 
-# below this many edges per row the frontier BFS walks many small levels
-# and the csgraph pass is faster
-_FRONTIER_MIN_EDGES_PER_ROW = 32
-# a dense strongly connected support is covered in a few levels; deeper
-# supports go to csgraph, so the frontier route costs at most this many levels.
-# A strongly connected support of at most _FRONTIER_MAX_LEVELS + 1 states is
-# always covered, whatever its density
-_FRONTIER_MAX_LEVELS = 8
+def _levels(adj: np.ndarray) -> np.ndarray:
+    """BFS levels from state 0 along the rows of `adj`, -1 where unreached.
 
-
-def _frontier_covers(adj: np.ndarray) -> bool:
-    """Whether BFS from state 0 along the edges of `adj` reaches every
-    state within _FRONTIER_MAX_LEVELS whole-array levels."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[0] = True
+    Each state enters the frontier once, so the walk is O(n^2) in all; it
+    stops once every state has a level."""
+    n = adj.shape[0]
+    level = np.full(n, -1, dtype=np.intp)
+    unseen = np.ones(n, dtype=bool)  # level < 0, kept apart: cheaper per level
+    level[0], unseen[0] = 0, False
     front = np.zeros(1, dtype=np.intp)
-    for _ in range(_FRONTIER_MAX_LEVELS):
-        if front.size == 0 or seen.all():
-            break
-        reach = adj[front].any(axis=0)
-        front = np.flatnonzero(reach & ~seen)
-        seen[front] = True
-    return bool(seen.all())
+    depth, left = 0, n - 1
+    while front.size and left:
+        depth += 1
+        front = (adj[front].any(axis=0) & unseen).nonzero()[0]
+        unseen[front] = False
+        level[front] = depth
+        left -= front.size
+    return level
 
 
 def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     """Irreducibility, period, and closed-class count of a boolean support.
 
-    A set diagonal entry is a cycle of length 1, so the period is 1. Such
-    a support with at least _FRONTIER_MIN_EDGES_PER_ROW edges per row on
-    average, or with at most _FRONTIER_MAX_LEVELS + 1 states, is strongly
-    connected if :func:`_frontier_covers` holds along the edges and
-    against them (Sharir 1981).
+    The support is strongly connected iff BFS from state 0 reaches every
+    state along the edges and against them (Sharir 1981). Then a set
+    diagonal entry, a cycle of length 1, gives period 1; otherwise the
+    period is the gcd over the edges (u, v) of level(u) + 1 - level(v),
+    with the forward BFS levels (Jarvis & Shier 1999). Tree edges
+    contribute 0, so an all-zero gcd means period 1.
 
-    Every other support takes whole-array work over the edge list (u, v):
-    one strong-components pass (Tarjan 1972), closed classes as the
-    components that no edge leaves, and, without a self-loop, the period
-    as the gcd over in-component edges of level(u) + 1 - level(v), with
-    unweighted BFS levels from one root per component (Jarvis & Shier
-    1999). Tree edges contribute 0, so an all-zero gcd means period 1.
+    Only a support that a walk does not cover, a reducible one, goes on
+    to one strong-components pass over its edge list (Tarjan 1972):
+    closed classes are the components that no edge leaves and, without a
+    self-loop, the same gcd runs on levels from one root per component.
     Only this route loads scipy.sparse.
     """
     n = adj.shape[0]
-    counts = np.count_nonzero(adj, axis=1)
     looped = bool(adj.diagonal().any())
-    if (looped and (counts.sum() >= _FRONTIER_MIN_EDGES_PER_ROW * n
-                    or n <= _FRONTIER_MAX_LEVELS + 1)
-            and _frontier_covers(adj) and _frontier_covers(adj.T)):
-        return ChainDiagnostics(True, True, 1, 1)
+    level = _levels(adj)
+    if level.min() >= 0 and _levels(adj.T).min() >= 0:
+        period = 1
+        if not looped:
+            u, v = np.nonzero(adj)
+            period = int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
+        return ChainDiagnostics(True, period == 1, period, 1)
+    counts = np.count_nonzero(adj, axis=1)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, dijkstra
     # CSR arrays straight from the dense support: flat indices are
@@ -465,15 +472,12 @@ def diagnose_chain(P: StochasticMatrix | GeneratorMatrix, *,
     underflows stays an edge. The reported period is the gcd of all
     directed cycle lengths; for reducible chains that is the gcd across
     the components that contain cycles, so aperiodic <=> period == 1 by
-    construction. The gate is vectorized, with no Python loop over states,
-    components or edges. A self-loop gives period 1. A self-looped support
-    with at least 32 edges per row, or with at most 9 states, that two
-    frontier BFS from state 0 cover within 8 levels is irreducible, in
-    O(n^2) numpy work; any other support takes one csgraph
-    strong-components pass and, without self-loops, a BFS-level pass per
-    component, O(n^2 + edges). Only that csgraph pass imports
-    scipy.sparse. The verdict is kept on P for the next gate with the
-    same edge_tol.
+    construction. Two numpy BFS walks from state 0, along the edges and
+    against them, decide an irreducible support and its period in O(n^2)
+    work at any depth, one Python step per BFS level; only a reducible
+    support takes a csgraph strong-components pass, O(n^2 + edges), which
+    imports scipy.sparse. The verdict is kept on P for the next gate with
+    the same edge_tol.
     """
     def gate() -> ChainDiagnostics:
         if not isinstance(P, GeneratorMatrix):

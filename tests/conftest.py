@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from gfmarkov import (
     ChainDiagnostics,
@@ -196,6 +196,45 @@ def reference_diagnose_chain(P) -> ChainDiagnostics:
         irreducible=bool(n_comp == 1),
         aperiodic=period == 1,
         period=int(period),
+        num_closed_classes=int(num_closed),
+    )
+
+
+def reference_csgraph_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
+    """The csgraph gate the library used for every sparse, deep or hollow
+    support, kept as the oracle of its numpy walks.
+
+    One strong-components pass, closed classes as the components that no
+    edge leaves, and without a self-loop the gcd over in-component edges
+    of level(u) + 1 - level(v), with BFS levels from one root per
+    component.
+    """
+    n = adj.shape[0]
+    counts = np.count_nonzero(adj, axis=1)
+    looped = bool(adj.diagonal().any())
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    v = (np.flatnonzero(adj) % n).astype(np.int32)
+    g = csr_matrix((np.ones(v.size, dtype=bool), v, indptr), shape=(n, n))
+    u = np.repeat(np.arange(n, dtype=np.int32), counts)
+    n_comp, labels = connected_components(g, directed=True, connection="strong")
+    cu, cv = labels[u], labels[v]
+    inside = cu == cv
+    num_closed = n_comp - np.unique(cu[~inside]).size
+
+    period = 1
+    if not looped:
+        if n_comp > 1:
+            u, v = u[inside], v[inside]
+            g = csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n))
+        roots = np.unique(labels, return_index=True)[1]
+        level = dijkstra(g, indices=roots, unweighted=True,
+                         min_only=True).astype(np.int32)
+        period = abs(int(np.gcd.reduce(level[u] + 1 - level[v]))) or 1
+    return ChainDiagnostics(
+        irreducible=bool(n_comp == 1),
+        aperiodic=period == 1,
+        period=period,
         num_closed_classes=int(num_closed),
     )
 

@@ -1,4 +1,4 @@
-"""scipy is loaded at the first factorization or csgraph gate, not at import.
+"""scipy is loaded at the first factorization or reducible gate, not at import.
 
 A factorization loads only scipy's LAPACK extension, never the ``scipy``
 or ``scipy.linalg`` package. ``import gfmarkov`` runs neither ``ctmc``,
@@ -21,9 +21,10 @@ CLI_RUN = """
     import contextlib, io, json, sys
     import gfmarkov.cli as cli
     imported = "scipy" in sys.modules
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli.main({argv!r})
     print(json.dumps({{"imported": imported, "code": code,
+                      "stdout": stdout.getvalue(),
                       "linalg": "scipy.linalg" in sys.modules,
                       "flapack": "scipy.linalg._flapack" in sys.modules,
                       "sparse": "scipy.sparse" in sys.modules,
@@ -121,14 +122,34 @@ def test_factoring_command_loads_scipy_linalg_quietly():
         assert not (out["imported"] or out["scipy"] or out["linalg"]), command
 
 
+def _dtmc_file(path, P) -> str:
+    n = len(P)
+    path.write_text(json.dumps({"kind": "dtmc", "states": n, "P": P,
+                                "f": [float(i % 2) for i in range(n)]}),
+                    encoding="utf-8")
+    return str(path)
+
+
 def test_csgraph_gate_loads_scipy_sparse_quietly(tmp_path):
-    # a hollow support has no self-loop, so it takes the csgraph route
-    model = tmp_path / "flip.json"
-    model.write_text('{"kind": "dtmc", "states": 2, "P": [[0, 1], [1, 0]],'
-                     ' "f": [1, 0]}', encoding="utf-8")
-    out = _cli("validate", "--model", str(model))
+    # two numpy walks decide an irreducible support, a hollow or periodic
+    # one too; only a reducible support, whose closed classes are
+    # counted, takes the csgraph route
+    ring = [[0.5 if (j - i) % 40 in (1, 39) else 0.0 for j in range(40)]
+            for i in range(40)]
+    for name, P in (("flip", [[0, 1], [1, 0]]), ("ring", ring)):
+        model = _dtmc_file(tmp_path / f"{name}.json", P)
+        out = _cli("validate", "--model", model)
+        assert out["code"] == 0 and not out["scipy"], name
+        assert json.loads(out["stdout"])["period"] == 2
+        for command in ("potentials", "check"):
+            out = _cli(command, "--model", model)
+            assert out["code"] == 0 and not out["sparse"], (name, command)
+    model = _dtmc_file(tmp_path / "reducible.json",
+                       [[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]])
+    out = _cli("validate", "--model", model)
     assert out["code"] == 0
     assert not out["imported"] and out["sparse"]
+    assert json.loads(out["stdout"])["num_closed_classes"] == 2
 
 
 def test_estimator_on_a_dense_chain_loads_no_scipy():

@@ -162,6 +162,15 @@ class TestSimulateChain:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_integer_seeds_keep_their_bits(self):
+        path, _ = simulate_chain(SYM, F, 0, 200, np.int64(7))
+        assert np.array_equal(path, simulate_chain(SYM, F, 0, 200, 7)[0])
+        assert np.array_equal(path, reference_sample_states(
+            np.asarray(SYM.matrix), 0, 200, 7))
+        M = np.array([[0.2, 0.5], [0.4, -0.3]])
+        assert (spectral_radius_estimate(M, 50, np.int64(2))
+                == spectral_radius_estimate(M, 50, 2))
+
 
 class TestTruncatedAccumulatedReward:
     def test_horizon_zero_is_f(self):
@@ -412,10 +421,15 @@ class TestRefusedInputs:
          "horizon must be >= 1"),
         (lambda: spectral_radius_estimate(np.eye(2), 0), ValueError,
          "iters must be >= 1"),
+        # int() would run these with seeds 1 and 2
+        (lambda: simulate_chain(SYM, F, 0, 20, 1.9), ValueError,
+         r"seed must be an integer, got 1\.9"),
+        (lambda: spectral_radius_estimate(np.eye(2), 3, seed=2.7), ValueError,
+         r"seed must be an integer, got 2\.7"),
     ], ids=["s0-high", "s0-negative", "s0-float", "s0-float-online",
             "steps", "horizon", "path-short", "path-range", "path-float",
             "g0-length", "custom-no-callable", "unknown-kind", "terms",
-            "reference-horizon", "iters"])
+            "reference-horizon", "iters", "seed-float", "seed-float-spectral"])
     def test_raises(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph as scipy_csgraph
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from gfmarkov import (
     GammaTooSmallError,
@@ -42,6 +40,7 @@ from conftest import (
     random_generator_matrix,
     random_periodic_chain,
     random_reference,
+    reference_csgraph_diagnostics,
     reference_diagnose_chain,
     reference_validate_generator,
     reference_validate_mdp,
@@ -426,14 +425,10 @@ def _dense_support(seed: int, n: int, density: float, kind: str,
     return adj[np.ix_(perm, perm)]
 
 
-def _depth_from_state_0(adj: np.ndarray) -> float:
-    """Largest BFS distance from state 0 along or against the edges."""
-    g = csr_matrix(adj)
-    return max(shortest_path(g, indices=0, unweighted=True).max(),
-               shortest_path(g.T, indices=0, unweighted=True).max())
-
-
 class TestFrontierRouteMatchesOracle:
+    """The two frontier walks decide every irreducible support; csgraph
+    runs only on a reducible one."""
+
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
            density=st.floats(0.3, 1.0),
@@ -450,20 +445,14 @@ class TestFrontierRouteMatchesOracle:
                 scipy_csgraph, "connected_components",
                 wraps=scipy_csgraph.connected_components) as csgraph:
             assert diagnose_chain(P) == expected
-        # the frontier route decides exactly the irreducible self-looped
-        # supports that are dense or small and within its level cap
-        frontier = (expected.irreducible and adj.diagonal().any()
-                    and (adj.sum() >= model._FRONTIER_MIN_EDGES_PER_ROW * n
-                         or n <= model._FRONTIER_MAX_LEVELS + 1)
-                    and _depth_from_state_0(adj) <= model._FRONTIER_MAX_LEVELS)
-        assert csgraph.call_count == (0 if frontier else 1)
+        assert csgraph.call_count == (0 if expected.irreducible else 1)
 
     def test_decides_dense_irreducible_supports(self):
         n = 60
         full = np.ones((n, n), dtype=bool)
         hollow = ~np.eye(n, dtype=bool)
         three = (np.arange(n)[None, :] % 3) == ((np.arange(n)[:, None] + 1) % 3)
-        for adj, period, calls in ((full, 1, 0), (hollow, 1, 1), (three, 3, 1)):
+        for adj, period in ((full, 1), (hollow, 1), (three, 3)):
             P = _chain_on(adj)
             with mock.patch.object(
                     scipy_csgraph, "connected_components",
@@ -471,7 +460,7 @@ class TestFrontierRouteMatchesOracle:
                 d = diagnose_chain(P)
             assert d == reference_diagnose_chain(P)
             assert d.irreducible and d.period == period
-            assert csgraph.call_count == calls
+            assert csgraph.call_count == 0
 
 
 def _ring(n: int, offsets) -> np.ndarray:
@@ -504,12 +493,11 @@ def _reducible_dense(state_0_closed: bool) -> np.ndarray:
     return adj
 
 
-_CSGRAPH_SUPPORTS = {
+_SUPPORTS = {
     "solve_sparse_ring": lambda: _ring(600, np.arange(-5, 6)),
     "cycle_500": lambda: _ring(500, [1]),
     "lazy_ring_600": lambda: _ring(600, [0, 1]),
-    # ~9 edges per row but only a few BFS levels deep: only the density
-    # switch keeps it off the frontier route
+    # ~9 edges per row but only a few BFS levels deep
     "shallow_sparse_600": lambda: _ring(600, [1]) | (
         np.random.default_rng(29).random((600, 600)) < 8 / 600),
     "reducible_dense_0_closed": lambda: _reducible_dense(True),
@@ -519,7 +507,8 @@ _CSGRAPH_SUPPORTS = {
 
 
 class TestGateRoute:
-    """Dense irreducible supports skip csgraph; every other support uses it."""
+    """Irreducible supports, however sparse or deep, skip csgraph; only a
+    reducible support uses it."""
 
     def test_dense_dtmc_and_ctmc_skip_csgraph(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -529,23 +518,24 @@ class TestGateRoute:
         assert diagnose_chain(B).irreducible
         assert calls == []
 
-    @pytest.mark.parametrize("name", sorted(_CSGRAPH_SUPPORTS))
+    @pytest.mark.parametrize("name", sorted(_SUPPORTS))
     def test_other_supports_use_csgraph(self, monkeypatch, name):
-        P = _chain_on(_CSGRAPH_SUPPORTS[name]())
+        P = _chain_on(_SUPPORTS[name]())
         calls = count_calls(monkeypatch, scipy_csgraph, "connected_components")
         d = diagnose_chain(P)
-        assert len(calls) == 1
-        assert d.irreducible == (not name.startswith("reducible"))
+        reducible = name.startswith("reducible")
+        assert len(calls) == (1 if reducible else 0)
+        assert d.irreducible == (not reducible)
         assert d.period == (500 if name == "cycle_500" else 1)
 
 
 class TestSelfLoopRule:
-    """A set diagonal entry fixes the period at 1 on the csgraph route too."""
+    """A set diagonal entry fixes the period at 1 on both routes."""
 
     @pytest.mark.parametrize("name", ["solve_sparse_ring", "lazy_ring_600",
                                       "reducible_dense_0_closed"])
     def test_self_loops_skip_the_level_pass(self, monkeypatch, name):
-        P = _chain_on(_CSGRAPH_SUPPORTS[name]())
+        P = _chain_on(_SUPPORTS[name]())
         calls = count_calls(monkeypatch, scipy_csgraph, "dijkstra")
         d = diagnose_chain(P)
         assert calls == []
@@ -559,10 +549,68 @@ class TestSelfLoopRule:
         assert calls == []
 
     def test_cycle_takes_one_level_pass(self, monkeypatch):
-        P = _chain_on(_CSGRAPH_SUPPORTS["cycle_500"]())
-        calls = count_calls(monkeypatch, scipy_csgraph, "dijkstra")
+        # the forward walk's levels give the period; the backward walk
+        # only checks coverage, and csgraph never runs
+        P = _chain_on(_SUPPORTS["cycle_500"]())
+        walks = count_calls(monkeypatch, model, "_levels")
+        csgraph = [count_calls(monkeypatch, scipy_csgraph, name)
+                   for name in ("connected_components", "dijkstra")]
         assert diagnose_chain(P).period == 500
-        assert len(calls) == 1
+        assert len(walks) == 2
+        assert csgraph == [[], []]
+
+
+def _oracle_support(seed: int, n: int, kind: str, k: int,
+                    looped: bool) -> np.ndarray:
+    """A support of one of six shapes, its states shuffled.
+
+    "random": independent edges, rows may be empty. "cyclic" and
+    "reducible": as in _random_support, with period k. "ring": i -> i +- 1
+    .. k around a ring, periodic at k = 1 and even n. "ring_one_way":
+    i -> i + d for a random set of d in 1 .. k, so a ring that may be
+    periodic or split into several closed cycles. "clique_tail":
+    _clique_with_tail with a clique of k states.
+    `looped` sets the whole diagonal, or, for clique_tail, keeps the
+    clique's own; otherwise no diagonal entry is added.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        adj = rng.random((n, n)) < rng.uniform(0.02, 0.5)
+    elif kind in ("cyclic", "reducible"):
+        adj = _random_support(seed, n, float(rng.uniform(0.05, 0.5)), kind, k)
+    elif kind == "ring":
+        adj = _ring(n, np.r_[-k:0, 1:k + 1])
+    elif kind == "ring_one_way":
+        steps = np.arange(1, k + 1)
+        adj = _ring(n, steps[rng.random(k) < 0.5])
+        adj |= _ring(n, [int(rng.integers(1, k + 1))])
+    else:
+        adj = _clique_with_tail(min(k, n), n)
+        if not looped:
+            np.fill_diagonal(adj, False)
+    if looped and kind != "clique_tail":
+        np.fill_diagonal(adj, True)
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+class TestWalksMatchCsgraphOracle:
+    """The numpy walks give the verdict the csgraph gate gave, and csgraph
+    runs only on a reducible support."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           kind=st.sampled_from(["random", "cyclic", "ring", "ring_one_way",
+                                 "clique_tail", "reducible"]),
+           k=st.integers(1, 5), looped=st.booleans())
+    def test_supports(self, seed, n, kind, k, looped):
+        adj = _oracle_support(seed, n, kind, k, looped)
+        expected = reference_csgraph_diagnostics(adj)
+        with mock.patch.object(
+                scipy_csgraph, "connected_components",
+                wraps=scipy_csgraph.connected_components) as csgraph:
+            assert model._support_diagnostics(adj) == expected
+        assert csgraph.call_count == (0 if expected.irreducible else 1)
 
 
 class TestUniformize:
