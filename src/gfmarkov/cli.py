@@ -155,7 +155,7 @@ def _resolve_reference(text: str, n: int, loaded: LoadedModel, cfg: Tolerances):
         if loaded.kind == "mdp":
             from .qfactors import _pair_distribution
 
-            pi = _pair_distribution(loaded.mdp, cfg)
+            pi = _pair_distribution(loaded.mdp, uniform_reference(n, cfg=cfg), cfg)
         else:
             stationary, _ = _solvers(loaded.kind)
             pi = stationary(_matrix(loaded), cfg=cfg).pi

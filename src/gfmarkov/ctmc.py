@@ -12,10 +12,10 @@ factored by ``_linalg.shifted_system``, and pi comes from
 ``gfm._stationary_from``: the entry points chains take, which tell a
 rate matrix from a chain by its type.
 
-Sign convention: the unique solution of the second system satisfies
-r.g = -eta (substituting the Poisson equation -B g = f - eta e forces
-it), and that is what ``PotentialSolution.normalization`` records. The
-classical route (B - e pi) g = -f instead yields pi.g = +eta.
+Sign convention: the second system's solution has r.g = -eta (the
+Poisson equation -B g = f - eta e forces it), as recorded in
+``PotentialSolution.normalization``. The classical (B - e pi) g = -f has
+pi.g = +eta: the same g, shifted by a constant, from the same LU.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from . import _linalg
 from .config import DEFAULT, Tolerances
 from .gfm import (
-    NORM_ETA,
     NORM_MINUS_ETA,
     PotentialSolution,
     StationaryDistribution,
@@ -33,13 +32,9 @@ from .gfm import (
     _as_rewards,
     _require_irreducible,
     _stationary_from,
+    renormalize_potentials,
 )
-from .model import (
-    GeneratorMatrix,
-    _checked_gamma,
-    reference_vector,
-    validate_generator,
-)
+from .model import GeneratorMatrix, _checked_gamma, validate_generator
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -87,18 +82,16 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
 
 def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
                             cfg: Tolerances = DEFAULT) -> PotentialSolution:
-    """Classical route: compute pi first, solve (B - e pi) g = -f.
+    """Potentials of the classical route (B - e pi) g = -f: pi.g = +eta.
 
-    The result satisfies pi.g = +eta, matching the widely used form; it
-    differs from :func:`ctmc_potentials` output by a constant shift.
+    That g is the :func:`ctmc_potentials` output at uniform r, from the
+    one LU kept on B, plus the constant of
+    :func:`~gfmarkov.gfm.renormalize_potentials` at r = pi.
     """
     B = _as_generator(B)
-    f = _as_rewards(f, B.size)
+    sol = ctmc_potentials(B, f, None, allow_unchecked=allow_unchecked, cfg=cfg)
     pi = ctmc_stationary(B, None, allow_unchecked=allow_unchecked, cfg=cfg)
-    g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
-    eta = float(pi.pi @ f.values)
-    r_pi = reference_vector(pi.pi, cfg=cfg)
-    return PotentialSolution(g, eta, r_pi, NORM_ETA)
+    return renormalize_potentials(sol, pi.pi, cfg=cfg)
 
 
 def verify_generator_spectrum(B, gamma: float, r=None, *,

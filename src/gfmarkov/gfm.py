@@ -257,15 +257,15 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
 
 def potentials_classic(P, f, *, allow_unchecked: bool = False,
                        cfg: Tolerances = DEFAULT) -> PotentialSolution:
-    """Potentials through the classical route: compute pi first, shift by it.
+    """Potentials of the classical route, r = pi: pi.g = eta.
 
-    Equivalent to :func:`potentials` with r = pi; the result satisfies
-    pi.g = eta.
+    pi and the uniform-r potentials come from the one LU kept on P; the
+    classical g is theirs plus the constant of :func:`renormalize_potentials`.
     """
     P = _as_chain(P)
     pi = stationary(P, None, allow_unchecked=allow_unchecked, cfg=cfg)
-    r_pi = reference_vector(pi.pi, cfg=cfg)
-    return potentials(P, f, r_pi, allow_unchecked=allow_unchecked, cfg=cfg)
+    sol = potentials(P, f, None, allow_unchecked=allow_unchecked, cfg=cfg)
+    return renormalize_potentials(sol, pi.pi, cfg=cfg)
 
 
 def renormalize_potentials(sol: PotentialSolution, r_new, *,

@@ -400,6 +400,10 @@ def _levels(adj: np.ndarray) -> np.ndarray:
     return level
 
 
+# support cells per row slice of an irreducible support's period gcd
+_GCD_CELLS = 1 << 18
+
+
 def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     """Irreducibility, period, and closed-class count of a boolean support.
 
@@ -408,7 +412,9 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     diagonal entry, a cycle of length 1, gives period 1; otherwise the
     period is the gcd over the edges (u, v) of level(u) + 1 - level(v),
     with the forward BFS levels (Jarvis & Shier 1999). Tree edges
-    contribute 0, so an all-zero gcd means period 1.
+    contribute 0, so an all-zero gcd means period 1. The edges are taken
+    a slice of rows (about _GCD_CELLS cells) at a time, and the slices
+    stop once the gcd is 1.
 
     Only a support that a walk does not cover, a reducible one, goes on
     to one strong-components pass over its edge list (Tarjan 1972):
@@ -420,10 +426,16 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
     looped = bool(adj.diagonal().any())
     level = _levels(adj)
     if level.min() >= 0 and _levels(adj.T).min() >= 0:
-        period = 1
-        if not looped:
-            u, v = np.nonzero(adj)
-            period = int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
+        period = 1 if looped else 0
+        step = max(1, _GCD_CELLS // n)
+        for start in range(0, n, step):
+            if period == 1:
+                break
+            # flat indices: far cheaper than a 2-d nonzero on a sparse slice
+            u, v = np.divmod(np.flatnonzero(adj[start:start + step]), n)
+            period = int(np.gcd.reduce(level[u + start] + 1 - level[v],
+                                       initial=period))
+        period = period or 1
         return ChainDiagnostics(True, period == 1, period, 1)
     counts = np.count_nonzero(adj, axis=1)
     from scipy.sparse import csr_matrix

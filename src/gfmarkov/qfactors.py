@@ -128,14 +128,22 @@ def _policy_chain(m: MdpModel) -> StochasticMatrix:
         _freeze(np.einsum("sa,sat->st", m.policy, m.transitions))))
 
 
-def _pair_distribution(m: MdpModel, cfg: Tolerances) -> np.ndarray:
+def _state_reference(r: ReferenceVector, S: int, A: int) -> np.ndarray:
+    """r_S(s) = sum_a r(s,a): the reference of the policy-chain system."""
+    with np.errstate(over="ignore"):  # an inf r_S fails the pivot check
+        return r.values.reshape(S, A).sum(axis=1)
+
+
+def _pair_distribution(m: MdpModel, r: ReferenceVector, cfg: Tolerances) -> np.ndarray:
     """Stationary distribution of the state-action chain P_sa L.
 
     pi_sa(s,a) = pi_S(s) policy(s,a) with pi_S stationary for P_pi:
-    nu = pi_sa P_sa is pi_S P_pi = pi_S, so pi_sa P_sa L = pi_sa.
+    nu = pi_sa P_sa is pi_S P_pi = pi_S, so pi_sa P_sa L = pi_sa. pi_S is
+    solved at the r_S of r, on the LU of a Q-factor solve at the same r.
     """
     # Q-factors need only a simple unit eigenvalue: P_pi is never gated
-    pi_S = stationary(_policy_chain(m), None, allow_unchecked=True, cfg=cfg).pi
+    r_S = _state_reference(r, m.states, m.actions)
+    pi_S = stationary(_policy_chain(m), r_S, allow_unchecked=True, cfg=cfg).pi
     return (pi_S[:, None] * m.policy).reshape(-1)
 
 
@@ -164,8 +172,7 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             stacklevel=2)
     P_pi = _policy_chain(m)
     f_pi = (m.policy * m.rewards).sum(axis=1)
-    with np.errstate(over="ignore"):  # an inf r_S fails the pivot check
-        r_S = r.values.reshape(S, A).sum(axis=1)
+    r_S = _state_reference(r, S, A)
     g = shifted_system(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
     eta = _checked_eta(r_S, g, f_pi, cfg)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the
@@ -208,7 +215,7 @@ def q_consistency_report(m: MdpModel, q: QSolution, *,
     checks.append(CheckResult("state_action_rows_stochastic",
                               rows <= 1e-12, rows))
 
-    resid = float(abs(q.eta - _pair_distribution(m, cfg) @ f))
+    resid = float(abs(q.eta - _pair_distribution(m, q.reference, cfg) @ f))
     checks.append(CheckResult("eta_vs_stationary_reward",
                               resid <= cfg.poisson_tol, resid))
 

@@ -36,7 +36,9 @@ from gfmarkov import (
     validate_mdp,
     validate_stochastic,
 )
+from gfmarkov import _linalg
 from gfmarkov.config import DEFAULT
+from gfmarkov.ctmc import _as_generator, ctmc_stationary
 from gfmarkov.errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -47,17 +49,21 @@ from gfmarkov.errors import (
 )
 from gfmarkov.estimator import DEFAULT_SCHEDULE, _sample_states
 from gfmarkov.gfm import (
+    NORM_ETA,
     FundamentalMatrix,
+    PotentialSolution,
     _as_chain,
     _as_reference,
     _as_rewards,
     _require_irreducible,
     potentials,
+    stationary,
 )
 from gfmarkov.model import (
     _ROW_SUM_EXACT,
     _freeze,
     _settle_row_sums,
+    reference_vector,
 )
 from gfmarkov.qfactors import (
     QSolution,
@@ -554,6 +560,29 @@ def reference_qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) 
                      cfg=cfg)
     induced_g = (m.policy * sol.g.reshape(S, A)).sum(axis=1)
     return QSolution(sol.g, sol.eta, r, induced_g)
+
+
+def reference_potentials_classic(P, f, *, allow_unchecked: bool = False,
+                                 cfg: Tolerances = DEFAULT):
+    """Potentials with r = pi, from pi first and then a second LU, of
+    I - P + e pi: the classical route, solved as it is written."""
+    P = _as_chain(P)
+    pi = stationary(P, None, allow_unchecked=allow_unchecked, cfg=cfg)
+    r_pi = reference_vector(pi.pi, cfg=cfg)
+    return potentials(P, f, r_pi, allow_unchecked=allow_unchecked, cfg=cfg)
+
+
+def reference_ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
+                                      cfg: Tolerances = DEFAULT):
+    """The classical (B - e pi) g = -f, from pi first and then a second
+    LU, of B - e pi: pi.g = +eta."""
+    B = _as_generator(B)
+    f = _as_rewards(f, B.size)
+    pi = ctmc_stationary(B, None, allow_unchecked=allow_unchecked, cfg=cfg)
+    g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
+    eta = float(pi.pi @ f.values)
+    r_pi = reference_vector(pi.pi, cfg=cfg)
+    return PotentialSolution(g, eta, r_pi, NORM_ETA)
 
 
 def reference_shifted_lu(A: np.ndarray, r: np.ndarray):

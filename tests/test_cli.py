@@ -15,13 +15,21 @@ from gfmarkov.cli import main
 from gfmarkov.errors import ModelFormatError
 from gfmarkov.modelio import load_model
 
-from conftest import MODELS, count_calls
+from conftest import MODELS, count_calls, random_mdp
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _mdp_document(S: int, A: int) -> dict:
+    """A model file's document for a random_mdp of S states, A actions."""
+    m = random_mdp(np.random.default_rng(0), S, A)
+    return {"kind": "mdp", "states": S, "actions": A,
+            "p": m.transitions.tolist(), "f": m.rewards.tolist(),
+            "policy": m.policy.tolist()}
 
 
 class TestGoldenInvocations:
@@ -600,22 +608,38 @@ class TestCommands:
         assert len(builds) == 1
         assert factors and all(args[0].shape == (2, 2) for args, _ in factors)
 
-    @pytest.mark.parametrize("argv, lus", [
+    MDP_LUS = pytest.mark.parametrize("argv, lus", [
         (["check"], 1),
-        # once for the pair distribution's r_S, once for the reference it gives
+        # once for the pair distribution at the uniform reference, once for
+        # the stationary reference it gives
         (["qfactors", "--reference", "stationary"], 2),
     ], ids=["check", "qfactors-stationary"])
-    def test_mdp_forms_policy_chain_once(self, capsys, monkeypatch,
-                                         models_dir, argv, lus):
+
+    @staticmethod
+    def _policy_chain_lus(capsys, monkeypatch, path, argv) -> int:
         # P_pi is kept on the model, so the Q-factor solve and the pair
-        # distribution share it, and its LU when their r_S agree
+        # distribution share it, and its LU: both solve at the r_S of the
+        # same pair reference
         einsums = count_calls(monkeypatch, np, "einsum")
         factors = count_calls(monkeypatch, _linalg, "getrf")
-        code, _, _ = run_cli(capsys, *argv, "--model",
-                             str(models_dir / "mdp_two_state.json"))
+        code, _, _ = run_cli(capsys, *argv, "--model", str(path))
         assert code == 0
         assert [args[0] for args, _ in einsums] == ["sa,sat->st"]
-        assert len(factors) == lus
+        return len(factors)
+
+    @MDP_LUS
+    def test_mdp_forms_policy_chain_once(self, capsys, monkeypatch,
+                                         models_dir, argv, lus):
+        path = models_dir / "mdp_two_state.json"
+        assert self._policy_chain_lus(capsys, monkeypatch, path, argv) == lus
+
+    @MDP_LUS
+    def test_generated_mdp_forms_policy_chain_once(self, capsys, monkeypatch,
+                                                   tmp_path, argv, lus):
+        # at S=2, A=6 the summed sum_a 1/(S A) is not 1/S bitwise
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps(_mdp_document(2, 6)))
+        assert self._policy_chain_lus(capsys, monkeypatch, path, argv) == lus
 
     def test_library_warning_is_one_plain_line(self, capsys, tmp_path):
         path = tmp_path / "dead_action.json"

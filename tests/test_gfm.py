@@ -41,14 +41,18 @@ from gfmarkov.ctmc import (
 )
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
+from gfmarkov.gfm import NORM_ETA
 
 from conftest import (
     count_calls,
     oracle_potentials,
     oracle_stationary,
     random_chain,
+    random_generator_matrix,
     random_periodic_chain,
     random_reference,
+    reference_ctmc_potentials_classic,
+    reference_potentials_classic,
     reference_series_fundamental,
     spectra_gap,
     termwise_series_fundamental,
@@ -460,6 +464,29 @@ class TestPotentialsClassic:
             pi = stationary(P, r).pi
             shifted = renormalize_potentials(potentials(P, f, r), pi)
             assert np.abs(classic.g - shifted.g).max() <= 1e-8
+
+
+class TestClassicRoutesMatchOracle:
+    """One LU and a constant shift give the two-LU classical routes' g to
+    rounding, the same pi reference, and for a rate matrix the same eta,
+    since both take it as pi.f."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 59))
+    def test_random_dense(self, seed, n):
+        rng = np.random.default_rng(seed)
+        P, B = random_chain(rng, n), random_generator_matrix(rng, n)
+        f = rng.uniform(-1.0, 1.0, n)
+        for route, oracle, source in (
+                (potentials_classic, reference_potentials_classic, P),
+                (ctmc_potentials_classic, reference_ctmc_potentials_classic, B)):
+            got, want = route(source, f), oracle(source, f)
+            scale = max(1.0, float(np.abs(want.g).max()))
+            assert float(np.abs(got.g - want.g).max()) <= 1e-12 * scale
+            assert abs(got.eta - want.eta) <= 1e-12 * scale
+            assert np.array_equal(got.reference.values, want.reference.values)
+            assert got.normalization == want.normalization == NORM_ETA
+        assert got.eta == want.eta
 
 
 # state 0 is transient, so neither is irreducible, but the unit (zero)

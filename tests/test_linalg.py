@@ -23,6 +23,7 @@ from gfmarkov.model import GeneratorMatrix, StochasticMatrix, validate_stochasti
 from gfmarkov.modelio import load_model
 
 from conftest import (
+    count_calls,
     random_chain,
     random_generator_matrix,
     random_mdp,
@@ -218,3 +219,19 @@ class TestFactorLayout:
             assert a.dtype == np.float64
             assert a.flags.f_contiguous and a.base.flags.c_contiguous
             assert np.shares_memory(lu, a.base)
+
+
+class TestClassicRoutesFactorOnce:
+    """The classical routes take pi and the uniform-r potentials from the
+    one LU kept on the matrix, then shift g by a constant."""
+
+    @pytest.mark.parametrize("route, make", [
+        (potentials_classic, random_chain),
+        (ctmc_potentials_classic, random_generator_matrix),
+    ], ids=["potentials_classic", "ctmc_potentials_classic"])
+    def test_one_lu(self, monkeypatch, route, make):
+        rng = np.random.default_rng(5)
+        source, f = make(rng, 7), rng.random(7)
+        factors = count_calls(monkeypatch, _linalg, "getrf")
+        route(source, f)
+        assert len(factors) == 1

@@ -612,6 +612,29 @@ class TestWalksMatchCsgraphOracle:
             assert model._support_diagnostics(adj) == expected
         assert csgraph.call_count == (0 if expected.irreducible else 1)
 
+    # the period's gcd reads an irreducible support a row slice at a time;
+    # a few cells per slice make every support span many slices
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+           kind=st.sampled_from(["random", "cyclic", "ring", "ring_one_way",
+                                 "clique_tail"]),
+           k=st.integers(1, 5), cells=st.sampled_from([1, 7, 64, 500]))
+    def test_supports_over_many_slices(self, seed, n, kind, k, cells):
+        adj = _oracle_support(seed, n, kind, k, False)
+        with mock.patch.object(model, "_GCD_CELLS", cells):
+            got = model._support_diagnostics(adj)
+        assert got == reference_csgraph_diagnostics(adj)
+
+    @pytest.mark.parametrize("support", [
+        "hollow", [1], [-1, 1], [1, 3], [2, 5], [-4, 4]], ids=str)
+    def test_supports_over_default_slices(self, support):
+        # n = 700 is two slices of _GCD_CELLS = 2**18 cells, so a support
+        # that is not aperiodic is read in both
+        adj = (~np.eye(700, dtype=bool) if support == "hollow"
+               else _ring(700, support))
+        expected = reference_csgraph_diagnostics(adj)
+        assert model._support_diagnostics(adj) == expected
+
 
 class TestUniformize:
     def test_direct_formula(self):

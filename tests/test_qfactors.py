@@ -17,12 +17,18 @@ from gfmarkov import (
     validate_mdp,
     validate_stochastic,
 )
+from gfmarkov import _linalg
 from gfmarkov.config import DEFAULT
 from gfmarkov.errors import NearSingularError
 from gfmarkov.model import StochasticMatrix
 from gfmarkov.qfactors import _pair_distribution, action_transition_matrix
 
-from conftest import random_mdp, random_reference, reference_qfactors_solve
+from conftest import (
+    count_calls,
+    random_mdp,
+    random_reference,
+    reference_qfactors_solve,
+)
 
 
 def sparse_mdp(rng: np.random.Generator, S: int, A: int, zero_frac: float,
@@ -201,6 +207,20 @@ class TestConsistencyReport:
                 if c.name.startswith("q_"):
                     assert c.residual <= 1e-8
 
+    # shapes where the summed sum_a 1/(S A) is not 1/S bitwise, and two
+    # where it is; a signed r is split unevenly over the actions anyway
+    @pytest.mark.parametrize("S, A", [(2, 6), (9, 5), (200, 10), (3, 7), (2, 2)])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_report_reuses_the_solve_lu(self, monkeypatch, S, A, signed):
+        rng = np.random.default_rng(S * A)
+        m = random_mdp(rng, S, A)
+        r = (reference_vector(random_reference(rng, S * A)) if signed
+             else uniform_reference(S * A))
+        factors = count_calls(monkeypatch, _linalg, "getrf")
+        rep = q_consistency_report(m, qfactors_solve(m, r))
+        assert rep.passed
+        assert len(factors) == 1
+
 
 class TestThroughChainCalls:
     """Q-factors are potentials of the state-action chain."""
@@ -254,7 +274,7 @@ class TestPolicyChainRouteMatchesOracle:
         assert [str(w.message) for w in seen] == [str(w.message) for w in seen_ref]
         assert_matches_oracle(q, ref, exact=A == 1)
         pi = stationary(build_state_action_chain(m), None, allow_unchecked=True).pi
-        assert float(np.abs(_pair_distribution(m, DEFAULT) - pi).max()) <= 1e-10
+        assert float(np.abs(_pair_distribution(m, r, DEFAULT) - pi).max()) <= 1e-10
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), S=st.integers(2, 30),
