@@ -61,14 +61,10 @@ def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
     return _stationary_from(B, r, cfg)
 
 
-def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
-                    cfg: Tolerances = DEFAULT) -> PotentialSolution:
-    """Process potentials and pi from one factorization of B + e r.
-
-    The returned g satisfies the continuous-time Poisson equation
-    -B g = f - eta e with eta = pi.f, and is normalized by r.g = -eta
-    (recorded on the solution).
-    """
+def _ctmc_solves(B, f, r, allow_unchecked: bool, cfg: Tolerances
+                 ) -> tuple[PotentialSolution, StationaryDistribution]:
+    """The potentials of :func:`ctmc_potentials` and the pi behind their
+    eta, both solved on the one LU of B + e r."""
     B = _as_generator(B)
     r = _as_reference(r, B.size, cfg)
     f = _as_rewards(f, B.size)
@@ -77,7 +73,18 @@ def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
     g = _linalg.shifted_system(B, r.values, cfg.pivot_tol).solve(-f.values)
     pi = _stationary_from(B, r, cfg)
     eta = float(pi.pi @ f.values)
-    return PotentialSolution(g, eta, r, NORM_MINUS_ETA)
+    return PotentialSolution(g, eta, r, NORM_MINUS_ETA), pi
+
+
+def ctmc_potentials(B, f, r=None, *, allow_unchecked: bool = False,
+                    cfg: Tolerances = DEFAULT) -> PotentialSolution:
+    """Process potentials and pi from one factorization of B + e r.
+
+    The returned g satisfies the continuous-time Poisson equation
+    -B g = f - eta e with eta = pi.f, and is normalized by r.g = -eta
+    (recorded on the solution).
+    """
+    return _ctmc_solves(B, f, r, allow_unchecked, cfg)[0]
 
 
 def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
@@ -86,11 +93,11 @@ def ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
 
     That g is the :func:`ctmc_potentials` output at uniform r, from the
     one LU kept on B, plus the constant of
-    :func:`~gfmarkov.gfm.renormalize_potentials` at r = pi.
+    :func:`~gfmarkov.gfm.renormalize_potentials` at r = pi. The pi is the
+    one that body already solved for eta, so the route takes two solves
+    on the LU, as for a chain.
     """
-    B = _as_generator(B)
-    sol = ctmc_potentials(B, f, None, allow_unchecked=allow_unchecked, cfg=cfg)
-    pi = ctmc_stationary(B, None, allow_unchecked=allow_unchecked, cfg=cfg)
+    sol, pi = _ctmc_solves(B, f, None, allow_unchecked, cfg)
     return renormalize_potentials(sol, pi.pi, cfg=cfg)
 
 

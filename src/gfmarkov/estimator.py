@@ -14,9 +14,12 @@ Because one component moves per step, sum_i r(i) ghat(i) is carried as
 a running sum (each step adds r(s) alpha_t z_t), so a step costs O(1),
 not O(n). The sum is recomputed exactly at the first step of every
 check interval, which bounds its rounding drift. The loop runs on plain
-Python ints and floats: it reads the sampled path as the list the
-sampler builds, and zips slices of the path and of the step sizes, since
-list indexing per step costs more than iteration.
+Python ints and floats, one check interval at a time: each chunk draws
+its own uniforms, walks its own stretch of the path from the last state
+(or takes that stretch of a given path) and turns only its own slice of
+the step sizes into a list, then zips the two, since list indexing per
+step costs more than iteration. So a run holds the step-size array and
+one chunk, not the whole path, and samples nothing past an early stop.
 
 A run whose estimate ends non-finite (a step size too large for the
 chain makes the update overflow) raises ``EstimateDivergentError``
@@ -187,24 +190,42 @@ class EstimateTrace:
         return max(var, 0.0) ** 0.5
 
 
-def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> list[int]:
-    """Walk the chain for `steps` transitions by inverse-CDF sampling.
+def _walker(P: np.ndarray, s0: int, seed: int) -> tuple[list, int, np.random.Generator]:
+    """Cumulative rows, checked start state and PCG64 generator of a walk.
 
-    Each transition consumes one uniform draw and picks the first index
-    whose cumulative row probability exceeds it, in stored row order; a
-    draw past every cumulative sum but the last picks the last state.
-    Returns the `steps + 1` visited states, s0 first, as a list of ints,
-    the form the estimator's loop reads.
+    An s0 or seed that is not an integer, or an s0 outside the chain, is
+    a ValueError.
     """
     n = P.shape[0]
     s = _integer("s0", s0)
     if not 0 <= s < n:
         raise ValueError(f"start state {s} out of range [0, {n})")
     rng = np.random.Generator(np.random.PCG64(_integer("seed", seed)))
-    u = rng.random(steps).tolist()
     # without the last column bisect_right returns at most n - 1
-    rows = np.cumsum(P, axis=1)[:, :-1].tolist()
+    return np.cumsum(P, axis=1)[:, :-1].tolist(), s, rng
+
+
+def _walk(rows: list, s: int, u: list) -> list[int]:
+    """The walk from s, one transition per uniform draw in u, by inverse CDF.
+
+    Each transition picks the first index whose cumulative row
+    probability exceeds its draw, in stored row order; a draw past every
+    cumulative sum but the last picks the last state. Returns the
+    `len(u) + 1` visited states, s first, as a list of ints. PCG64 draws
+    taken in chunks form the same stream as one long draw, so walking a
+    path chunk by chunk, each chunk from the last state of the one
+    before, gives the states of one walk.
+    """
     return [s] + [s := bisect_right(rows[s], x) for x in u]
+
+
+def _sample_states(P: np.ndarray, s0: int, steps: int, seed: int) -> list[int]:
+    """Walk the chain for `steps` transitions by inverse-CDF sampling.
+
+    Returns the `steps + 1` visited states, s0 first, as a list of ints.
+    """
+    rows, s, rng = _walker(P, s0, seed)
+    return _walk(rows, s, rng.random(steps).tolist())
 
 
 def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,21 +267,26 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
                       tolerances: Tolerances = DEFAULT) -> EstimateTrace:
     """Estimate potentials online from a sample path.
 
-    ``source`` is either a StochasticMatrix (a path of cfg.max_steps
-    transitions is simulated with cfg.seed from s0) or a precomputed
-    state path of integers (a float path or s0 is a ValueError, not
-    truncated). Every step updates the single component ghat(s) and adds
-    r(s) alpha_t z_t to a running sum_i r(i) ghat(i), so a step is O(1).
-    The steps run in chunks of cfg.check_interval: the first step of a
-    chunk records the sample row and resets the running sum to the exact
-    O(n) value, so its rounding drift never spans more than one chunk;
-    the end of a full chunk records the history delta and tests the
-    stopping rule.
+    ``source`` is either a StochasticMatrix (a path of up to
+    cfg.max_steps transitions is walked with cfg.seed from s0) or a
+    precomputed state path of integers (a float path or s0 is a
+    ValueError, not truncated). Every step updates the single component
+    ghat(s) and adds r(s) alpha_t z_t to a running sum_i r(i) ghat(i), so
+    a step is O(1). The steps run in chunks of cfg.check_interval: a
+    chunk draws its uniforms and walks its stretch of the path from the
+    last state (or takes its slice of the given path), and takes its
+    slice of the step sizes, so neither the path nor its draws are ever
+    held whole. The first step of a chunk records the sample row and
+    resets the running sum to the exact O(n) value, so its rounding drift
+    never spans more than one chunk; the end of a full chunk records the
+    history delta and tests the stopping rule.
 
     Stops when the max-abs change of ghat over a check interval falls
-    below cfg.epsilon, or at cfg.max_steps. eta_hat = r.ghat at the end.
-    Raises EstimateDivergentError (detail: seed, steps_run) when ghat or
-    eta_hat is not finite then; the test runs once per run, not per step.
+    below cfg.epsilon, or at cfg.max_steps; nothing is sampled past the
+    stop. eta_hat = r.ghat at the end. All step sizes are computed and
+    validated before the first step. Raises EstimateDivergentError
+    (detail: seed, steps_run) when ghat or eta_hat is not finite then;
+    the test runs once per run, not per step.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     cfg = cfg or SimulationConfig()
@@ -269,9 +295,10 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
         source = _as_chain(source)
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
-        st = _sample_states(np.asarray(source.matrix), s0, cfg.max_steps,
-                            cfg.seed)
+        rows, last, rng = _walker(np.asarray(source.matrix), s0, cfg.seed)
+        states = None
         n = source.size
+        steps = cfg.max_steps
     else:
         states = np.asarray(source)
         if states.ndim != 1 or states.shape[0] < 2:
@@ -282,15 +309,14 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
         n = len(f) if isinstance(f, RewardVector) else np.size(f)
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")
-        st = states.tolist()
+        steps = states.shape[0] - 1
 
     f = _as_rewards(f, n)
     r = _as_reference(r, n, tolerances)
-    steps = len(st) - 1
-    alphas = schedule.alphas(steps).tolist()
+    alphas = schedule.alphas(steps)
 
-    # hot loop on plain python lists (the path st too); numpy scalar
-    # indexing is slower here
+    # hot loop on plain python lists (each chunk's path and step sizes
+    # too); numpy scalar indexing is slower here
     fv = f.values.tolist()
     rv = r.values.tolist()
     g = [0.0] * n if g0 is None else [float(x) for x in np.asarray(g0).reshape(-1)]
@@ -309,15 +335,23 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     zss = 0.0
 
     # rdot is the running r.ghat; the first step of a chunk is the sample
-    # row and resets it to the exact sum
+    # row and resets it to the exact sum, by a left-to-right fold (sum()
+    # of floats is compensated from Python 3.12 on)
     rdot = 0.0
     for ri, gi in zip(rv, g):
         rdot += ri * gi
     for start in range(0, steps, interval):
         end = min(start + interval, steps)
-        s = st[start]
-        z = fv[s] - rdot + g[st[start + 1]] - g[s]
-        g[s] += alphas[start] * z
+        # st holds the chunk's states t = start .. end, al its alpha_t
+        if states is None:
+            st = _walk(rows, last, rng.random(end - start).tolist())
+            last = st[-1]
+        else:
+            st = states[start:end + 1].tolist()
+        al = alphas[start:end].tolist()
+        s = st[0]
+        z = fv[s] - rdot + g[st[1]] - g[s]
+        g[s] += al[0] * z
         rdot = 0.0
         for ri, gi in zip(rv, g):
             rdot += ri * gi
@@ -326,8 +360,7 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
             zc += 1
             zs += z
             zss += z * z
-        for s, s2, a in zip(st[start + 1:end], st[start + 2:end + 1],
-                            alphas[start + 1:end]):
+        for s, s2, a in zip(st[1:-1], st[2:], al[1:]):
             z = fv[s] - rdot + g[s2] - g[s]
             dz = a * z
             g[s] += dz

@@ -163,6 +163,18 @@ class TestCtmcPotentialsClassic:
             shifted = renormalize_potentials(generic, classic.reference)
             assert np.abs(classic.g - shifted.g).max() <= 1e-8
 
+    def test_two_solves_on_one_factorization(self, monkeypatch):
+        # the g solve and the pi solve behind eta; pi is not solved again
+        rng = np.random.default_rng(127)
+        B = random_generator_matrix(rng, 5)
+        f = rng.uniform(size=5)
+        factors = count_calls(monkeypatch, _linalg, "getrf")
+        solves = count_calls(monkeypatch, _linalg, "getrs")
+        sol = ctmc_potentials_classic(B, f)
+        assert (len(factors), len(solves)) == (1, 2)
+        pi = ctmc_stationary(B).pi
+        assert np.array_equal(sol.reference.values, pi)
+
 
 class TestUniformizationRelations:
     def test_stationary_consistency_across_gamma(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,11 @@ from gfmarkov import (
     validate_stochastic,
     write_trace_csv,
 )
+from gfmarkov import estimator
 from gfmarkov.estimator import _sample_states
 
 from conftest import (
+    count_calls,
     random_chain,
     random_periodic_chain,
     random_reference,
@@ -292,6 +296,36 @@ class TestOnlinePotentials:
         assert len(lines) == 1 + len(tr.samples)
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] in {"0", "1"}
+
+
+class TestStreamedRun:
+    """A run walks and holds one check interval of its path at a time."""
+
+    def test_early_stop_samples_no_further(self, monkeypatch):
+        walks = count_calls(monkeypatch, estimator, "_walk")
+        cfg = SimulationConfig(seed=6, max_steps=200_000, epsilon=1e-4,
+                               check_interval=1000)
+        tr = online_potentials(SYM, F, E1, None, cfg)
+        assert tr.converged and tr.steps_run < cfg.max_steps
+        draws = sum(len(u) for (_, _, u), _ in walks)
+        chunks = -(-tr.steps_run // cfg.check_interval)
+        assert draws <= chunks * cfg.check_interval
+
+    def test_peak_memory_per_step(self):
+        # the float64 step sizes take 8 B/step, 16 at the peak while they
+        # are computed; holding the whole path and its draws as lists
+        # would take about 48
+        steps = 400_000
+        P = validate_stochastic([[0.9, 0.1], [0.4, 0.6]])
+        cfg = SimulationConfig(seed=1, max_steps=steps, epsilon=1e-300)
+        tracemalloc.start()
+        try:
+            tr = online_potentials(P, F, E1, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.steps_run == steps and not tr.converged
+        assert peak / steps <= 24.0
 
 
 # estimator runs drawn for the oracle comparisons: both sources, g0,
