@@ -182,11 +182,13 @@ def _load(args, cfg: Tolerances, kind: str | None,
             expected=kind, got=loaded.kind)
     if loaded.kind != "mdp":
         gfm._require_irreducible(_matrix(loaded), cfg, need_aperiodic)
+    _refuse_csv(args)
     return loaded
 
 
 def _cmd_validate(args, cfg: Tolerances):
     loaded = load_model(args.model, cfg=cfg)
+    _refuse_csv(args)
     if loaded.kind == "mdp":
         from .qfactors import _zero_probability_actions
 
@@ -335,12 +337,12 @@ def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
 def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
                  cfg: Tolerances) -> list[CheckResult]:
     # g, pi and eta = pi.f all come from the one factorization of B + e r
-    # that the generator keeps
+    # that the generator keeps, and pi is solved once
     from . import ctmc
 
     gen, f = loaded.generator, loaded.rewards
     r = uniform_reference(loaded.states, cfg=cfg)
-    sol = ctmc.ctmc_potentials(gen, f, r, cfg=cfg)
+    sol, pi = ctmc._ctmc_solves(gen, f, r, False, cfg)
     g, eta = sol.g, sol.eta
     B = np.asarray(gen.matrix)
 
@@ -354,14 +356,13 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     if poisson_only:
         return checks
 
-    pi = ctmc.ctmc_stationary(gen, r, cfg=cfg).pi
     rate = min_uniformization_rate(gen)
     base = rate if rate > 0 else 1.0
     for mult in (1.0, 2.0, 10.0):
         # a fresh chain, irreducible since B passed its gate: not gated
         pi_chain = gfm.stationary(uniformize(gen, base * mult, cfg=cfg), r,
                                   allow_unchecked=True, cfg=cfg)
-        resid = float(np.abs(pi - pi_chain.pi).max())
+        resid = float(np.abs(pi.pi - pi_chain.pi).max())
         checks.append(CheckResult(f"uniformization_consistency_gamma_{mult:g}x",
                                   resid <= 1e-8, resid))
     checks.extend(ctmc.verify_generator_spectrum(
@@ -392,21 +393,24 @@ def _cmd_check(args, cfg: Tolerances):
     return report.to_dict(), (0 if report.passed else 1)
 
 
-def _to_csv(command: str, doc: dict) -> str:
-    if command in ("stationary", "ctmc-stationary"):
-        return format_csv(["state", "pi"],
-                          [(i, v) for i, v in enumerate(doc["pi"])])
-    if command in ("potentials", "ctmc-potentials"):
-        return format_csv(["state", "g", "eta"],
-                          [(i, v, doc["eta"]) for i, v in enumerate(doc["g"])])
-    if command == "qfactors":
-        return format_csv(["pair", "Q"],
-                          [(i, v) for i, v in enumerate(doc["Q"])])
-    if command == "series":
-        rows = [(i, j, v) for i, row in enumerate(doc["Z"])
-                for j, v in enumerate(row)]
-        return format_csv(["i", "j", "Z"], rows)
-    raise ModelFormatError(f"command {command!r} has no CSV form; use json")
+# the commands with a CSV form: the header and rows of each document
+_CSV_FORMS = {
+    "stationary": lambda doc: (["state", "pi"], list(enumerate(doc["pi"]))),
+    "potentials": lambda doc: (["state", "g", "eta"], [
+        (i, v, doc["eta"]) for i, v in enumerate(doc["g"])]),
+    "qfactors": lambda doc: (["pair", "Q"], list(enumerate(doc["Q"]))),
+    "series": lambda doc: (["i", "j", "Z"], [
+        (i, j, v) for i, row in enumerate(doc["Z"]) for j, v in enumerate(row)]),
+}
+_CSV_FORMS["ctmc-stationary"] = _CSV_FORMS["stationary"]
+_CSV_FORMS["ctmc-potentials"] = _CSV_FORMS["potentials"]
+
+
+def _refuse_csv(args) -> None:
+    """Refuse --output csv for a command without a CSV form, before its work."""
+    if args.output == "csv" and args.command not in _CSV_FORMS:
+        raise ModelFormatError(
+            f"command {args.command!r} has no CSV form; use json")
 
 
 _HANDLERS = {
@@ -452,8 +456,8 @@ def main(argv=None) -> int:
             warnings.showwarning = _print_warning
             result = _HANDLERS[args.command](args, cfg)
         doc, code = result if isinstance(result, tuple) else (result, 0)
-        text = (_to_csv(args.command, doc) if args.output == "csv"
-                else dumps_document(doc))
+        text = (format_csv(*_CSV_FORMS[args.command](doc))
+                if args.output == "csv" else dumps_document(doc))
     except GfmError as e:
         text, code = _fault(e)
     if args.out:

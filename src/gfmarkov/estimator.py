@@ -42,6 +42,7 @@ from .config import DEFAULT, Tolerances
 from .errors import EstimateDivergentError, ScheduleInvalidError
 from .gfm import _as_chain, _as_reference, _as_rewards, _require_irreducible
 from .model import RewardVector, StochasticMatrix, _integer
+from .modelio import format_csv
 
 __all__ = [
     "StepSchedule",
@@ -401,6 +402,5 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
 
 def write_trace_csv(trace: EstimateTrace, stream) -> None:
     """Write the sampled trace rows as CSV: t, state, reward, z_t, eta_hat."""
-    stream.write("t,state,reward,z_t,eta_hat\n")
-    for t, s, rew, z, eta in trace.samples:
-        stream.write(f"{t},{s},{rew:.12g},{z:.12g},{eta:.12g}\n")
+    stream.write(format_csv(["t", "state", "reward", "z_t", "eta_hat"],
+                            trace.samples))

@@ -67,9 +67,11 @@ from gfmarkov.model import (
 )
 from gfmarkov.qfactors import (
     QSolution,
+    _pair_distribution,
     _zero_probability_actions,
     build_state_action_chain,
 )
+from gfmarkov.report import CheckResult, VerificationReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS = REPO_ROOT / "models"
@@ -560,6 +562,42 @@ def reference_qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) 
                      cfg=cfg)
     induced_g = (m.policy * sol.g.reshape(S, A)).sum(axis=1)
     return QSolution(sol.g, sol.eta, r, induced_g)
+
+
+def reference_q_consistency_report(m: MdpModel, q: QSolution, *,
+                                   cfg: Tolerances = DEFAULT) -> VerificationReport:
+    """The Q-factor report on the literal state-action chain PL.
+
+    Checks the pointwise definition Q(s,a) = f(s,a) - eta + sum_s2
+    p(s,a,s2) g(s2) with g the induced state values, the equivalent
+    fixed-point form through the state-action chain, the chain's row
+    sums, and eta against the state-action stationary average reward.
+    """
+    S, A = m.states, m.actions
+    f = m.rewards.reshape(-1)
+    chain = build_state_action_chain(m, cfg=cfg)
+    checks: list[CheckResult] = []
+
+    P_sa = m.transitions.reshape(S * A, S)
+    point = q.q - (f - q.eta + P_sa @ q.induced_g)
+    resid = float(np.abs(point).max())
+    checks.append(CheckResult("q_pointwise_definition",
+                              resid <= cfg.poisson_tol, resid))
+
+    fixed = q.q - (f - q.eta + chain.matrix @ q.q)
+    resid = float(np.abs(fixed).max())
+    checks.append(CheckResult("q_fixed_point",
+                              resid <= cfg.poisson_tol, resid))
+
+    rows = float(np.abs(chain.matrix.sum(axis=1) - 1.0).max())
+    checks.append(CheckResult("state_action_rows_stochastic",
+                              rows <= 1e-12, rows))
+
+    resid = float(abs(q.eta - _pair_distribution(m, q.reference, cfg) @ f))
+    checks.append(CheckResult("eta_vs_stationary_reward",
+                              resid <= cfg.poisson_tol, resid))
+
+    return VerificationReport(tuple(checks))
 
 
 def reference_potentials_classic(P, f, *, allow_unchecked: bool = False,

@@ -13,6 +13,7 @@ from gfmarkov import model as model_module
 from gfmarkov import qfactors as qf
 from gfmarkov.cli import main
 from gfmarkov.errors import ModelFormatError
+from gfmarkov.estimator import SimulationConfig, online_potentials
 from gfmarkov.modelio import load_model
 
 from conftest import MODELS, count_calls, random_mdp
@@ -476,14 +477,24 @@ class TestCommands:
 
     def test_estimate_trace_csv(self, capsys, models_dir, tmp_path):
         trace = tmp_path / "trace.csv"
-        code, _, _ = run_cli(capsys, "estimate",
-                             "--model", str(models_dir / "two_state_sym.json"),
+        path = models_dir / "two_state_sym.json"
+        code, _, _ = run_cli(capsys, "estimate", "--model", str(path),
                              "--steps", "5000", "--epsilon", "1e-12",
                              "--trace", str(trace))
         assert code == 0
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "t,state,reward,z_t,eta_hat"
         assert len(lines) > 1
+        # the same run, written row by row at 12 significant digits
+        loaded = load_model(path)
+        tr = online_potentials(
+            loaded.chain, loaded.rewards, None, None,
+            SimulationConfig(seed=0, max_steps=5000, epsilon=1e-12,
+                             check_interval=1000))
+        assert trace.read_bytes() == "".join(
+            ["t,state,reward,z_t,eta_hat\n"]
+            + [f"{t},{s},{rew:.12g},{z:.12g},{eta:.12g}\n"
+               for t, s, rew, z, eta in tr.samples]).encode()
 
     def test_series_command(self, capsys, models_dir):
         code, out, _ = run_cli(capsys, "series",
@@ -596,16 +607,25 @@ class TestCommands:
         assert code == 0
         assert len(solves) == 2
 
+    def test_ctmc_check_solves_pi_once(self, capsys, monkeypatch, models_dir):
+        # g and the pi behind eta on B + e r, then one pi per uniformized
+        # chain; the uniformization checks reuse the first pi
+        solves = count_calls(monkeypatch, _linalg, "getrs")
+        code, _, _ = run_cli(capsys, "check", "--model",
+                             str(models_dir / "ctmc_two_state.json"))
+        assert code == 0
+        assert len(solves) == 5
+
     def test_mdp_check_factors_only_state_systems(self, capsys, monkeypatch,
                                                   models_dir):
-        # PL is built once, for the checks on the literal chain; every LU
-        # is of an S x S policy-chain system
+        # the report reads the S x A x S tensor, so PL is never built;
+        # every LU is of an S x S policy-chain system
         builds = count_calls(monkeypatch, qf, "build_state_action_chain")
         factors = count_calls(monkeypatch, _linalg, "getrf")
         code, _, _ = run_cli(capsys, "check", "--model",
                              str(models_dir / "mdp_two_state.json"))
         assert code == 0
-        assert len(builds) == 1
+        assert len(builds) == 0
         assert factors and all(args[0].shape == (2, 2) for args, _ in factors)
 
     MDP_LUS = pytest.mark.parametrize("argv, lus", [
@@ -773,6 +793,32 @@ class TestCommands:
                                "--output", "csv")
         assert code == 2
         assert json.loads(out)["error"] == "ModelFormat"
+
+    def test_csv_refused_before_the_estimate_runs(self, capsys, models_dir,
+                                                  tmp_path):
+        trace = tmp_path / "t.csv"
+        code, out, _ = run_cli(capsys, "estimate",
+                               "--model", str(models_dir / "two_state.json"),
+                               "--steps", "2000", "--trace", str(trace),
+                               "--output", "csv")
+        assert code == 2
+        assert json.loads(out)["error"] == "ModelFormat"
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "check", "estimate"])
+    def test_csv_refusal_comes_after_model_faults(self, capsys, models_dir,
+                                                  tmp_path, command):
+        reducible = tmp_path / "reducible.json"
+        reducible.write_text(json.dumps({"kind": "dtmc", "states": 2,
+                                         "P": [[1, 0], [0, 1]], "f": [0, 1]}))
+        for path, error in ((models_dir / "bad_rows.json", "RowSumViolation"),
+                            (reducible, "NotIrreducible")):
+            if command == "validate" and error == "NotIrreducible":
+                error = "ModelFormat"  # validate reports, not gates, support
+            code, out, _ = run_cli(capsys, command, "--model", str(path),
+                                   "--output", "csv")
+            assert code == 2
+            assert json.loads(out)["error"] == error
 
     def test_out_file(self, capsys, models_dir, tmp_path):
         dest = tmp_path / "pi.json"

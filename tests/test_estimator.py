@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -296,6 +297,12 @@ class TestOnlinePotentials:
         assert len(lines) == 1 + len(tr.samples)
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] in {"0", "1"}
+
+    def test_trace_csv_of_no_samples_is_its_header(self):
+        out = io.StringIO()
+        write_trace_csv(estimator.EstimateTrace(np.zeros(2), 0.0, 0, False, 0),
+                        out)
+        assert out.getvalue() == "t,state,reward,z_t,eta_hat\n"
 
 
 class TestStreamedRun:

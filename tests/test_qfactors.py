@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,15 +20,17 @@ from gfmarkov import (
     validate_stochastic,
 )
 from gfmarkov import _linalg
+from gfmarkov import qfactors as qf
 from gfmarkov.config import DEFAULT
 from gfmarkov.errors import NearSingularError
-from gfmarkov.model import StochasticMatrix
+from gfmarkov.model import MdpModel, StochasticMatrix
 from gfmarkov.qfactors import _pair_distribution, action_transition_matrix
 
 from conftest import (
     count_calls,
     random_mdp,
     random_reference,
+    reference_q_consistency_report,
     reference_qfactors_solve,
 )
 
@@ -220,6 +224,91 @@ class TestConsistencyReport:
         rep = q_consistency_report(m, qfactors_solve(m, r))
         assert rep.passed
         assert len(factors) == 1
+
+
+def verdicts(rep) -> dict:
+    return {c.name: c.passed for c in rep.checks}
+
+
+class TestReportOnTheTensor:
+    """The report reads the S x A x S tensor; the oracle forms PL."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 20),
+           A=st.sampled_from(range(1, 7)),
+           zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+           dead_frac=st.sampled_from([0.0, 0.3]),
+           sign=st.sampled_from([-1.0, 1.0]),
+           nudge=st.sampled_from([0.0, 1e-6]))
+    def test_random_mdps(self, seed, S, A, zero_frac, dead_frac, sign, nudge):
+        rng = np.random.default_rng(seed)
+        m = sparse_mdp(rng, S, A, zero_frac, dead_frac)
+        r = reference_vector(sign * random_reference(rng, S * A, 0.3, 1.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dead actions
+            q = qfactors_solve(m, r)
+        # a nudged Q entry makes both q_ checks fail on either route
+        q = dataclasses.replace(
+            q, q=q.q + nudge * (np.arange(S * A) == rng.integers(S * A)))
+        rep = q_consistency_report(m, q)
+        ref = reference_q_consistency_report(m, q)
+        assert [(c.name, c.passed) for c in rep.checks] == \
+            [(c.name, c.passed) for c in ref.checks]
+        # fixed before the first run: 1e-12 max(1, |Q|inf)
+        tol = 1e-12 * max(1.0, float(np.abs(q.q).max()))
+        for c, c_ref in zip(rep.checks, ref.checks):
+            assert abs(c.residual - c_ref.residual) <= tol
+
+    @staticmethod
+    def _solved():
+        m = random_mdp(np.random.default_rng(181), 6, 3)
+        return m, qfactors_solve(m)
+
+    def test_perturbed_q_fails_both_q_checks(self):
+        m, q = self._solved()
+        bad = dataclasses.replace(q, q=q.q + 1e-6 * (np.arange(18) == 7))
+        assert verdicts(q_consistency_report(m, bad)) == {
+            "q_pointwise_definition": False, "q_fixed_point": False,
+            "state_action_rows_stochastic": True,
+            "eta_vs_stationary_reward": True}
+
+    def test_perturbed_induced_g_fails_the_pointwise_check_only(self):
+        # the fixed-point check takes L Q from Q, not from induced_g
+        m, q = self._solved()
+        bad = dataclasses.replace(
+            q, induced_g=q.induced_g + 1e-6 * (np.arange(6) == 2))
+        assert verdicts(q_consistency_report(m, bad)) == {
+            "q_pointwise_definition": False, "q_fixed_point": True,
+            "state_action_rows_stochastic": True,
+            "eta_vs_stationary_reward": True}
+
+    def test_unvalidated_row_off_by_1e10_fails_the_rows_check(self):
+        m, _ = self._solved()
+        p = m.transitions.copy()
+        p[1, 2] *= 1.0 + 1e-10
+        off = MdpModel(p, m.rewards, m.policy)
+        rep = q_consistency_report(off, qfactors_solve(off))
+        assert verdicts(rep) == {
+            "q_pointwise_definition": True, "q_fixed_point": True,
+            "state_action_rows_stochastic": False,
+            "eta_vs_stationary_reward": True}
+        assert rep.checks[2].residual == pytest.approx(1e-10, rel=1e-3)
+        assert verdicts(rep) == verdicts(
+            reference_q_consistency_report(off, qfactors_solve(off)))
+
+    def test_no_state_action_square_at_s200_a10(self, monkeypatch):
+        m = random_mdp(np.random.default_rng(200), 200, 10)
+        q = qfactors_solve(m)
+        builds = count_calls(monkeypatch, qf, "build_state_action_chain")
+        tracemalloc.start()
+        try:
+            rep = q_consistency_report(m, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and not builds
+        # PL alone would take (S A)^2 * 8 bytes = 32 MB
+        assert peak <= 2_000_000
 
 
 class TestThroughChainCalls:
