@@ -6,11 +6,12 @@ eigenvector e, so B + e r is invertible whenever r.e != 0, giving
 * pi from one transposed solve of pi (B + e r) = r, and
 * potentials from (B + e r) g = -f.
 
-Ergodicity is judged by ``gfm._require_irreducible`` (NotErgodic for a
-rate matrix), B + e r is formed by ``_linalg.shifted_matrix`` and
-factored by ``_linalg.shifted_system``, and pi comes from
-``gfm._stationary_from``: the entry points chains take, which tell a
-rate matrix from a chain by its type.
+This module keeps only what a rate matrix changes: the sign convention
+below, eta from pi and the gamma-disk checks. The rest is the chain's
+code, which tells a rate matrix by its type: :func:`ctmc_stationary` is
+``gfm._stationary_from`` (reference, gate, one LU of B + e r) on B, and
+:func:`verify_generator_spectrum` runs ``gfm._shift_checks`` on the
+eigenvalues of B, as ``verify_spectral_shift`` does on those of I - P.
 
 Sign convention: the second system's solution has r.g = -eta (the
 Poisson equation -B g = f - eta e forces it), as recorded in
@@ -30,7 +31,7 @@ from .gfm import (
     StationaryDistribution,
     _as_reference,
     _as_rewards,
-    _require_irreducible,
+    _shift_checks,
     _stationary_from,
     renormalize_potentials,
 )
@@ -54,24 +55,18 @@ def _as_generator(B) -> GeneratorMatrix:
 def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
                     cfg: Tolerances = DEFAULT) -> StationaryDistribution:
     """Stationary distribution of the process: pi solves pi (B + e r) = r."""
-    B = _as_generator(B)
-    r = _as_reference(r, B.size, cfg)
-    if not allow_unchecked:
-        _require_irreducible(B, cfg)
-    return _stationary_from(B, r, cfg)
+    return _stationary_from(_as_generator(B), r, allow_unchecked, cfg)
 
 
 def _ctmc_solves(B, f, r, allow_unchecked: bool, cfg: Tolerances
                  ) -> tuple[PotentialSolution, StationaryDistribution]:
     """The potentials of :func:`ctmc_potentials` and the pi behind their
-    eta, both solved on the one LU of B + e r."""
+    eta, both solved on the one LU of B + e r; pi's front runs the gate."""
     B = _as_generator(B)
     r = _as_reference(r, B.size, cfg)
     f = _as_rewards(f, B.size)
-    if not allow_unchecked:
-        _require_irreducible(B, cfg)
+    pi = _stationary_from(B, r, allow_unchecked, cfg)
     g = _linalg.shifted_system(B, r.values, cfg.pivot_tol).solve(-f.values)
-    pi = _stationary_from(B, r, cfg)
     eta = float(pi.pi @ f.values)
     return PotentialSolution(g, eta, r, NORM_MINUS_ETA), pi
 
@@ -115,38 +110,17 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     B = _as_generator(B)
     gamma, rate = _checked_gamma(B, gamma)
     r = _as_reference(r, B.size, cfg)
-    n = B.size
-    ones = np.ones(n)
-    checks: list[CheckResult] = []
-
-    resid = float(np.abs(np.asarray(B.matrix) @ ones).max())
-    checks.append(CheckResult("generator_zero_row_sums",
-                              resid <= cfg.row_tol, resid))
-
-    D = _linalg.shifted_matrix(B, r.values)
-    resid = float(np.abs(D @ ones - r.dot_with_ones * ones).max())
-    checks.append(CheckResult("ones_column_eigenvector",
-                              resid <= cfg.solve_tol_for(n), resid))
-
-    if n <= 3:
-        lam_b = _linalg.small_matrix_eigenvalues(B.matrix)
-        k0 = int(np.argmin(np.abs(lam_b)))
-        zero_resid = float(abs(lam_b[k0]))
-        checks.append(CheckResult("generator_zero_eigenvalue",
-                                  zero_resid <= 1e-8, zero_resid))
-
-        expected = np.array(
-            [complex(r.dot_with_ones)]
-            + [lam_b[i] for i in range(n) if i != k0])
-        computed = _linalg.small_matrix_eigenvalues(D)
-        worst = _linalg.match_spectra(expected, computed)
-        checks.append(CheckResult("shifted_spectrum", worst <= 1e-8, worst))
-
+    resid = float(np.abs(np.asarray(B.matrix) @ np.ones(B.size)).max())
+    lam = _linalg.small_matrix_eigenvalues(B.matrix) if B.size <= 3 else None
+    shared, k0 = _shift_checks(B, r, lam, "generator_zero_eigenvalue", cfg)
+    checks = [CheckResult("generator_zero_row_sums", resid <= cfg.row_tol,
+                          resid), *shared]
+    if lam is not None:
         at_minimum = gamma <= rate * (1.0 + 1e-12)
-        for i in range(n):
+        for i in range(B.size):
             if i == k0:
                 continue
-            dist = float(abs(lam_b[i] + gamma))
+            dist = float(abs(lam[i] + gamma))
             name = f"eigenvalue_{i}_in_gamma_disk"
             if at_minimum and dist >= gamma * (1.0 - 1e-12):
                 checks.append(CheckResult(

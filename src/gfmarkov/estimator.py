@@ -110,22 +110,28 @@ class StepSchedule:
     def loose_only(self) -> bool:
         return self.kind == "robbins_monro_power" and self.p <= 0.5
 
-    def alpha(self, t: int) -> float:
+    def _fill(self, t: np.ndarray, ts) -> np.ndarray:
+        """Overwrite the float array t of the steps ts with alpha at each, the
+        one formula of alpha and alphas, so both round alike and a run holds
+        one array; the custom kind calls fn on each step of ts as given."""
         if self.kind == "robbins_monro_power":
-            return self.a / (self.b + t) ** self.p
+            t += self.b
+            t **= self.p
+            return np.divide(self.a, t, out=t)
         if self.kind == "constant":
-            return self.alpha_const
-        return float(self.fn(t))
+            t.fill(self.alpha_const)
+        else:
+            t[:] = [float(self.fn(x)) for x in ts]
+        return t
+
+    def alpha(self, t: int) -> float:
+        """alpha_t, bit for bit the entry t of :meth:`alphas`."""
+        return float(self._fill(np.array([t], dtype=float), (t,))[0])
 
     def alphas(self, steps: int) -> np.ndarray:
         """Vectorized alpha_0 .. alpha_{steps-1}, validated positive and
         finite."""
-        if self.kind == "robbins_monro_power":
-            out = self.a / (self.b + np.arange(steps, dtype=float)) ** self.p
-        elif self.kind == "constant":
-            out = np.full(steps, self.alpha_const)
-        else:
-            out = np.array([float(self.fn(t)) for t in range(steps)])
+        out = self._fill(np.arange(steps, dtype=float), range(steps))
         # NaN fails both comparisons
         if steps and not (float(out.min()) > 0.0 and float(out.max()) < np.inf):
             t_bad = int(np.argmin((out > 0.0) & (out < np.inf)))
@@ -234,8 +240,9 @@ def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np
 
     Returns `steps` transitions as arrays of length steps + 1: the
     visited states starting at s0, and the reward f(state) at each. An
-    s0 or seed that is not an integer is a ValueError, not truncated.
+    s0, steps or seed that is not an integer is a ValueError.
     """
+    steps = _integer("steps", steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     P = _as_chain(P)
@@ -249,8 +256,10 @@ def truncated_accumulated_reward(P, f, horizon: int) -> np.ndarray:
     """Expected reward accumulated over t = 0..horizon, by recursion.
 
     acc_0 = f and acc_k = f + P acc_{k-1}; exact matrix arithmetic, no
-    simulation. Feeds the reference-level potential formula.
+    simulation. Feeds the reference-level potential formula. A horizon
+    that is not an integer is a ValueError.
     """
+    horizon = _integer("horizon", horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     P = _as_chain(P)

@@ -12,8 +12,9 @@ No pre-computation of pi is needed for the first two. Whenever
 0 < r.e < 2 the inverse also equals the power series sum_n (P - e r)^n,
 which grounds the truncated/sample-path approximations in this module.
 
-The stationary solve and its guard are one body for chains and rate
-matrices, which ``ctmc`` calls too; only the matrix type tells them apart.
+The stationary front (reference, structural gate, solve and guard) and
+the shift-lemma checks are one body each for chains and rate matrices,
+which ``ctmc`` calls too; only the matrix type tells them apart.
 """
 
 from __future__ import annotations
@@ -184,14 +185,19 @@ def _checked_eta(r: np.ndarray, g: np.ndarray, f: np.ndarray,
     return eta
 
 
-def _stationary_from(source: StochasticMatrix | GeneratorMatrix,
-                     r: ReferenceVector, cfg: Tolerances) -> StationaryDistribution:
+def _stationary_from(source: StochasticMatrix | GeneratorMatrix, r,
+                     allow_unchecked: bool, cfg: Tolerances) -> StationaryDistribution:
     """pi from pi (A + e r) = r, on the LU that ``_linalg.shifted_system``
     keeps for a chain (A = I - P) or a rate matrix (A = B).
 
-    Entries within solve tolerance below zero are clamped and the vector
+    The one stationary front: r is coerced (None is uniform) and, unless
+    allow_unchecked, the structural gate runs before the solve. Entries
+    within solve tolerance below zero are clamped and the vector
     renormalized; anything more negative signals numerical failure.
     """
+    r = _as_reference(r, source.size, cfg)
+    if not allow_unchecked:
+        _require_irreducible(source, cfg)
     pi = _linalg.shifted_system(source, r.values, cfg.pivot_tol).solve_row(r.values)
     low = float(pi.min(initial=0.0))
     if low < -cfg.solve_tol_for(pi.shape[0]):
@@ -230,11 +236,7 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     zero are clamped and the vector renormalized; anything more negative
     signals numerical failure.
     """
-    P = _as_chain(P)
-    r = _as_reference(r, P.size, cfg)
-    if not allow_unchecked:
-        _require_irreducible(P, cfg)
-    return _stationary_from(P, r, cfg)
+    return _stationary_from(_as_chain(P), r, allow_unchecked, cfg)
 
 
 def potentials(P, f, r=None, *, allow_unchecked: bool = False,
@@ -292,10 +294,12 @@ def series_fundamental(P, r=None, terms: int = 50, *,
     the products stop once a power of P - e r is exactly zero: every later
     step would add exact zeros to a sum that holds no -0.0, so Z,
     tail_norm and terms are bit for bit those of the full loop. A NaN or
-    infinite power is not zero and never stops it.
+    infinite power is not zero and never stops it. A terms that is not an
+    integer is a ValueError, not truncated.
     """
     P = _as_chain(P)
     r = _as_reference(r, P.size, cfg)
+    terms = _integer("terms", terms)
     if terms < 0:
         raise ValueError("terms must be >= 0")
     re = r.dot_with_ones
@@ -331,10 +335,12 @@ def potentials_reference_level(P, f, r=None, horizon: int = 50, *,
     returns g = acc_T - e (r . acc_T). Requires r.e = 1; the result is the
     member of the potential family with r.g = 0, approached as T grows
     past the chain's mixing time. eta is reported separately as pi.f.
+    A horizon that is not an integer is a ValueError.
     """
     P = _as_chain(P)
     r = _as_reference(r, P.size, cfg)
     f = _as_rewards(f, P.size)
+    horizon = _integer("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if abs(r.dot_with_ones - 1.0) > cfg.re_eq1_tol:
@@ -358,20 +364,20 @@ def spectral_radius_estimate(M, iters: int = 200, seed: int = 0) -> SpectralRadi
     the geometric mean over a trailing window, which smooths the
     oscillation a dominant complex pair induces. This is an estimate, not
     a certificate; ``uncertain`` is set when the last two windows disagree.
-    A seed that is not an integer is a ValueError, not truncated.
+    An empty, non-square or non-finite M has no estimate and is a
+    ValueError, and so is an iters or seed that is not an integer.
     """
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"M must be a nonempty square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M must be finite")
+    iters = _integer("iters", iters)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n = M.shape[0]
     rng = np.random.Generator(np.random.PCG64(_integer("seed", seed)))
-    v = rng.standard_normal(n)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0
-    else:
-        v = v / nv
+    v = rng.standard_normal(M.shape[0])
+    v = v / float(np.linalg.norm(v))
     ratios: list[float] = []
     for k in range(iters):
         w = M @ v
@@ -391,6 +397,32 @@ def spectral_radius_estimate(M, iters: int = 200, seed: int = 0) -> SpectralRadi
     return SpectralRadiusEstimate(value, uncertain, iters)
 
 
+def _shift_checks(source: StochasticMatrix | GeneratorMatrix,
+                  r: ReferenceVector, lam: np.ndarray | None, zero_name: str,
+                  cfg: Tolerances) -> tuple[list[CheckResult], int | None]:
+    """The shift-lemma checks of M = A + e r: M e = (r.e) e and, given the
+    eigenvalues lam of A (1 - lambda(P) or lambda(B); None for n > 3), that
+    the one nearest zero is zero (check zero_name) and that M's spectrum
+    is {r.e} union the rest. Returns the checks and that one's index."""
+    n = source.size
+    M = _linalg.shifted_matrix(source, r.values)
+    ones = np.ones(n)
+    resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
+    checks = [CheckResult("ones_column_eigenvector",
+                          resid <= cfg.solve_tol_for(n), resid)]
+    if lam is None:
+        return checks, None
+    k0 = int(np.argmin(np.abs(lam)))
+    zero_resid = float(abs(lam[k0]))
+    checks.append(CheckResult(zero_name, zero_resid <= 1e-8, zero_resid))
+    expected = np.array([complex(r.dot_with_ones)]
+                        + [lam[i] for i in range(n) if i != k0])
+    worst = _linalg.match_spectra(expected,
+                                  _linalg.small_matrix_eigenvalues(M))
+    checks.append(CheckResult("shifted_spectrum", worst <= 1e-8, worst))
+    return checks, k0
+
+
 def verify_spectral_shift(P, r=None, *, cfg: Tolerances = DEFAULT) -> VerificationReport:
     """Check the eigenvalue-shift facts of the matrix I - P + e r.
 
@@ -401,26 +433,7 @@ def verify_spectral_shift(P, r=None, *, cfg: Tolerances = DEFAULT) -> Verificati
     """
     P = _as_chain(P)
     r = _as_reference(r, P.size, cfg)
-    n = P.size
-    checks: list[CheckResult] = []
-
-    M = _linalg.shifted_matrix(P, r.values)
-    ones = np.ones(n)
-    resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
-    tol = cfg.solve_tol_for(n)
-    checks.append(CheckResult("ones_column_eigenvector", resid <= tol, resid))
-
-    if n <= 3:
-        lam = _linalg.small_matrix_eigenvalues(P.matrix)
-        k1 = int(np.argmin(np.abs(lam - 1.0)))
-        unit_resid = float(abs(lam[k1] - 1.0))
-        checks.append(CheckResult("chain_unit_eigenvalue",
-                                  unit_resid <= 1e-8, unit_resid))
-        expected = np.array(
-            [complex(r.dot_with_ones)]
-            + [1.0 - lam[i] for i in range(n) if i != k1])
-        computed = _linalg.small_matrix_eigenvalues(M)
-        worst = _linalg.match_spectra(expected, computed)
-        checks.append(CheckResult("shifted_spectrum", worst <= 1e-8, worst))
-
+    lam = (1.0 - _linalg.small_matrix_eigenvalues(P.matrix)
+           if P.size <= 3 else None)
+    checks, _ = _shift_checks(P, r, lam, "chain_unit_eigenvalue", cfg)
     return VerificationReport(tuple(checks))

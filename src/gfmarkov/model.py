@@ -454,9 +454,8 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
 
     period = 1
     if not looped:
-        if n_comp > 1:
-            u, v = u[inside], v[inside]
-            g = csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n))
+        u, v = u[inside], v[inside]
+        g = csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n))
         # each state is reachable in g only from the root of its own
         # component, so the minimum over roots is the level from that root
         roots = np.unique(labels, return_index=True)[1]
@@ -464,7 +463,7 @@ def _support_diagnostics(adj: np.ndarray) -> ChainDiagnostics:
                          min_only=True).astype(np.int32)
         period = abs(int(np.gcd.reduce(level[u] + 1 - level[v]))) or 1
     return ChainDiagnostics(
-        irreducible=bool(n_comp == 1),
+        irreducible=False,
         aperiodic=period == 1,
         period=period,
         num_closed_classes=int(num_closed),
@@ -489,8 +488,11 @@ def diagnose_chain(P: StochasticMatrix | GeneratorMatrix, *,
     work at any depth, one Python step per BFS level; only a reducible
     support takes a csgraph strong-components pass, O(n^2 + edges), which
     imports scipy.sparse. The verdict is kept on P for the next gate with
-    the same edge_tol.
+    the same edge_tol. Any other P is first taken through
+    :func:`validate_stochastic`, as the public solves take it.
     """
+    if not isinstance(P, _ValidatedMatrix):
+        P = validate_stochastic(P, cfg=cfg)
     def gate() -> ChainDiagnostics:
         if not isinstance(P, GeneratorMatrix):
             return _support_diagnostics(np.asarray(P.matrix) > cfg.edge_tol)

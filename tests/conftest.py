@@ -61,6 +61,7 @@ from gfmarkov.gfm import (
 )
 from gfmarkov.model import (
     _ROW_SUM_EXACT,
+    _checked_gamma,
     _freeze,
     _settle_row_sums,
     reference_vector,
@@ -596,6 +597,88 @@ def reference_q_consistency_report(m: MdpModel, q: QSolution, *,
     resid = float(abs(q.eta - _pair_distribution(m, q.reference, cfg) @ f))
     checks.append(CheckResult("eta_vs_stationary_reward",
                               resid <= cfg.poisson_tol, resid))
+
+    return VerificationReport(tuple(checks))
+
+
+def reference_verify_spectral_shift(P, r=None, *,
+                                    cfg: Tolerances = DEFAULT) -> VerificationReport:
+    """The chain's shift-lemma report, written out for I - P + e r alone:
+    the eigenvalue of P nearest 1 is 1, and the rest map to 1 - lambda."""
+    P = _as_chain(P)
+    r = _as_reference(r, P.size, cfg)
+    n = P.size
+    checks: list[CheckResult] = []
+
+    M = _linalg.shifted_matrix(P, r.values)
+    ones = np.ones(n)
+    resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
+    tol = cfg.solve_tol_for(n)
+    checks.append(CheckResult("ones_column_eigenvector", resid <= tol, resid))
+
+    if n <= 3:
+        lam = _linalg.small_matrix_eigenvalues(P.matrix)
+        k1 = int(np.argmin(np.abs(lam - 1.0)))
+        unit_resid = float(abs(lam[k1] - 1.0))
+        checks.append(CheckResult("chain_unit_eigenvalue",
+                                  unit_resid <= 1e-8, unit_resid))
+        expected = np.array(
+            [complex(r.dot_with_ones)]
+            + [1.0 - lam[i] for i in range(n) if i != k1])
+        computed = _linalg.small_matrix_eigenvalues(M)
+        worst = _linalg.match_spectra(expected, computed)
+        checks.append(CheckResult("shifted_spectrum", worst <= 1e-8, worst))
+
+    return VerificationReport(tuple(checks))
+
+
+def reference_verify_generator_spectrum(B, gamma: float, r=None, *,
+                                        cfg: Tolerances = DEFAULT) -> VerificationReport:
+    """The rate matrix's spectral report, written out for B + e r alone:
+    zero row sums, the shift lemma with B's eigenvalue nearest 0, and
+    the gamma-disk placement of the others."""
+    B = _as_generator(B)
+    gamma, rate = _checked_gamma(B, gamma)
+    r = _as_reference(r, B.size, cfg)
+    n = B.size
+    ones = np.ones(n)
+    checks: list[CheckResult] = []
+
+    resid = float(np.abs(np.asarray(B.matrix) @ ones).max())
+    checks.append(CheckResult("generator_zero_row_sums",
+                              resid <= cfg.row_tol, resid))
+
+    D = _linalg.shifted_matrix(B, r.values)
+    resid = float(np.abs(D @ ones - r.dot_with_ones * ones).max())
+    checks.append(CheckResult("ones_column_eigenvector",
+                              resid <= cfg.solve_tol_for(n), resid))
+
+    if n <= 3:
+        lam_b = _linalg.small_matrix_eigenvalues(B.matrix)
+        k0 = int(np.argmin(np.abs(lam_b)))
+        zero_resid = float(abs(lam_b[k0]))
+        checks.append(CheckResult("generator_zero_eigenvalue",
+                                  zero_resid <= 1e-8, zero_resid))
+
+        expected = np.array(
+            [complex(r.dot_with_ones)]
+            + [lam_b[i] for i in range(n) if i != k0])
+        computed = _linalg.small_matrix_eigenvalues(D)
+        worst = _linalg.match_spectra(expected, computed)
+        checks.append(CheckResult("shifted_spectrum", worst <= 1e-8, worst))
+
+        at_minimum = gamma <= rate * (1.0 + 1e-12)
+        for i in range(n):
+            if i == k0:
+                continue
+            dist = float(abs(lam_b[i] + gamma))
+            name = f"eigenvalue_{i}_in_gamma_disk"
+            if at_minimum and dist >= gamma * (1.0 - 1e-12):
+                checks.append(CheckResult(
+                    name, dist <= gamma * (1.0 + 1e-12), dist,
+                    note="on the disk boundary at minimal gamma"))
+            else:
+                checks.append(CheckResult(name, dist < gamma, dist))
 
     return VerificationReport(tuple(checks))
 

@@ -76,6 +76,26 @@ class TestStepSchedule:
         assert [schedule.alpha(t) for t in range(6)] == pytest.approx(
             schedule.alphas(6).tolist(), rel=1e-15)
 
+    def test_alpha_is_bitwise_the_step_alphas_takes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            s = StepSchedule.robbins_monro(rng.uniform(0.01, 5.0),
+                                           rng.uniform(0.01, 50.0),
+                                           rng.uniform(0.05, 1.0))
+            out = s.alphas(5000)
+            for t in rng.integers(0, 5000, size=137).tolist():
+                assert s.alpha(t) == out[t], (s, t)
+        s = StepSchedule.constant(0.25)
+        assert s.alpha(7) == s.alphas(8)[7]
+
+    def test_custom_alpha_gets_the_callers_t(self):
+        seen = []
+        s = StepSchedule.custom(lambda t: seen.append(t) or 0.5)
+        t = np.int64(3)
+        assert s.alpha(t) == 0.5 and seen[0] is t
+        s.alphas(2)
+        assert [type(x) for x in seen[1:]] == [int, int]
+
     def test_custom_validated_at_run(self):
         s = StepSchedule.custom(lambda t: 0.1 - 0.2 * (t > 5))
         with pytest.raises(ScheduleInvalidError):
@@ -319,8 +339,8 @@ class TestStreamedRun:
         assert draws <= chunks * cfg.check_interval
 
     def test_peak_memory_per_step(self):
-        # the float64 step sizes take 8 B/step, 16 at the peak while they
-        # are computed; holding the whole path and its draws as lists
+        # the float64 step sizes take 8 B/step, also at the peak, as they
+        # are computed in place; holding the whole path and its draws as lists
         # would take about 48
         steps = 400_000
         P = validate_stochastic([[0.9, 0.1], [0.4, 0.6]])

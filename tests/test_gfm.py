@@ -18,6 +18,7 @@ from gfmarkov import (
     StochasticMatrix,
     Tolerances,
     fundamental_matrix,
+    min_uniformization_rate,
     potentials,
     potentials_classic,
     potentials_reference_level,
@@ -25,8 +26,10 @@ from gfmarkov import (
     reference_vector,
     renormalize_potentials,
     series_fundamental,
+    simulate_chain,
     spectral_radius_estimate,
     stationary,
+    truncated_accumulated_reward,
     uniform_reference,
     validate_generator,
     validate_mdp,
@@ -38,6 +41,7 @@ from gfmarkov.ctmc import (
     ctmc_potentials,
     ctmc_potentials_classic,
     ctmc_stationary,
+    verify_generator_spectrum,
 )
 from gfmarkov._linalg import small_matrix_eigenvalues
 from gfmarkov.errors import ReferenceNotDistributionLikeError
@@ -54,6 +58,8 @@ from conftest import (
     reference_ctmc_potentials_classic,
     reference_potentials_classic,
     reference_series_fundamental,
+    reference_verify_generator_spectrum,
+    reference_verify_spectral_shift,
     spectra_gap,
     termwise_series_fundamental,
 )
@@ -752,6 +758,46 @@ class TestSpectralRadius:
                 est = spectral_radius_estimate(M, 600, 1)
                 assert est.value >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("M, message", [
+        (np.zeros((0, 0)), "nonempty square"),
+        (np.zeros((2, 3)), "nonempty square"),
+        ([[0.5, np.nan], [0.0, 0.5]], "finite"),
+        ([[0.5, np.inf], [0.0, 0.5]], "finite"),
+    ], ids=["empty", "non_square", "nan", "inf"])
+    def test_refuses_what_it_cannot_estimate(self, M, message):
+        with pytest.raises(ValueError, match=message):
+            spectral_radius_estimate(M)
+
+
+class TestCountArguments:
+    """Counts go through model._integer, as seeds do: a float is a
+    ValueError naming the argument, never truncated or a TypeError."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: series_fundamental(SYM, terms=2.0), "terms"),
+        (lambda: potentials_reference_level(SYM, [1.0, 0.0], horizon=5.0),
+         "horizon"),
+        (lambda: truncated_accumulated_reward(SYM, [1.0, 0.0], 2.5), "horizon"),
+        (lambda: spectral_radius_estimate(np.eye(2), iters=3.0), "iters"),
+        (lambda: simulate_chain(SYM, [1.0, 0.0], 0, 3.0, 0), "steps"),
+    ], ids=["terms", "reference_level_horizon", "accumulated_horizon",
+            "iters", "steps"])
+    def test_float_count_refused(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+
+    def test_bool_terms_is_one(self):
+        fm = series_fundamental(SYM, terms=True)
+        assert type(fm.terms) is int and fm.terms == 1
+        assert np.array_equal(fm.Z, series_fundamental(SYM, terms=1).Z)
+
+    def test_integer_counts_keep_their_results(self):
+        assert np.array_equal(series_fundamental(SYM, terms=np.int64(3)).Z,
+                              series_fundamental(SYM, terms=3).Z)
+        assert np.array_equal(
+            truncated_accumulated_reward(SYM, [1.0, 0.0], np.int32(4)),
+            truncated_accumulated_reward(SYM, [1.0, 0.0], 4))
+
 
 class TestVerifySpectralShift:
     def test_sym_chain_double_unit_eigenvalue(self):
@@ -790,6 +836,55 @@ class TestVerifySpectralShift:
                 ours = small_matrix_eigenvalues(M)
                 theirs = np.linalg.eigvals(M)
                 assert spectra_gap(ours, theirs) < 1e-8
+
+
+class TestShiftChecksMatchOracle:
+    """verify_spectral_shift and verify_generator_spectrum share one
+    shift-lemma body; each report must equal the written-out one."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           kind=st.sampled_from(["uniform", "e1", "signed"]),
+           widen=st.sampled_from([1.0, 1.0 + 1e-13, 1.5, 4.0]))
+    def test_reports_equal_oracle(self, seed, n, kind, widen):
+        rng = np.random.default_rng(seed)
+        r = {"uniform": None, "e1": np.eye(n)[0],
+             "signed": random_reference(rng, n)}[kind]
+        P = random_chain(rng, n)
+        assert (verify_spectral_shift(P, r).to_dict()
+                == reference_verify_spectral_shift(P, r).to_dict())
+        B = random_generator_matrix(rng, n)
+        gamma = max(min_uniformization_rate(B), 1e-3) * widen
+        assert (verify_generator_spectrum(B, gamma, r).to_dict()
+                == reference_verify_generator_spectrum(B, gamma, r).to_dict())
+
+    def test_identity_chain_triple_root(self):
+        # P = I: the characteristic cubic is (x - 1)^3, the u3 == 0 branch
+        P = validate_stochastic(np.eye(3))
+        for r in (None, [1.0, 0.0, 0.0], [2.0, -0.5, 0.25]):
+            rep = verify_spectral_shift(P, r)
+            assert rep.to_dict() == reference_verify_spectral_shift(P, r).to_dict()
+            assert rep.passed
+
+    def test_zero_generator_double_root(self):
+        # B = 0: the characteristic quadratic is x^2, the q == 0 pair
+        B = validate_generator(np.zeros((2, 2)))
+        for gamma in (1.0, 2.5):
+            rep = verify_generator_spectrum(B, gamma, E1)
+            assert (rep.to_dict()
+                    == reference_verify_generator_spectrum(B, gamma, E1).to_dict())
+            assert [c.name for c in rep.checks][:4] == [
+                "generator_zero_row_sums", "ones_column_eigenvector",
+                "generator_zero_eigenvalue", "shifted_spectrum"]
+
+    def test_defective_shifted_matrix(self):
+        # I - SYM + e e1 = [[1.5, -0.5], [0.5, 0.5]]: eigenvalue 1 twice,
+        # with one eigenvector
+        M = _linalg.shifted_matrix(SYM, E1.values)
+        assert np.linalg.matrix_rank(M - np.eye(2)) == 1
+        rep = verify_spectral_shift(SYM, E1)
+        assert rep.to_dict() == reference_verify_spectral_shift(SYM, E1).to_dict()
+        assert rep.passed
 
 
 class TestClosedFormRoots:

@@ -284,6 +284,12 @@ class TestDiagnoseChain:
         assert not d.irreducible
         assert d.num_closed_classes == 1
 
+    def test_raw_array_is_validated_first(self):
+        for raw in ([[0, 1], [1, 0]], [[1, 0], [0.5, 0.5]], [[0.5, 0.5], [0.2, 0.8]]):
+            assert diagnose_chain(raw) == diagnose_chain(validate_stochastic(raw))
+        with pytest.raises(RowSumViolationError):
+            diagnose_chain([[0.5, 0.6], [0.5, 0.5]])
+
     def test_three_cycle(self):
         P = validate_stochastic([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         d = diagnose_chain(P)
