@@ -119,7 +119,6 @@ class ShiftedSystem:
     factorization in a process loads the LAPACK module. A NaN or
     infinite pivot is refused, and so is a smallest |U_ii| at or below
     pivot_tol * max(1, largest |U_ii|).
-    dgecon with norm "I" on this LU estimates rcond_1(M).
     """
 
     def __init__(self, M: np.ndarray, pivot_tol: float):

@@ -35,7 +35,7 @@ from .model import (
     uniformize,
 )
 from .modelio import LoadedModel, dumps_document, format_csv, load_model
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, _residual_check
 
 __all__ = ["main", "build_parser"]
 
@@ -298,8 +298,7 @@ def _cmd_series(args, cfg: Tolerances):
 def _series_agreement_check(chain, r, exact, cfg: Tolerances) -> CheckResult:
     approx = gfm.series_fundamental(chain, r, 4096, cfg=cfg)
     if approx.tail_norm < 1e-8:
-        gap = float(np.abs(approx.Z - exact).max())
-        return CheckResult("series_vs_solve", gap <= 1e-8, gap)
+        return _residual_check("series_vs_solve", approx.Z - exact, 1e-8)
     return CheckResult("series_vs_solve", True, None,
                        note="tail bound did not reach 1e-8; skipped")
 
@@ -315,18 +314,16 @@ def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
     pi = gfm.stationary(chain, r, cfg=cfg).pi
     P = np.asarray(chain.matrix)
 
-    checks = []
-    resid = float(np.abs(g - f.values + eta - P @ g).max())
-    checks.append(CheckResult("poisson_residual", resid <= cfg.poisson_tol, resid))
-    resid = float(abs(eta - pi @ f.values))
-    checks.append(CheckResult("eta_vs_stationary_reward", resid <= 1e-8, resid))
+    checks = [
+        _residual_check("poisson_residual", g - f.values + eta - P @ g,
+                        cfg.poisson_tol),
+        _residual_check("eta_vs_stationary_reward", eta - pi @ f.values, 1e-8),
+    ]
     if poisson_only:
         return checks
 
-    resid = float(np.abs(pi @ P - pi).max())
-    checks.append(CheckResult("stationary_row_identity", resid <= 1e-8, resid))
-    resid = float(abs(pi.sum() - 1.0))
-    checks.append(CheckResult("stationary_sums_to_one", resid <= 1e-8, resid))
+    checks.append(_residual_check("stationary_row_identity", pi @ P - pi, 1e-8))
+    checks.append(_residual_check("stationary_sums_to_one", pi.sum() - 1.0, 1e-8))
     checks.extend(gfm.verify_spectral_shift(chain, r, cfg=cfg).checks)
     if diagnose_chain(chain, cfg=cfg).aperiodic:
         Z = gfm.fundamental_matrix(chain, r, cfg=cfg).Z
@@ -346,13 +343,11 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     g, eta = sol.g, sol.eta
     B = np.asarray(gen.matrix)
 
-    checks = []
-    resid = float(np.abs(-B @ g - (f.values - eta)).max())
-    checks.append(CheckResult("continuous_poisson_residual",
-                              resid <= cfg.poisson_tol, resid))
-    resid = float(abs(r.values @ g + eta))
-    checks.append(CheckResult("normalization_r_g_minus_eta",
-                              resid <= 1e-8, resid))
+    checks = [
+        _residual_check("continuous_poisson_residual", -B @ g - (f.values - eta),
+                        cfg.poisson_tol),
+        _residual_check("normalization_r_g_minus_eta", r.values @ g + eta, 1e-8),
+    ]
     if poisson_only:
         return checks
 
@@ -362,9 +357,9 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
         # a fresh chain, irreducible since B passed its gate: not gated
         pi_chain = gfm.stationary(uniformize(gen, base * mult, cfg=cfg), r,
                                   allow_unchecked=True, cfg=cfg)
-        resid = float(np.abs(pi.pi - pi_chain.pi).max())
-        checks.append(CheckResult(f"uniformization_consistency_gamma_{mult:g}x",
-                                  resid <= 1e-8, resid))
+        checks.append(_residual_check(
+            f"uniformization_consistency_gamma_{mult:g}x", pi.pi - pi_chain.pi,
+            1e-8))
     checks.extend(ctmc.verify_generator_spectrum(
         gen, gamma if gamma is not None else 2.0 * base, r, cfg=cfg).checks)
     return checks

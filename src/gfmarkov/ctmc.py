@@ -30,13 +30,12 @@ from .gfm import (
     PotentialSolution,
     StationaryDistribution,
     _as_reference,
-    _as_rewards,
     _shift_checks,
     _stationary_from,
     renormalize_potentials,
 )
-from .model import GeneratorMatrix, _checked_gamma, validate_generator
-from .report import CheckResult, VerificationReport
+from .model import _checked_gamma, reward_vector, validate_generator
+from .report import CheckResult, VerificationReport, _residual_check
 
 __all__ = [
     "ctmc_stationary",
@@ -46,25 +45,19 @@ __all__ = [
 ]
 
 
-def _as_generator(B) -> GeneratorMatrix:
-    if isinstance(B, GeneratorMatrix):
-        return B
-    return validate_generator(B)
-
-
 def ctmc_stationary(B, r=None, *, allow_unchecked: bool = False,
                     cfg: Tolerances = DEFAULT) -> StationaryDistribution:
     """Stationary distribution of the process: pi solves pi (B + e r) = r."""
-    return _stationary_from(_as_generator(B), r, allow_unchecked, cfg)
+    return _stationary_from(validate_generator(B, cfg=cfg), r, allow_unchecked, cfg)
 
 
 def _ctmc_solves(B, f, r, allow_unchecked: bool, cfg: Tolerances
                  ) -> tuple[PotentialSolution, StationaryDistribution]:
     """The potentials of :func:`ctmc_potentials` and the pi behind their
     eta, both solved on the one LU of B + e r; pi's front runs the gate."""
-    B = _as_generator(B)
+    B = validate_generator(B, cfg=cfg)
     r = _as_reference(r, B.size, cfg)
-    f = _as_rewards(f, B.size)
+    f = reward_vector(f, B.size)
     pi = _stationary_from(B, r, allow_unchecked, cfg)
     g = _linalg.shifted_system(B, r.values, cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)
@@ -107,14 +100,13 @@ def verify_generator_spectrum(B, gamma: float, r=None, *,
     eigenvalues can sit on the disk boundary; those are reported with a
     "boundary" note instead of silently passing the strict test.
     """
-    B = _as_generator(B)
+    B = validate_generator(B, cfg=cfg)
     gamma, rate = _checked_gamma(B, gamma)
     r = _as_reference(r, B.size, cfg)
-    resid = float(np.abs(np.asarray(B.matrix) @ np.ones(B.size)).max())
     lam = _linalg.small_matrix_eigenvalues(B.matrix) if B.size <= 3 else None
     shared, k0 = _shift_checks(B, r, lam, "generator_zero_eigenvalue", cfg)
-    checks = [CheckResult("generator_zero_row_sums", resid <= cfg.row_tol,
-                          resid), *shared]
+    checks = [_residual_check("generator_zero_row_sums", B.matrix @ np.ones(B.size),
+                              cfg.row_tol), *shared]
     if lam is not None:
         at_minimum = gamma <= rate * (1.0 + 1e-12)
         for i in range(B.size):

@@ -40,8 +40,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import EstimateDivergentError, ScheduleInvalidError
-from .gfm import _as_chain, _as_reference, _as_rewards, _require_irreducible
-from .model import RewardVector, StochasticMatrix, _integer
+from .gfm import _as_reference, _require_irreducible
+from .model import (RewardVector, StochasticMatrix, _integer, reward_vector,
+                    validate_stochastic)
 from .modelio import format_csv
 
 __all__ = [
@@ -240,13 +241,14 @@ def simulate_chain(P, f, s0: int, steps: int, seed: int) -> tuple[np.ndarray, np
 
     Returns `steps` transitions as arrays of length steps + 1: the
     visited states starting at s0, and the reward f(state) at each. An
-    s0, steps or seed that is not an integer is a ValueError.
+    s0, steps or seed that is not an integer is a ValueError. A raw P is
+    validated under DEFAULT tolerances; this takes none of its own.
     """
     steps = _integer("steps", steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    P = _as_chain(P)
-    f = _as_rewards(f, P.size)
+    P = validate_stochastic(P)
+    f = reward_vector(f, P.size)
     states = np.array(_sample_states(np.asarray(P.matrix), s0, steps, seed),
                       dtype=np.int64)
     return states, f.values[states]
@@ -257,13 +259,14 @@ def truncated_accumulated_reward(P, f, horizon: int) -> np.ndarray:
 
     acc_0 = f and acc_k = f + P acc_{k-1}; exact matrix arithmetic, no
     simulation. Feeds the reference-level potential formula. A horizon
-    that is not an integer is a ValueError.
+    that is not an integer is a ValueError. A raw P is validated under
+    DEFAULT tolerances; this takes none of its own.
     """
     horizon = _integer("horizon", horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    P = _as_chain(P)
-    f = _as_rewards(f, P.size)
+    P = validate_stochastic(P)
+    f = reward_vector(f, P.size)
     acc = f.values.copy()
     for _ in range(horizon):
         acc = f.values + P.matrix @ acc
@@ -277,16 +280,16 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
                       tolerances: Tolerances = DEFAULT) -> EstimateTrace:
     """Estimate potentials online from a sample path.
 
-    ``source`` is either a StochasticMatrix (a path of up to
-    cfg.max_steps transitions is walked with cfg.seed from s0) or a
-    precomputed state path of integers (a float path or s0 is a
-    ValueError, not truncated). Every step updates the single component
-    ghat(s) and adds r(s) alpha_t z_t to a running sum_i r(i) ghat(i), so
-    a step is O(1). The steps run in chunks of cfg.check_interval: a
-    chunk draws its uniforms and walks its stretch of the path from the
-    last state (or takes its slice of the given path), and takes its
-    slice of the step sizes, so neither the path nor its draws are ever
-    held whole. The first step of a chunk records the sample row and
+    ``source`` is either a chain, validated under ``tolerances`` if raw
+    (a path of up to cfg.max_steps transitions is walked with cfg.seed
+    from s0), or a precomputed state path of integers (a float path or
+    s0 is a ValueError, not truncated). Every step updates the single
+    component ghat(s) and adds r(s) alpha_t z_t to a running sum_i r(i)
+    ghat(i), so a step is O(1). The steps run in chunks of
+    cfg.check_interval: a chunk draws its uniforms and walks its stretch
+    of the path from the last state (or takes its slice of the given
+    path), and takes its slice of the step sizes, so neither the path
+    nor its draws are ever held whole. The first step of a chunk records the sample row and
     resets the running sum to the exact O(n) value, so its rounding drift
     never spans more than one chunk; the end of a full chunk records the
     history delta and tests the stopping rule.
@@ -302,7 +305,7 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     cfg = cfg or SimulationConfig()
 
     if isinstance(source, StochasticMatrix) or np.ndim(source) == 2:
-        source = _as_chain(source)
+        source = validate_stochastic(source, cfg=tolerances)
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
         rows, last, rng = _walker(np.asarray(source.matrix), s0, cfg.seed)
@@ -321,7 +324,7 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
             raise ValueError("state path entries out of range for the rewards")
         steps = states.shape[0] - 1
 
-    f = _as_rewards(f, n)
+    f = reward_vector(f, n)
     r = _as_reference(r, n, tolerances)
     alphas = schedule.alphas(steps)
 

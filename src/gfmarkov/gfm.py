@@ -38,7 +38,6 @@ from .errors import (
 from .model import (
     GeneratorMatrix,
     ReferenceVector,
-    RewardVector,
     StochasticMatrix,
     _integer,
     diagnose_chain,
@@ -47,7 +46,7 @@ from .model import (
     uniform_reference,
     validate_stochastic,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, _residual_check
 
 __all__ = [
     "FundamentalMatrix",
@@ -128,26 +127,15 @@ class SpectralRadiusEstimate:
         return self.value
 
 
-def _as_chain(P) -> StochasticMatrix:
-    if isinstance(P, StochasticMatrix):
-        return P
-    return validate_stochastic(P)
-
-
 def _as_reference(r, n: int, cfg: Tolerances) -> ReferenceVector:
     if r is None:
         return uniform_reference(n, cfg=cfg)
-    if not isinstance(r, ReferenceVector):
-        r = reference_vector(r, cfg=cfg)
+    r = reference_vector(r, cfg=cfg)
     if len(r) != n:
         raise DimensionMismatchError(
             f"reference vector has length {len(r)}, expected {n}",
             expected=n, got=len(r))
     return r
-
-
-def _as_rewards(f, n: int) -> RewardVector:
-    return reward_vector(f.values if isinstance(f, RewardVector) else f, n)
 
 
 def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
@@ -216,7 +204,7 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     Exists for inspection and verification; bulk consumers should prefer
     the single solves in :func:`potentials` / :func:`stationary`.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
@@ -236,7 +224,7 @@ def stationary(P, r=None, *, allow_unchecked: bool = False,
     zero are clamped and the vector renormalized; anything more negative
     signals numerical failure.
     """
-    return _stationary_from(_as_chain(P), r, allow_unchecked, cfg)
+    return _stationary_from(validate_stochastic(P, cfg=cfg), r, allow_unchecked, cfg)
 
 
 def potentials(P, f, r=None, *, allow_unchecked: bool = False,
@@ -247,9 +235,9 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     Poisson equation g = f - eta e + P g with eta = r.g (= pi.f). An eta
     outside [min f, max f], beyond solve tolerance, raises NearSingular.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
-    f = _as_rewards(f, P.size)
+    f = reward_vector(f, P.size)
     if not allow_unchecked:
         _require_irreducible(P, cfg)
     g = _linalg.shifted_system(P, r.values, cfg.pivot_tol).solve(f.values)
@@ -264,7 +252,7 @@ def potentials_classic(P, f, *, allow_unchecked: bool = False,
     pi and the uniform-r potentials come from the one LU kept on P; the
     classical g is theirs plus the constant of :func:`renormalize_potentials`.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     pi = stationary(P, None, allow_unchecked=allow_unchecked, cfg=cfg)
     sol = potentials(P, f, None, allow_unchecked=allow_unchecked, cfg=cfg)
     return renormalize_potentials(sol, pi.pi, cfg=cfg)
@@ -297,7 +285,7 @@ def series_fundamental(P, r=None, terms: int = 50, *,
     infinite power is not zero and never stops it. A terms that is not an
     integer is a ValueError, not truncated.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     terms = _integer("terms", terms)
     if terms < 0:
@@ -337,9 +325,9 @@ def potentials_reference_level(P, f, r=None, horizon: int = 50, *,
     past the chain's mixing time. eta is reported separately as pi.f.
     A horizon that is not an integer is a ValueError.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
-    f = _as_rewards(f, P.size)
+    f = reward_vector(f, P.size)
     horizon = _integer("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -407,14 +395,14 @@ def _shift_checks(source: StochasticMatrix | GeneratorMatrix,
     n = source.size
     M = _linalg.shifted_matrix(source, r.values)
     ones = np.ones(n)
-    resid = float(np.abs(M @ ones - r.dot_with_ones * ones).max())
-    checks = [CheckResult("ones_column_eigenvector",
-                          resid <= cfg.solve_tol_for(n), resid)]
+    checks = [_residual_check("ones_column_eigenvector",
+                              M @ ones - r.dot_with_ones * ones,
+                              cfg.solve_tol_for(n))]
     if lam is None:
         return checks, None
     k0 = int(np.argmin(np.abs(lam)))
-    zero_resid = float(abs(lam[k0]))
-    checks.append(CheckResult(zero_name, zero_resid <= 1e-8, zero_resid))
+    # the scalar's own abs: np.abs of a complex128 may differ in the last bit
+    checks.append(_residual_check(zero_name, abs(lam[k0]), 1e-8))
     expected = np.array([complex(r.dot_with_ones)]
                         + [lam[i] for i in range(n) if i != k0])
     worst = _linalg.match_spectra(expected,
@@ -431,7 +419,7 @@ def verify_spectral_shift(P, r=None, *, cfg: Tolerances = DEFAULT) -> Verificati
     {1 - lambda_i} using closed-form characteristic-polynomial roots, so
     no general eigensolver is involved.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     lam = (1.0 - _linalg.small_matrix_eigenvalues(P.matrix)
            if P.size <= 3 else None)

@@ -258,7 +258,10 @@ def validate_stochastic(raw, row_tol: float | None = None, *,
     so downstream algebra sees machine-consistent stochasticity. Validating
     the output again returns it unchanged, bit for bit. A NaN or +inf entry
     fails its row's sum (RowSumViolation); a -inf entry is a NegativeEntry.
+    A StochasticMatrix is returned unchanged, whatever row_tol and cfg say.
     """
+    if isinstance(raw, StochasticMatrix):
+        return raw
     tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "transition matrix")
     out, correction = _validate_distribution_rows(a, tol, "transition matrix")
@@ -273,7 +276,10 @@ def validate_generator(raw, row_tol: float | None = None, *,
     must lie within row_tol of 0 and the diagonal is then set to minus the
     off-diagonal sum, which also guarantees a nonpositive diagonal. A -inf
     rate is a NegativeOffDiagonal, any other non-finite entry a RowSumViolation.
+    A GeneratorMatrix is returned unchanged, whatever row_tol and cfg say.
     """
+    if isinstance(raw, GeneratorMatrix):
+        return raw
     tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "generator matrix")
     off = a.copy()
@@ -300,19 +306,25 @@ def validate_generator(raw, row_tol: float | None = None, *,
 
 
 def reward_vector(values, expected_len: int | None = None) -> RewardVector:
-    v = np.array(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise DimensionMismatchError("reward vector entries must be finite")
-    if expected_len is not None and v.shape[0] != expected_len:
+    """A finite reward vector, of length expected_len if given. A
+    RewardVector is returned unchanged; only its length is checked."""
+    if not isinstance(values, RewardVector):
+        v = np.array(values, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(v)):
+            raise DimensionMismatchError("reward vector entries must be finite")
+        values = RewardVector(_freeze(v))
+    if expected_len is not None and len(values) != expected_len:
         raise DimensionMismatchError(
-            f"reward vector has length {v.shape[0]}, expected {expected_len}",
-            expected=expected_len, got=int(v.shape[0]))
-    return RewardVector(_freeze(v))
+            f"reward vector has length {len(values)}, expected {expected_len}",
+            expected=expected_len, got=len(values))
+    return values
 
 
 def reference_vector(values, *, cfg: Tolerances = DEFAULT) -> ReferenceVector:
     """Build a reference vector, rejecting r with |r.e| below re_tol or
-    not finite."""
+    not finite. A ReferenceVector is returned unchanged."""
+    if isinstance(values, ReferenceVector):
+        return values
     v = np.array(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ReferenceDegenerateError("reference vector entries must be finite")
@@ -488,10 +500,10 @@ def diagnose_chain(P: StochasticMatrix | GeneratorMatrix, *,
     work at any depth, one Python step per BFS level; only a reducible
     support takes a csgraph strong-components pass, O(n^2 + edges), which
     imports scipy.sparse. The verdict is kept on P for the next gate with
-    the same edge_tol. Any other P is first taken through
-    :func:`validate_stochastic`, as the public solves take it.
+    the same edge_tol. Any P but a rate matrix goes through
+    :func:`validate_stochastic` under cfg, as in the public solves.
     """
-    if not isinstance(P, _ValidatedMatrix):
+    if not isinstance(P, GeneratorMatrix):
         P = validate_stochastic(P, cfg=cfg)
     def gate() -> ChainDiagnostics:
         if not isinstance(P, GeneratorMatrix):
@@ -503,9 +515,10 @@ def diagnose_chain(P: StochasticMatrix | GeneratorMatrix, *,
     return _memoized(P, "gate", cfg.edge_tol, gate)
 
 
-def min_uniformization_rate(B: GeneratorMatrix) -> float:
-    """Largest exit rate max_s |B(s,s)|, the smallest admissible gamma."""
-    return float(np.abs(np.diag(B.matrix)).max(initial=0.0))
+def min_uniformization_rate(B) -> float:
+    """Largest exit rate max_s |B(s,s)|, the smallest admissible gamma;
+    a raw B goes through :func:`validate_generator` under DEFAULT."""
+    return float(np.abs(np.diag(validate_generator(B).matrix)).max(initial=0.0))
 
 
 def _checked_gamma(B: GeneratorMatrix, gamma: float) -> tuple[float, float]:
@@ -523,13 +536,15 @@ def _checked_gamma(B: GeneratorMatrix, gamma: float) -> tuple[float, float]:
     return gamma, rate
 
 
-def uniformize(B: GeneratorMatrix, gamma: float, *,
+def uniformize(B, gamma: float, *,
                cfg: Tolerances = DEFAULT) -> StochasticMatrix:
     """Embed a rate matrix into the discrete chain P = I + B / gamma.
 
     gamma must be at least the largest exit rate, otherwise the diagonal
-    of P would go negative.
+    of P would go negative. A raw B goes through
+    :func:`validate_generator` under cfg.
     """
+    B = validate_generator(B, cfg=cfg)
     gamma, _ = _checked_gamma(B, gamma)
     P = np.eye(B.size) + np.asarray(B.matrix) / gamma
     return validate_stochastic(P, cfg.row_tol, cfg=cfg)

@@ -35,7 +35,7 @@ from ._linalg import shifted_system
 from .config import DEFAULT, Tolerances
 from .gfm import _as_reference, _checked_eta, stationary
 from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze, _memoized
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport, _residual_check
 
 __all__ = [
     "PolicyMatrix",
@@ -211,8 +211,5 @@ def q_consistency_report(m: MdpModel, q: QSolution, *,
          1e-12),
         ("eta_vs_stationary_reward", q.eta - pi_sa @ f, cfg.poisson_tol),
     )
-    checks = []
-    for name, gap, bound in gaps:
-        resid = float(np.abs(gap).max())
-        checks.append(CheckResult(name, resid <= bound, resid))
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(_residual_check(name, gap, bound)
+                                    for name, gap, bound in gaps))

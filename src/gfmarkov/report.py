@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -21,6 +23,12 @@ class CheckResult:
         if self.note:
             d["note"] = self.note
         return d
+
+
+def _residual_check(name: str, gap, bound: float) -> CheckResult:
+    """The check that max |gap| is at most bound, with that max as residual."""
+    resid = float(np.abs(gap).max())
+    return CheckResult(name, resid <= bound, resid)
 
 
 @dataclass(frozen=True)

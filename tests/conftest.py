@@ -38,7 +38,7 @@ from gfmarkov import (
 )
 from gfmarkov import _linalg
 from gfmarkov.config import DEFAULT
-from gfmarkov.ctmc import _as_generator, ctmc_stationary
+from gfmarkov.ctmc import ctmc_stationary
 from gfmarkov.errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -52,9 +52,7 @@ from gfmarkov.gfm import (
     NORM_ETA,
     FundamentalMatrix,
     PotentialSolution,
-    _as_chain,
     _as_reference,
-    _as_rewards,
     _require_irreducible,
     potentials,
     stationary,
@@ -65,6 +63,7 @@ from gfmarkov.model import (
     _freeze,
     _settle_row_sums,
     reference_vector,
+    reward_vector,
 )
 from gfmarkov.qfactors import (
     QSolution,
@@ -304,7 +303,7 @@ def reference_online_potentials(source, f, r=None,
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")
 
-    f = _as_rewards(f, n)
+    f = reward_vector(f, n)
     r = _as_reference(r, n, tolerances)
     steps = states.shape[0] - 1
     alphas = schedule.alphas(steps).tolist()
@@ -387,7 +386,7 @@ def reference_indexed_online_potentials(
     cfg = cfg or SimulationConfig()
 
     if isinstance(source, StochasticMatrix) or np.ndim(source) == 2:
-        source = _as_chain(source)
+        source = validate_stochastic(source, cfg=tolerances)
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
         states = np.asarray(_sample_states(np.asarray(source.matrix), s0,
@@ -402,7 +401,7 @@ def reference_indexed_online_potentials(
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")
 
-    f = _as_rewards(f, n)
+    f = reward_vector(f, n)
     r = _as_reference(r, n, tolerances)
     steps = states.shape[0] - 1
     alphas = schedule.alphas(steps).tolist()
@@ -487,7 +486,7 @@ def reference_series_fundamental(P, r=None, terms: int = 50, *,
     The loop as it was before the library's build learned to stop at an
     exactly-zero power, kept as its bit-for-bit oracle.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     if terms < 0:
         raise ValueError("terms must be >= 0")
@@ -519,7 +518,7 @@ def termwise_series_fundamental(P, r=None, terms: int = 50, *,
     The loop the library's binary-doubling build replaced, kept as its
     oracle: T + 1 matrix products, one power of P - e r at a time.
     """
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     if terms < 0:
         raise ValueError("terms must be >= 0")
@@ -605,7 +604,7 @@ def reference_verify_spectral_shift(P, r=None, *,
                                     cfg: Tolerances = DEFAULT) -> VerificationReport:
     """The chain's shift-lemma report, written out for I - P + e r alone:
     the eigenvalue of P nearest 1 is 1, and the rest map to 1 - lambda."""
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     n = P.size
     checks: list[CheckResult] = []
@@ -637,7 +636,7 @@ def reference_verify_generator_spectrum(B, gamma: float, r=None, *,
     """The rate matrix's spectral report, written out for B + e r alone:
     zero row sums, the shift lemma with B's eigenvalue nearest 0, and
     the gamma-disk placement of the others."""
-    B = _as_generator(B)
+    B = validate_generator(B, cfg=cfg)
     gamma, rate = _checked_gamma(B, gamma)
     r = _as_reference(r, B.size, cfg)
     n = B.size
@@ -687,7 +686,7 @@ def reference_potentials_classic(P, f, *, allow_unchecked: bool = False,
                                  cfg: Tolerances = DEFAULT):
     """Potentials with r = pi, from pi first and then a second LU, of
     I - P + e pi: the classical route, solved as it is written."""
-    P = _as_chain(P)
+    P = validate_stochastic(P, cfg=cfg)
     pi = stationary(P, None, allow_unchecked=allow_unchecked, cfg=cfg)
     r_pi = reference_vector(pi.pi, cfg=cfg)
     return potentials(P, f, r_pi, allow_unchecked=allow_unchecked, cfg=cfg)
@@ -697,8 +696,8 @@ def reference_ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
                                       cfg: Tolerances = DEFAULT):
     """The classical (B - e pi) g = -f, from pi first and then a second
     LU, of B - e pi: pi.g = +eta."""
-    B = _as_generator(B)
-    f = _as_rewards(f, B.size)
+    B = validate_generator(B, cfg=cfg)
+    f = reward_vector(f, B.size)
     pi = ctmc_stationary(B, None, allow_unchecked=allow_unchecked, cfg=cfg)
     g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
     eta = float(pi.pi @ f.values)

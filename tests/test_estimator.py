@@ -342,7 +342,7 @@ class TestStreamedRun:
         # the float64 step sizes take 8 B/step, also at the peak, as they
         # are computed in place; holding the whole path and its draws as lists
         # would take about 48
-        steps = 400_000
+        steps = 100_000
         P = validate_stochastic([[0.9, 0.1], [0.4, 0.6]])
         cfg = SimulationConfig(seed=1, max_steps=steps, epsilon=1e-300)
         tracemalloc.start()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,20 +12,31 @@ from scipy.sparse import csgraph as scipy_csgraph
 from gfmarkov import (
     GammaTooSmallError,
     NegativeEntryError,
+    SimulationConfig,
+    ctmc_potentials,
+    ctmc_potentials_classic,
     diagnose_chain,
     e1_reference,
+    fundamental_matrix,
     min_uniformization_rate,
+    online_potentials,
     potentials,
+    potentials_classic,
+    potentials_reference_level,
     reference_vector,
     reward_vector,
+    series_fundamental,
     stationary,
     uniform_reference,
     uniformize,
     validate_generator,
     validate_mdp,
     validate_stochastic,
+    verify_generator_spectrum,
+    verify_spectral_shift,
 )
 from gfmarkov import model
+from gfmarkov.config import DEFAULT
 from gfmarkov.ctmc import ctmc_stationary
 from gfmarkov.errors import (
     ModelError,
@@ -668,6 +680,18 @@ class TestUniformize:
         assert min_uniformization_rate(validate_generator([[-3, 3], [0.5, -0.5]])) == 3.0
         assert min_uniformization_rate(validate_generator([[0.0]])) == 0.0
 
+    def test_raw_rates(self):
+        raw = [[-1.0, 1.0], [2.0, -2.0]]
+        assert np.array_equal(uniformize(raw, 4.0).matrix,
+                              uniformize(validate_generator(raw), 4.0).matrix)
+        with pytest.raises(RowSumViolationError):
+            uniformize([[-1.0, 1.5], [2.0, -2.0]], 4.0)
+
+    def test_min_rate_of_raw_rates(self):
+        assert min_uniformization_rate([[-1.0, 1.0], [2.0, -2.0]]) == 2.0
+        with pytest.raises(NegativeOffDiagonalError):
+            min_uniformization_rate([[1.0, -1.0], [2.0, -2.0]])
+
     def test_preserves_stationary_distribution(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -793,3 +817,92 @@ class TestRewardVector:
         assert f.values.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             f.values[0] = 3.0
+
+
+class TestValidatorsReturnTheirOwnType:
+    def test_stochastic(self):
+        P = validate_stochastic([[0.5, 0.5], [0.2, 0.8]])
+        assert validate_stochastic(P) is P
+        assert validate_stochastic(P, 1e-15) is P
+
+    def test_generator(self):
+        B = validate_generator([[-1.0, 1.0], [2.0, -2.0]])
+        assert validate_generator(B) is B
+        assert validate_generator(B, 1e-15) is B
+
+    def test_reward(self):
+        f = reward_vector([1.0, 2.0])
+        assert reward_vector(f) is f
+        assert reward_vector(f, 2) is f
+        with pytest.raises(ModelError) as exc:
+            reward_vector(f, 3)
+        assert (exc.value.code, str(exc.value), exc.value.detail) == (
+            "DimensionMismatch", "reward vector has length 2, expected 3",
+            {"expected": 3, "got": 2})
+
+    def test_reference(self):
+        r = reference_vector([0.3, 0.9])
+        assert reference_vector(r) is r
+        assert reference_vector(r, cfg=replace(DEFAULT, re_tol=10.0)) is r
+
+
+# a chain row and a rate row 4e-4 off, and rows 1e-11 off
+_LOOSE_CHAIN = [[0.5, 0.5004], [0.5, 0.5]]
+_LOOSE_RATES = [[-1.0, 1.0004], [1.0, -1.0]]
+_TIGHT_CHAIN = [[0.5, 0.5 + 1e-11], [0.5, 0.5]]
+_TIGHT_RATES = [[-1.0, 1.0 + 1e-11], [1.0, -1.0]]
+_F = [1.0, -2.0]
+
+
+def _bits(*arrays) -> list:
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+# every public entry that takes tolerances and a raw matrix: (kind, the
+# call on a matrix under a Tolerances, its result as comparable values)
+_ENTRIES = {
+    "fundamental_matrix": ("chain", lambda A, cfg: _bits(
+        fundamental_matrix(A, cfg=cfg).Z)),
+    "stationary": ("chain", lambda A, cfg: _bits(stationary(A, cfg=cfg).pi)),
+    "potentials": ("chain", lambda A, cfg: (lambda s: _bits(s.g, s.eta))(
+        potentials(A, _F, cfg=cfg))),
+    "potentials_classic": ("chain", lambda A, cfg: _bits(
+        potentials_classic(A, _F, cfg=cfg).g)),
+    "series_fundamental": ("chain", lambda A, cfg: _bits(
+        series_fundamental(A, None, 20, cfg=cfg).Z)),
+    "potentials_reference_level": ("chain", lambda A, cfg: _bits(
+        potentials_reference_level(A, _F, cfg=cfg).g)),
+    "verify_spectral_shift": ("chain", lambda A, cfg:
+                              verify_spectral_shift(A, cfg=cfg).to_dict()),
+    "ctmc_stationary": ("rates", lambda A, cfg: _bits(
+        ctmc_stationary(A, cfg=cfg).pi)),
+    "ctmc_potentials": ("rates", lambda A, cfg: _bits(
+        ctmc_potentials(A, _F, cfg=cfg).g)),
+    "ctmc_potentials_classic": ("rates", lambda A, cfg: _bits(
+        ctmc_potentials_classic(A, _F, cfg=cfg).g)),
+    "verify_generator_spectrum": ("rates", lambda A, cfg:
+                                  verify_generator_spectrum(A, 3.0, cfg=cfg).to_dict()),
+    "online_potentials": ("chain", lambda A, cfg: _bits(online_potentials(
+        A, _F, cfg=SimulationConfig(seed=3, max_steps=500),
+        tolerances=cfg).g_hat)),
+    "uniformize": ("rates", lambda A, cfg: _bits(uniformize(A, 3.0, cfg=cfg).matrix)),
+    "diagnose_chain": ("chain", lambda A, cfg: diagnose_chain(A, cfg=cfg)),
+}
+
+
+class TestEntriesValidateUnderCallerTolerances:
+    """Each public entry validates a raw matrix under the cfg it is given."""
+
+    @pytest.mark.parametrize("name", sorted(_ENTRIES))
+    def test_raw_matrix_follows_row_tol(self, name):
+        kind, call = _ENTRIES[name]
+        loose, tight, validate = (
+            (_LOOSE_CHAIN, _TIGHT_CHAIN, validate_stochastic) if kind == "chain"
+            else (_LOOSE_RATES, _TIGHT_RATES, validate_generator))
+        cfg = replace(DEFAULT, row_tol=1e-3)
+        with pytest.raises(RowSumViolationError):
+            validate(loose)
+        assert call(loose, cfg) == call(validate(loose, cfg=cfg), cfg)
+        call(tight, DEFAULT)
+        with pytest.raises(RowSumViolationError):
+            call(tight, replace(DEFAULT, row_tol=1e-13))
