@@ -35,18 +35,20 @@ from .model import (
     uniformize,
 )
 from .modelio import LoadedModel, dumps_document, format_csv, load_model
-from .report import CheckResult, VerificationReport, _residual_check
+from .report import CheckResult, VerificationReport, _residual_check, _reward_scale
 
 __all__ = ["main", "build_parser"]
 
 
 def _ranged(convert, low, strict: bool = False):
-    """argparse type: convert the text, refuse values below low (or at it)."""
+    """argparse type: convert the text, refuse inf and values below low (or at it)."""
     def parse(text: str):
         value = convert(text)
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}")
+        if value == np.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     parse.__name__ = convert.__name__
     return parse
@@ -313,11 +315,12 @@ def _dtmc_checks(loaded: LoadedModel, poisson_only: bool,
     g, eta = sol.g, sol.eta
     pi = gfm.stationary(chain, r, cfg=cfg).pi
     P = np.asarray(chain.matrix)
+    scale = _reward_scale(f.values)
 
     checks = [
         _residual_check("poisson_residual", g - f.values + eta - P @ g,
-                        cfg.poisson_tol),
-        _residual_check("eta_vs_stationary_reward", eta - pi @ f.values, 1e-8),
+                        cfg.poisson_tol * scale),
+        _residual_check("eta_vs_stationary_reward", eta - pi @ f.values, 1e-8 * scale),
     ]
     if poisson_only:
         return checks
@@ -342,11 +345,13 @@ def _ctmc_checks(loaded: LoadedModel, poisson_only: bool, gamma: float | None,
     sol, pi = ctmc._ctmc_solves(gen, f, r, False, cfg)
     g, eta = sol.g, sol.eta
     B = np.asarray(gen.matrix)
+    scale = _reward_scale(f.values)
 
     checks = [
         _residual_check("continuous_poisson_residual", -B @ g - (f.values - eta),
-                        cfg.poisson_tol),
-        _residual_check("normalization_r_g_minus_eta", r.values @ g + eta, 1e-8),
+                        cfg.poisson_tol * scale),
+        _residual_check("normalization_r_g_minus_eta", r.values @ g + eta,
+                        1e-8 * scale),
     ]
     if poisson_only:
         return checks

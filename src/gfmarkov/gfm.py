@@ -46,7 +46,7 @@ from .model import (
     uniform_reference,
     validate_stochastic,
 )
-from .report import CheckResult, VerificationReport, _residual_check
+from .report import CheckResult, VerificationReport, _residual_check, _reward_scale
 
 __all__ = [
     "FundamentalMatrix",
@@ -153,26 +153,6 @@ def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
             f"chain is periodic with period {diag.period}", period=diag.period)
 
 
-def _checked_eta(r: np.ndarray, g: np.ndarray, f: np.ndarray,
-                 cfg: Tolerances) -> float:
-    """eta = r.g, refused when it is no average of f.
-
-    In exact arithmetic r.g = pi.f, which lies in [min f, max f]. A value
-    outside that range widened by solve_tol_for(n) * max(1, max |f|)
-    means the LU passed its pivot test on a matrix too close to singular
-    for g to be trusted: NearSingular.
-    """
-    eta = float(r @ g)
-    low, high = float(f.min()), float(f.max())
-    slack = cfg.solve_tol_for(f.shape[0]) * max(1.0, high, -low)
-    if not low - slack <= eta <= high + slack:
-        raise NearSingularError(
-            f"average reward r.g = {eta:.10g} lies outside [min f, max f] = "
-            f"[{low:.6g}, {high:.6g}]; the shifted matrix is singular to "
-            "working precision", eta=eta)
-    return eta
-
-
 def _stationary_from(source: StochasticMatrix | GeneratorMatrix, r,
                      allow_unchecked: bool, cfg: Tolerances) -> StationaryDistribution:
     """pi from pi (A + e r) = r, on the LU that ``_linalg.shifted_system``
@@ -232,8 +212,10 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     """Potential vector from one linear solve, no pi required.
 
     g solves (I - P + e r) g = f; the returned solution satisfies the
-    Poisson equation g = f - eta e + P g with eta = r.g (= pi.f). An eta
-    outside [min f, max f], beyond solve tolerance, raises NearSingular.
+    Poisson equation g = f - eta e + P g with eta = r.g (= pi.f), which
+    lies in [min f, max f] in exact arithmetic. An eta outside that range
+    widened by solve_tol_for(n) * max(1, max |f|) means the LU passed its
+    pivot test on a matrix too close to singular to trust g: NearSingular.
     """
     P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
@@ -241,8 +223,15 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     if not allow_unchecked:
         _require_irreducible(P, cfg)
     g = _linalg.shifted_system(P, r.values, cfg.pivot_tol).solve(f.values)
-    return PotentialSolution(g, _checked_eta(r.values, g, f.values, cfg), r,
-                             NORM_ETA)
+    eta = float(r.values @ g)
+    low, high = float(f.values.min()), float(f.values.max())
+    slack = cfg.solve_tol_for(P.size) * _reward_scale(f.values)
+    if not low - slack <= eta <= high + slack:
+        raise NearSingularError(
+            f"average reward r.g = {eta:.10g} lies outside [min f, max f] = "
+            f"[{low:.6g}, {high:.6g}]; the shifted matrix is singular to "
+            "working precision", eta=eta)
+    return PotentialSolution(g, eta, r, NORM_ETA)
 
 
 def potentials_classic(P, f, *, allow_unchecked: bool = False,

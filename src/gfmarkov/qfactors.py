@@ -11,12 +11,12 @@ That (S*A) x (S*A) system is never formed. The policy chain
 P_pi = L P_sa has the same nonzero spectrum as P_sa L, with
 multiplicities, so I - P_sa L + e r is singular exactly when the S x S
 matrix I - P_pi + e r_S is, with r_S(s) = sum_a r(s,a) and r_S.e = r.e.
-One factorization of the latter gives the state potentials g and
-eta = r_S.g; the Q-factors are g lifted to pairs plus the advantage
-f(s,a) - f_pi(s) + p(s,a,.).g - P_pi(s,.).g, shifted so that r.Q = eta.
-P_pi is formed once, kept on the model as a StochasticMatrix and
-factored through ``_linalg.shifted_system`` like any chain, so the
-Q-factor solve and the pair distribution share it and its LU.
+So ``qfactors_solve`` is ``gfm.potentials`` on the policy chain, with
+f_pi and r_S: it gives g and eta = r_S.g, and the Q-factors are g lifted
+to pairs plus the advantage f(s,a) - f_pi(s) + p(s,a,.).g - P_pi(s,.).g,
+shifted so that r.Q = eta. P_pi is formed once and kept on the model, so
+the Q-factor solve and the pair distribution share it, its LU and the
+r_S of ``_state_reference``.
 ``q_consistency_report`` checks Q on the S x A x S tensor too; only
 ``build_state_action_chain`` forms P_sa L, for a caller that wants it.
 
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import shifted_system
+from . import gfm
 from .config import DEFAULT, Tolerances
-from .gfm import _as_reference, _checked_eta, stationary
-from .model import MdpModel, ReferenceVector, StochasticMatrix, _freeze, _memoized
-from .report import VerificationReport, _residual_check
+from .model import (MdpModel, ReferenceVector, RewardVector, StochasticMatrix,
+                    _freeze, _memoized)
+from .report import VerificationReport, _residual_check, _reward_scale
 
 __all__ = [
     "PolicyMatrix",
@@ -112,8 +112,7 @@ def build_state_action_chain(m: MdpModel, *, cfg: Tolerances = DEFAULT) -> State
     sums = tilde.sum(axis=1)
     worst = float(np.abs(sums - 1.0).max(initial=0.0))
     if worst > cfg.row_tol:
-        # both factors are exactly row-stochastic, so this cannot happen
-        # short of overflow-scale inputs
+        # validate_mdp leaves both factors exactly row-stochastic
         raise AssertionError(f"state-action chain rows drifted by {worst:.3e}")
     return StateActionChain(_freeze(tilde))
 
@@ -130,10 +129,12 @@ def _policy_chain(m: MdpModel) -> StochasticMatrix:
         _freeze(np.einsum("sa,sat->st", m.policy, m.transitions))))
 
 
-def _state_reference(r: ReferenceVector, S: int, A: int) -> np.ndarray:
-    """r_S(s) = sum_a r(s,a): the reference of the policy-chain system."""
-    with np.errstate(over="ignore"):  # an inf r_S fails the pivot check
-        return r.values.reshape(S, A).sum(axis=1)
+def _state_reference(r: ReferenceVector, S: int, A: int) -> ReferenceVector:
+    """r_S(s) = sum_a r(s,a) with r_S.e = r.e, from the validated r and not
+    validated again: an r_S that overflows or cancels fails the pivot check."""
+    with np.errstate(over="ignore"):
+        return ReferenceVector(_freeze(r.values.reshape(S, A).sum(axis=1)),
+                               r.dot_with_ones)
 
 
 def _pair_distribution(m: MdpModel, r: ReferenceVector, cfg: Tolerances) -> np.ndarray:
@@ -145,27 +146,26 @@ def _pair_distribution(m: MdpModel, r: ReferenceVector, cfg: Tolerances) -> np.n
     """
     # Q-factors need only a simple unit eigenvalue: P_pi is never gated
     r_S = _state_reference(r, m.states, m.actions)
-    pi_S = stationary(_policy_chain(m), r_S, allow_unchecked=True, cfg=cfg).pi
+    pi_S = gfm.stationary(_policy_chain(m), r_S, allow_unchecked=True, cfg=cfg).pi
     return (pi_S[:, None] * m.policy).reshape(-1)
 
 
 def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSolution:
     """Solve (I - PL + e r) Q = f over state-action pairs, at S x S cost.
 
-    One factorization of I - P_pi + e r_S gives g and eta = r_S.g; then
-    Q = g(s) + advantage(s,a), shifted by (eta - r.Q) / r.e. With one
-    action the advantage and the shift are exactly zero, so Q is the
+    ``gfm.potentials`` of P_pi, f_pi and r_S gives g and eta = r_S.g;
+    then Q = g(s) + advantage(s,a), shifted by (eta - r.Q) / r.e. With
+    one action the advantage and the shift are exactly zero, so Q is the
     chain's potential vector bit for bit.
 
-    Only simplicity of the chain's unit eigenvalue is required (the solve
-    raises NearSingular otherwise, as it does for an eta outside
-    [min f_pi, max f_pi] beyond solve tolerance); actions the policy
-    never takes keep their rows and get a warning, since they can make
-    the state-action chain reducible even when the induced state chain
-    is fine.
+    Only simplicity of the chain's unit eigenvalue is required: P_pi is
+    not gated, and f_pi and r_S, made from validated fields, are not
+    validated again. Actions the policy never takes keep their rows and
+    get a warning, since they can make the state-action chain reducible
+    even when the induced state chain is fine.
     """
     S, A = m.states, m.actions
-    r = _as_reference(r, S * A, cfg)
+    r = gfm._as_reference(r, S * A, cfg)
     dead = _zero_probability_actions(m)
     if dead:
         warnings.warn(
@@ -173,19 +173,18 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
     P_pi = _policy_chain(m)
-    f_pi = (m.policy * m.rewards).sum(axis=1)
-    r_S = _state_reference(r, S, A)
-    g = shifted_system(P_pi, r_S, cfg.pivot_tol).solve(f_pi)
-    eta = _checked_eta(r_S, g, f_pi, cfg)
+    f_pi = _freeze((m.policy * m.rewards).sum(axis=1))
+    sol = gfm.potentials(P_pi, RewardVector(f_pi), _state_reference(r, S, A),
+                         allow_unchecked=True, cfg=cfg)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the
     # advantage vanishes exactly when A = 1
     adv = ((m.rewards - f_pi[:, None]).reshape(-1)
-           + m.transitions.reshape(S * A, S) @ g
-           - np.repeat(P_pi.matrix @ g, A))
-    q = np.repeat(g, A) + adv
-    q += (eta - float(r.values @ q)) / r.dot_with_ones
+           + m.transitions.reshape(S * A, S) @ sol.g
+           - np.repeat(P_pi.matrix @ sol.g, A))
+    q = np.repeat(sol.g, A) + adv
+    q += (sol.eta - float(r.values @ q)) / r.dot_with_ones
     induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
-    return QSolution(q, eta, r, induced_g)
+    return QSolution(q, sol.eta, r, induced_g)
 
 
 def q_consistency_report(m: MdpModel, q: QSolution, *,
@@ -196,20 +195,21 @@ def q_consistency_report(m: MdpModel, q: QSolution, *,
     p(s,a,s2) g(s2) with g the induced state values, the fixed point
     Q = f - eta e + P_sa (L Q) with L Q taken afresh from Q, the row sums
     P_sa (L e) of P_sa L, and eta against the state-action stationary
-    average reward. No (S*A)^2 array is formed.
+    average reward. No (S*A)^2 array is formed. The bounds of the three
+    residuals linear in f scale with max(1, max |f|).
     """
     S, A = m.states, m.actions
     f = m.rewards.reshape(-1)
     P_sa = m.transitions.reshape(S * A, S)
     Lq = (m.policy * q.q.reshape(S, A)).sum(axis=1)
     pi_sa = _pair_distribution(m, q.reference, cfg)
+    tol = cfg.poisson_tol * _reward_scale(f)
     gaps = (
-        ("q_pointwise_definition", q.q - (f - q.eta + P_sa @ q.induced_g),
-         cfg.poisson_tol),
-        ("q_fixed_point", q.q - (f - q.eta + P_sa @ Lq), cfg.poisson_tol),
+        ("q_pointwise_definition", q.q - (f - q.eta + P_sa @ q.induced_g), tol),
+        ("q_fixed_point", q.q - (f - q.eta + P_sa @ Lq), tol),
         ("state_action_rows_stochastic", P_sa @ m.policy.sum(axis=1) - 1.0,
          1e-12),
-        ("eta_vs_stationary_reward", q.eta - pi_sa @ f, cfg.poisson_tol),
+        ("eta_vs_stationary_reward", q.eta - pi_sa @ f, tol),
     )
     return VerificationReport(tuple(_residual_check(name, gap, bound)
                                     for name, gap, bound in gaps))

@@ -31,6 +31,11 @@ def _residual_check(name: str, gap, bound: float) -> CheckResult:
     return CheckResult(name, resid <= bound, resid)
 
 
+def _reward_scale(f: np.ndarray) -> float:
+    """max(1, max |f|), the factor on the bound of a residual linear in f."""
+    return max(1.0, float(np.abs(f).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """A batch of checks; passes only if every member passed."""

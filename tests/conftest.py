@@ -572,30 +572,30 @@ def reference_q_consistency_report(m: MdpModel, q: QSolution, *,
     p(s,a,s2) g(s2) with g the induced state values, the equivalent
     fixed-point form through the state-action chain, the chain's row
     sums, and eta against the state-action stationary average reward.
+    The three residuals linear in f are bounded by poisson_tol times
+    max(1, max |f|).
     """
     S, A = m.states, m.actions
     f = m.rewards.reshape(-1)
     chain = build_state_action_chain(m, cfg=cfg)
     checks: list[CheckResult] = []
+    tol = cfg.poisson_tol * max(1.0, float(np.abs(f).max()))
 
     P_sa = m.transitions.reshape(S * A, S)
     point = q.q - (f - q.eta + P_sa @ q.induced_g)
     resid = float(np.abs(point).max())
-    checks.append(CheckResult("q_pointwise_definition",
-                              resid <= cfg.poisson_tol, resid))
+    checks.append(CheckResult("q_pointwise_definition", resid <= tol, resid))
 
     fixed = q.q - (f - q.eta + chain.matrix @ q.q)
     resid = float(np.abs(fixed).max())
-    checks.append(CheckResult("q_fixed_point",
-                              resid <= cfg.poisson_tol, resid))
+    checks.append(CheckResult("q_fixed_point", resid <= tol, resid))
 
     rows = float(np.abs(chain.matrix.sum(axis=1) - 1.0).max())
     checks.append(CheckResult("state_action_rows_stochastic",
                               rows <= 1e-12, rows))
 
     resid = float(abs(q.eta - _pair_distribution(m, q.reference, cfg) @ f))
-    checks.append(CheckResult("eta_vs_stationary_reward",
-                              resid <= cfg.poisson_tol, resid))
+    checks.append(CheckResult("eta_vs_stationary_reward", resid <= tol, resid))
 
     return VerificationReport(tuple(checks))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import subprocess
@@ -8,13 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from gfmarkov import _linalg, cli, gfm
+from gfmarkov import _linalg, cli, ctmc, gfm
 from gfmarkov import model as model_module
 from gfmarkov import qfactors as qf
 from gfmarkov.cli import main
 from gfmarkov.errors import ModelFormatError
 from gfmarkov.estimator import SimulationConfig, online_potentials
-from gfmarkov.modelio import load_model
+from gfmarkov.modelio import dumps_document, load_model
 
 from conftest import MODELS, count_calls, random_mdp
 
@@ -254,7 +255,12 @@ class TestExitCodes:
                      ["check", "--poisson-tol", "-1"],
                      ["potentials", "--row-tol", "-1"],
                      ["stationary", "--solve-tol", "nan"],
-                     ["estimate", "--re-tol", "0"]):
+                     ["estimate", "--re-tol", "0"],
+                     ["estimate", "--epsilon", "inf"],
+                     ["validate", "--row-tol", "inf"],
+                     ["potentials", "--solve-tol", "inf"],
+                     ["check", "--poisson-tol", "inf"],
+                     ["stationary", "--re-tol", "inf"]):
             try:
                 code = main([*argv, "--model", model])
             except SystemExit as e:  # argparse usage error
@@ -410,6 +416,94 @@ class TestModelFile:
     def test_loaded_states(self, models_dir, name):
         path = models_dir / f"{name}.json"
         assert load_model(path).states == json.loads(path.read_text())["states"]
+
+
+def test_document_names_a_type_it_cannot_write():
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        dumps_document({"x": [1.0, 1j]})
+
+
+def large_reward_documents(scale: float) -> dict:
+    """A dense n=50 dtmc, its rate-matrix form B = P - I and an S=20, A=3
+    mdp, all with rewards drawn on (0, scale)."""
+    rng = np.random.default_rng(0)
+    P = rng.random((50, 50))
+    P /= P.sum(axis=1, keepdims=True)
+    f = rng.random(50) * scale
+    p = rng.random((20, 3, 20))
+    pol = rng.random((20, 3))
+    return {
+        "dtmc": {"kind": "dtmc", "states": 50, "P": P.tolist(), "f": f.tolist()},
+        "ctmc": {"kind": "ctmc", "states": 50, "B": (P - np.eye(50)).tolist(),
+                 "f": f.tolist()},
+        "mdp": {"kind": "mdp", "states": 20, "actions": 3,
+                "p": (p / p.sum(axis=2, keepdims=True)).tolist(),
+                "f": (rng.random((20, 3)) * scale).tolist(),
+                "policy": (pol / pol.sum(axis=1, keepdims=True)).tolist()},
+    }
+
+
+class TestCheckBoundsScaleWithRewards:
+    """The bounds of the residuals linear in f scale with max(1, |f|inf),
+    so a check verdict does not depend on the unit of f."""
+
+    @staticmethod
+    def _check(capsys, path) -> tuple[int, list, str]:
+        code, out, err = run_cli(capsys, "check", "--model", str(path))
+        checks = [(c["name"], c["passed"]) for c in json.loads(out)["checks"]]
+        return code, checks, err
+
+    @pytest.mark.parametrize("kind", ["dtmc", "ctmc", "mdp"])
+    def test_large_rewards_pass(self, capsys, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(large_reward_documents(1e9)[kind]))
+        code, _, err = self._check(capsys, path)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("name", [
+        "two_state", "two_state_sym", "ctmc_two_state", "mdp_two_state",
+        "dtmc", "ctmc", "mdp"])
+    def test_verdicts_do_not_depend_on_the_unit_of_f(self, capsys, models_dir,
+                                                     tmp_path, name):
+        docs = large_reward_documents(1.0)
+        doc = (docs[name] if name in docs
+               else json.loads((models_dir / f"{name}.json").read_text()))
+        verdicts = []
+        for c in (1.0, 1e3, 1e9):
+            path = tmp_path / f"{name}_{c:g}.json"
+            scaled = dict(doc, f=(np.array(doc["f"]) * c).tolist())
+            path.write_text(json.dumps(scaled))
+            code, checks, _ = self._check(capsys, path)
+            verdicts.append((code, checks))
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+
+    @pytest.mark.parametrize("kind", ["dtmc", "ctmc", "mdp"])
+    def test_a_nudged_solution_still_fails(self, capsys, monkeypatch, tmp_path,
+                                           kind):
+        doc = large_reward_documents(1e9)[kind]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        step = 1e-6 * float(np.abs(doc["f"]).max())
+        owner, name, field = {"dtmc": (gfm, "potentials", "g"),
+                              "ctmc": (ctmc, "_ctmc_solves", "g"),
+                              "mdp": (qf, "qfactors_solve", "q")}[kind]
+        real = getattr(owner, name)
+
+        def nudged(*args, **kwargs):
+            # one entry of g or Q moved by 1e-6 |f|inf
+            out = real(*args, **kwargs)
+            sol = out[0] if kind == "ctmc" else out
+            v = getattr(sol, field)
+            sol = dataclasses.replace(
+                sol, **{field: v + step * (np.arange(v.size) == 3)})
+            return (sol, out[1]) if kind == "ctmc" else sol
+
+        monkeypatch.setattr(owner, name, nudged)
+        code, checks, err = self._check(capsys, path)
+        assert code == 1 and "check failed" in err
+        assert not dict(checks)[{"dtmc": "poisson_residual",
+                                 "ctmc": "continuous_poisson_residual",
+                                 "mdp": "q_pointwise_definition"}[kind]]
 
 
 class TestCommands:

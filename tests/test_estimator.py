@@ -324,6 +324,15 @@ class TestOnlinePotentials:
                         out)
         assert out.getvalue() == "t,state,reward,z_t,eta_hat\n"
 
+    @pytest.mark.parametrize("count, total, sumsq", [(0, 0.0, 0.0),
+                                                     (1, 3.0, 25.0)])
+    def test_residual_std_needs_two_residuals(self, count, total, sumsq):
+        # one residual of 3 with sumsq 25 would give a spread of 4
+        tr = estimator.EstimateTrace(np.zeros(2), 0.0, 0, False, 0,
+                                     residual_count=count, residual_sum=total,
+                                     residual_sumsq=sumsq)
+        assert tr.residual_std == 0.0
+
 
 class TestStreamedRun:
     """A run walks and holds one check interval of its path at a time."""

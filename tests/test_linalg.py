@@ -181,6 +181,11 @@ class TestNonFiniteShiftedMatrix:
             qfactors_solve(m, [-1e308, 0.0, 1e308, 1e308])
 
 
+def test_closed_form_eigenvalues_refuse_4x4():
+    with pytest.raises(ValueError, match="only available up to 3x3"):
+        _linalg.small_matrix_eigenvalues(np.eye(4))
+
+
 class TestFactorLayout:
     """Every shifted factorization hands getrf the F-contiguous transpose
     of a C-ordered buffer, which LAPACK overwrites with the LU in place,

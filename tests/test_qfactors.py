@@ -19,11 +19,12 @@ from gfmarkov import (
     validate_mdp,
     validate_stochastic,
 )
-from gfmarkov import _linalg
+from gfmarkov import _linalg, gfm
 from gfmarkov import qfactors as qf
 from gfmarkov.config import DEFAULT
 from gfmarkov.errors import NearSingularError
 from gfmarkov.model import MdpModel, StochasticMatrix
+from gfmarkov.modelio import load_model
 from gfmarkov.qfactors import _pair_distribution, action_transition_matrix
 
 from conftest import (
@@ -99,6 +100,14 @@ class TestPolicyMatrix:
 
 
 class TestStateActionChain:
+    def test_rows_drifted_past_row_tol_raise(self):
+        # a directly built model skips validate_mdp's renormalization
+        m = random_mdp(np.random.default_rng(2), 3, 2)
+        p = m.transitions.copy()
+        p[1, 0] *= 1.0 + 1e-6
+        with pytest.raises(AssertionError, match="rows drifted by"):
+            build_state_action_chain(MdpModel(p, m.rewards, m.policy))
+
     def test_single_state_product(self):
         m = single_state_two_action()
         chain = build_state_action_chain(m)
@@ -381,6 +390,26 @@ class TestPolicyChainRouteMatchesOracle:
                 reference_qfactors_solve(m, r)
             with pytest.raises(NearSingularError):
                 qfactors_solve(m, r)
+
+
+class TestPolicyChainSolve:
+    """qfactors_solve is gfm.potentials on the policy chain, and the pair
+    distribution solves on the same chain at the same r_S."""
+
+    def test_one_potentials_call(self, monkeypatch):
+        m = random_mdp(np.random.default_rng(11), 5, 3)
+        calls = count_calls(monkeypatch, gfm, "potentials")
+        qfactors_solve(m)
+        assert len(calls) == 1
+
+    def test_cancelling_policy_reference_is_near_singular(self, models_dir):
+        # r.e = 1, but r_S = (1e16 + 1, -1e16 + 1) rounds to (1e16, -1e16)
+        m = load_model(models_dir / "mdp_two_state.json").mdp
+        r = reference_vector([1e16, 1.0, -1e16, 1.0])
+        with pytest.raises(NearSingularError):
+            qfactors_solve(m, r)
+        with pytest.raises(NearSingularError):
+            _pair_distribution(m, r, DEFAULT)
 
 
 class TestActionTransitionMatrix:
