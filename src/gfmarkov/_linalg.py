@@ -5,7 +5,11 @@ chain, A = B for a rate matrix): :func:`shifted_matrix` alone forms it
 and :func:`shifted_system` alone factors it, into a ``ShiftedSystem``
 that checks the pivots and serves g, pi and the explicit inverse from
 one LU of M^T, kept on the validated matrix for later calls with the
-same r.
+same r. A caller that passes the structural gate to
+:func:`shifted_system` has M factored on one daemon worker thread while
+the gate runs on its own: the worker starts at the first such LU miss,
+so a process that never factors starts no thread; a busy worker means
+the call gates and factors inline; a fork child gets a worker of its own.
 The LU comes from LAPACK's dgetrf and dgetrs (Anderson et al., *LAPACK
 Users' Guide*, 3rd ed., 1999), called through :func:`getrf` and
 :func:`getrs` on scipy's f2py extension ``scipy.linalg._flapack``. That
@@ -170,17 +174,101 @@ def shifted_matrix(source: StochasticMatrix | GeneratorMatrix,
     return M
 
 
+class _Worker:
+    """The one thread that factors a shifted matrix while its caller gates it.
+
+    Started as a daemon at the first :meth:`submit` and fed one job at a
+    time through a ``queue.SimpleQueue``. ``idle`` is held from a hand-off
+    until the worker has run that job, so a second caller meanwhile gets
+    None and factors on its own thread. Each result, or the exception the
+    job raised, goes to the job's own queue; a caller that stops waiting
+    (its gate refused the matrix, or it was interrupted) only leaves it
+    unread, and the worker serves the next job.
+    """
+
+    def __init__(self):
+        self.idle = threading.Lock()
+        self.jobs = None
+
+    def submit(self, job):
+        """The queue that will get job()'s value or exception, or None if
+        the worker is busy."""
+        if not self.idle.acquire(blocking=False):
+            return None
+        import queue  # here, so a process that never factors skips it
+        try:
+            if self.jobs is None:
+                jobs = queue.SimpleQueue()
+                threading.Thread(target=self._serve, args=(jobs,),
+                                 name="gfmarkov-factor", daemon=True).start()
+                self.jobs = jobs
+            done = queue.SimpleQueue()
+            self.jobs.put((job, done))
+        except BaseException:
+            self.idle.release()
+            raise
+        return done
+
+    def _serve(self, jobs) -> None:
+        while True:
+            job, done = jobs.get()
+            try:
+                result = job()
+            except BaseException as e:  # the caller raises it, or drops it
+                result = e
+            self.idle.release()
+            done.put(result)
+            del job, done, result  # hold no matrix until the next job
+
+
+_worker = _Worker()
+
+
+def _new_worker() -> None:
+    """A fresh worker for a fork child, where the parent's thread does not run."""
+    global _worker
+    _worker = _Worker()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _value(result):
+    """result, or raised if it is the exception a worker job raised."""
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def shifted_system(source: StochasticMatrix | GeneratorMatrix, r: np.ndarray,
-                   pivot_tol: float) -> ShiftedSystem:
+                   pivot_tol: float, gate=None) -> ShiftedSystem:
     """The factored I - P + e r of a chain, or B + e r of a rate matrix.
 
     Read from the memo on `source` when its last factorization had the
     same r and pivot_tol, else factored and stored there. A NearSingular
     factorization is not stored, so every call with it raises again.
+
+    A `gate` (the structural gate of `source`) is called on this thread
+    before the LU is returned; on a memo miss the worker factors
+    meanwhile, or this thread does after the gate if the worker is busy.
+    The gate's exception wins and the LU is dropped, so a refused matrix
+    keeps no LU; the worker's NearSingular is raised only once the gate
+    has passed.
     """
-    return _memoized(source, "lu", (r.tobytes(), pivot_tol),
-                     lambda: ShiftedSystem(shifted_matrix(source, r),
-                                           pivot_tol))
+    key = (r.tobytes(), pivot_tol)
+
+    def factor() -> ShiftedSystem:
+        return ShiftedSystem(shifted_matrix(source, r), pivot_tol)
+
+    if gate is None:
+        return _memoized(source, "lu", key, factor)
+    hit = source._memo.get("lu")
+    done = None if hit is not None and hit[0] == key else _worker.submit(factor)
+    gate()
+    if done is None:  # a memo hit, or a busy worker
+        return _memoized(source, "lu", key, factor)
+    return _memoized(source, "lu", key, lambda: _value(done.get()))
 
 
 def _polish_root(x: complex, coeffs: tuple[float, ...]) -> complex:

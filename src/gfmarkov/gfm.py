@@ -153,6 +153,15 @@ def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
             f"chain is periodic with period {diag.period}", period=diag.period)
 
 
+def _factored(source: StochasticMatrix | GeneratorMatrix, r: ReferenceVector,
+              allow_unchecked: bool, cfg: Tolerances) -> _linalg.ShiftedSystem:
+    """The LU of source's shifted matrix at r, behind the structural gate
+    unless allow_unchecked; on an LU miss the gate runs while the worker of
+    ``_linalg.shifted_system`` factors."""
+    gate = None if allow_unchecked else lambda: _require_irreducible(source, cfg)
+    return _linalg.shifted_system(source, r.values, cfg.pivot_tol, gate)
+
+
 def _stationary_from(source: StochasticMatrix | GeneratorMatrix, r,
                      allow_unchecked: bool, cfg: Tolerances) -> StationaryDistribution:
     """pi from pi (A + e r) = r, on the LU that ``_linalg.shifted_system``
@@ -164,9 +173,7 @@ def _stationary_from(source: StochasticMatrix | GeneratorMatrix, r,
     renormalized; anything more negative signals numerical failure.
     """
     r = _as_reference(r, source.size, cfg)
-    if not allow_unchecked:
-        _require_irreducible(source, cfg)
-    pi = _linalg.shifted_system(source, r.values, cfg.pivot_tol).solve_row(r.values)
+    pi = _factored(source, r, allow_unchecked, cfg).solve_row(r.values)
     low = float(pi.min(initial=0.0))
     if low < -cfg.solve_tol_for(pi.shape[0]):
         what = "process" if isinstance(source, GeneratorMatrix) else "chain"
@@ -186,9 +193,7 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     """
     P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
-    if not allow_unchecked:
-        _require_irreducible(P, cfg)
-    Z = _linalg.shifted_system(P, r.values, cfg.pivot_tol).inverse()
+    Z = _factored(P, r, allow_unchecked, cfg).inverse()
     # the LU overwrote its own copy of M
     norm = np.abs(_linalg.shifted_matrix(P, r.values)).sum(axis=0).max()
     cond = float(norm * np.abs(Z).sum(axis=0).max())
@@ -220,9 +225,7 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     f = reward_vector(f, P.size)
-    if not allow_unchecked:
-        _require_irreducible(P, cfg)
-    g = _linalg.shifted_system(P, r.values, cfg.pivot_tol).solve(f.values)
+    g = _factored(P, r, allow_unchecked, cfg).solve(f.values)
     eta = float(r.values @ g)
     low, high = float(f.values.min()), float(f.values.max())
     slack = cfg.solve_tol_for(P.size) * _reward_scale(f.values)

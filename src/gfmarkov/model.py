@@ -15,6 +15,10 @@ or gate with the same reference and tolerances reuses them; an
 MdpModel's memo keeps its policy chain P_pi, a StochasticMatrix. A memo
 costs at most one n x n array per matrix and never changes a result;
 concurrent first calls may each compute an entry, with identical bits.
+A gated solve stores the LU only after the gate has passed: on an LU
+miss ``_linalg.shifted_system`` factors on its one daemon worker thread
+while the gate runs on the caller's (inline when the worker is busy; a
+fork child gets its own), and a refused matrix keeps no LU.
 
 :func:`diagnose_chain` is the one structural gate, for chains and rate
 matrices alike. It decides every irreducible support, its period

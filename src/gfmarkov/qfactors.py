@@ -33,8 +33,8 @@ import numpy as np
 
 from . import gfm
 from .config import DEFAULT, Tolerances
-from .model import (MdpModel, ReferenceVector, RewardVector, StochasticMatrix,
-                    _freeze, _memoized)
+from .model import (MdpModel, ReferenceVector, StochasticMatrix, _freeze,
+                    _memoized, reward_vector)
 from .report import VerificationReport, _residual_check, _reward_scale
 
 __all__ = [
@@ -159,10 +159,12 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
     chain's potential vector bit for bit.
 
     Only simplicity of the chain's unit eigenvalue is required: P_pi is
-    not gated, and f_pi and r_S, made from validated fields, are not
-    validated again. Actions the policy never takes keep their rows and
-    get a warning, since they can make the state-action chain reducible
-    even when the induced state chain is fine.
+    not gated, and r_S, made from validated fields, is not validated
+    again. f_pi is: a policy average of finite rewards that overflows is
+    a DimensionMismatch, as a non-finite f is in ``gfm.potentials``.
+    Actions the policy never takes keep their rows and get a warning,
+    since they can make the state-action chain reducible even when the
+    induced state chain is fine.
     """
     S, A = m.states, m.actions
     r = gfm._as_reference(r, S * A, cfg)
@@ -173,12 +175,13 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
             f"{dead}; the state-action chain may be reducible",
             stacklevel=2)
     P_pi = _policy_chain(m)
-    f_pi = _freeze((m.policy * m.rewards).sum(axis=1))
-    sol = gfm.potentials(P_pi, RewardVector(f_pi), _state_reference(r, S, A),
+    with np.errstate(over="ignore"):  # an infinite f_pi is refused here
+        f_pi = reward_vector((m.policy * m.rewards).sum(axis=1), S)
+    sol = gfm.potentials(P_pi, f_pi, _state_reference(r, S, A),
                          allow_unchecked=True, cfg=cfg)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the
     # advantage vanishes exactly when A = 1
-    adv = ((m.rewards - f_pi[:, None]).reshape(-1)
+    adv = ((m.rewards - f_pi.values[:, None]).reshape(-1)
            + m.transitions.reshape(S * A, S) @ sol.g
            - np.repeat(P_pi.matrix @ sol.g, A))
     q = np.repeat(sol.g, A) + adv

@@ -140,6 +140,23 @@ class TestExitCodes:
         assert "not finite" in json.loads(out)["message"]
         assert err.count("\n") == 1 and "warning" not in err
 
+    @pytest.mark.parametrize("command", ["qfactors", "check"])
+    def test_overflowing_policy_average_exits_2(self, capsys, tmp_path,
+                                                command):
+        # every reward is finite, but state 1's policy average overflows
+        path = tmp_path / "huge_rewards.json"
+        path.write_text(json.dumps({
+            "kind": "mdp", "states": 2, "actions": 3,
+            "p": np.full((2, 3, 2), 0.5).tolist(),
+            "f": np.full((2, 3), np.finfo(float).max).tolist(),
+            "policy": [[1 / 3] * 3, [0.5332105630672446, 0.4652278496369079,
+                                     0.0015615872958476093]]}))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "DimensionMismatch"
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_eta_outside_reward_range_exits_3(self, capsys, tmp_path):
         # r.e ~ 7.1e-12: the LU passes its pivot check, but r.g = 1.0000030
         # is no average of f = (1, 0)

@@ -18,7 +18,7 @@ import pytest
 from conftest import REPO_ROOT
 
 CLI_RUN = """
-    import contextlib, io, json, sys
+    import contextlib, io, json, sys, threading
     import gfmarkov.cli as cli
     imported = "scipy" in sys.modules
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
@@ -29,6 +29,7 @@ CLI_RUN = """
                       "flapack": "scipy.linalg._flapack" in sys.modules,
                       "sparse": "scipy.sparse" in sys.modules,
                       "scipy": "scipy" in sys.modules,
+                      "threads": threading.active_count(),
                       "lazy": sorted(m for m in sys.modules
                                      if m in {lazy!r})}}))
 """
@@ -110,6 +111,7 @@ def test_commands_that_never_factor_load_no_scipy(command, model):
     out = _cli(command, "--model", f"models/{model}.json")
     assert out["code"] == 0
     assert not out["imported"] and not out["scipy"]
+    assert out["threads"] == 1  # and start no factor worker
 
 
 def test_factoring_command_loads_scipy_linalg_quietly():
@@ -120,6 +122,7 @@ def test_factoring_command_loads_scipy_linalg_quietly():
         assert out["code"] == 0
         assert out["flapack"], command
         assert not (out["imported"] or out["scipy"] or out["linalg"]), command
+        assert out["threads"] == 2, command  # the one factor worker
 
 
 def _dtmc_file(path, P) -> str:

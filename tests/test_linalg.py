@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +21,14 @@ from gfmarkov import (
     qfactors_solve,
     stationary,
 )
-from gfmarkov import _linalg
+from gfmarkov import _linalg, model
 from gfmarkov._linalg import ShiftedSystem, shifted_system
-from gfmarkov.errors import NearSingularError
-from gfmarkov.model import GeneratorMatrix, StochasticMatrix, validate_stochastic
+from gfmarkov.config import Tolerances
+from gfmarkov.errors import (NearSingularError, NotErgodicError,
+                             NotIrreducibleError)
+from gfmarkov.gfm import _require_irreducible
+from gfmarkov.model import (GeneratorMatrix, StochasticMatrix, validate_generator,
+                            validate_stochastic)
 from gfmarkov.modelio import load_model
 
 from conftest import (
@@ -27,6 +36,7 @@ from conftest import (
     random_chain,
     random_generator_matrix,
     random_mdp,
+    random_periodic_chain,
     exact_solve,
     random_reference,
     reference_shifted_lu,
@@ -240,3 +250,282 @@ class TestClassicRoutesFactorOnce:
         factors = count_calls(monkeypatch, _linalg, "getrf")
         route(source, f)
         assert len(factors) == 1
+
+
+WORKER = "gfmarkov-factor"
+
+
+def _worker_idle() -> None:
+    """Wait until the factor worker has run every job handed to it."""
+    with _linalg._worker.idle:
+        pass
+
+
+def _factoring_threads(monkeypatch) -> list:
+    """The name of the thread of each getrf call from now on."""
+    names = []
+    real = _linalg.getrf
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "getrf", recorded)
+    return names
+
+
+def _fresh(P: StochasticMatrix) -> StochasticMatrix:
+    return StochasticMatrix(P.matrix, P.max_correction)
+
+
+def _solve_all(P, f) -> tuple:
+    """g, eta, pi, Z and its condition estimate: every gated LU user."""
+    sol = potentials(P, f)
+    fm = fundamental_matrix(P)
+    return sol.g, sol.eta, stationary(P).pi, fm.Z, fm.condition_estimate
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+class TestFactorWorker:
+    """A gated LU miss is factored on the worker thread while the gate
+    runs on the caller's; a busy worker means the caller factors inline.
+    The gate's exception wins, a refused matrix keeps no LU, and the
+    bits are those of the inline factorization."""
+
+    def setup_method(self):
+        _worker_idle()
+
+    def test_gated_miss_factors_on_the_one_worker(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        P, f = random_chain(rng, 30), rng.random(30)
+        names = _factoring_threads(monkeypatch)
+        got = _solve_all(P, f)
+        assert names == [WORKER]
+        assert sum(t.name == WORKER for t in threading.enumerate()) == 1
+        inline = _fresh(P)
+        g = potentials(inline, f, allow_unchecked=True)
+        assert names == [WORKER, threading.current_thread().name]
+        assert np.array_equal(got[0], g.g) and got[1] == g.eta
+        assert _same_bits(got, _solve_all(_fresh(P), f))
+
+    def test_busy_worker_means_an_inline_solve(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        P, f = random_chain(rng, 30), rng.random(30)
+        expected = _solve_all(_fresh(P), f)
+        _worker_idle()
+        names = _factoring_threads(monkeypatch)
+        with _linalg._worker.idle:  # the worker is busy
+            got = _solve_all(P, f)
+        assert names == [threading.current_thread().name]
+        assert _same_bits(got, expected)
+
+    @pytest.mark.parametrize("solve", [
+        lambda P, **kw: potentials(P, [1.0, 0.0], **kw), stationary,
+        fundamental_matrix],
+        ids=["potentials", "stationary", "fundamental_matrix"])
+    def test_gate_error_wins_over_a_singular_lu(self, monkeypatch, solve):
+        # two closed classes: M = I - I + e r is singular, and the worker
+        # finds it so while the gate refuses the chain
+        P = validate_stochastic([[1.0, 0.0], [0.0, 1.0]])
+        names = _factoring_threads(monkeypatch)
+        with pytest.raises(NotIrreducibleError):
+            solve(P)
+        _worker_idle()
+        assert names == [WORKER]
+        with pytest.raises(NearSingularError):
+            solve(_fresh(P), allow_unchecked=True)
+
+    def test_rate_matrix_gate_error_wins(self):
+        B = validate_generator([[0.0, 0.0], [1.0, -1.0]])
+        with pytest.raises(NotErgodicError):
+            ctmc_potentials(B, [1.0, 0.0])
+
+    def test_refused_unichain_keeps_no_lu(self, monkeypatch):
+        P = validate_stochastic([[1.0, 0.0], [0.5, 0.5]])
+        names = _factoring_threads(monkeypatch)
+        with pytest.raises(NotIrreducibleError):
+            potentials(P, [1.0, 0.0])
+        _worker_idle()
+        assert names == [WORKER]  # the LU was made, and dropped
+        assert "lu" not in P._memo and "gate" in P._memo
+
+    def test_near_singular_after_the_gate_passes(self, monkeypatch):
+        # every pivot is at or below a pivot_tol of 1
+        P = random_chain(np.random.default_rng(79), 6)
+        gates = count_calls(monkeypatch, model, "_support_diagnostics")
+        with pytest.raises(NearSingularError, match="pivot below"):
+            potentials(P, np.ones(6), cfg=Tolerances(pivot_tol=1.0))
+        assert len(gates) == 1 and "lu" not in P._memo
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_gate_error_wins_after_the_worker_is_done(self, singular):
+        P = validate_stochastic(np.eye(2) if singular else [[0.5, 0.5],
+                                                             [0.5, 0.5]])
+
+        def gate():
+            _worker_idle()  # the worker has stored nothing, and is done
+            raise ValueError("refused")
+
+        with pytest.raises(ValueError, match="refused"):
+            shifted_system(P, np.full(2, 0.5), 1e-12, gate)
+        assert "lu" not in P._memo
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                        reason="needs signal.setitimer")
+    def test_interrupted_caller_leaves_the_worker_serving(self, monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        real = _linalg.shifted_matrix
+
+        def slow(source, r):
+            time.sleep(0.5)
+            return real(source, r)
+
+        rng = np.random.default_rng(83)
+        P, f = random_chain(rng, 8), rng.random(8)
+        monkeypatch.setattr(_linalg, "shifted_matrix", slow)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(Interrupted):
+                potentials(P, f)  # waits on the worker when the alarm rings
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "lu" not in P._memo
+        monkeypatch.setattr(_linalg, "shifted_matrix", real)
+        _worker_idle()
+        names = _factoring_threads(monkeypatch)
+        sol = potentials(P, f)
+        assert names == [WORKER]
+        assert np.array_equal(sol.g,
+                              potentials(_fresh(P), f, allow_unchecked=True).g)
+
+    def test_threads_with_their_own_chains_match_sequential_bits(self):
+        # four first solves at once: one thread gets the worker, the rest
+        # find it busy and factor inline
+        rng = np.random.default_rng(89)
+        chains = [random_chain(rng, 200) for _ in range(4)]
+        f = rng.random(200)
+        expected = [_solve_all(_fresh(P), f) for P in chains]
+        start = threading.Barrier(4)
+        got: list = [None] * 4
+
+        def solve(i: int) -> None:
+            start.wait(timeout=30)
+            got[i] = _solve_all(chains[i], f)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(_same_bits(g, e) for g, e in zip(got, expected, strict=True))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    def test_fork_child_gets_its_own_worker(self):
+        rng = np.random.default_rng(97)
+        parent, child = random_chain(rng, 20), random_chain(rng, 20)
+        f = rng.random(20)
+        potentials(parent, f)  # the worker runs in this process
+        expected = _solve_all(_fresh(child), f)
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only on the worker's right bits
+            ok = False
+            try:
+                ok = (_same_bits(_solve_all(child, f), expected)
+                      and any(t.name == WORKER for t in threading.enumerate()))
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the fork child did not finish its solve")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestGatedSolvesMatchGateThenInline:
+    """Every public gated solve returns, or raises, what the serial order
+    returns or raises: the gate, then an inline factorization on a fresh
+    object. Chains are irreducible, reducible, periodic or near-singular
+    (an r.e just above re_tol), at uniform, e1 and signed r."""
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            out = call()
+        except Exception as e:  # the error's type and message are compared
+            return type(e), str(e)
+        return tuple(np.asarray(x).tobytes() for x in out)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           kind=st.sampled_from(["irreducible", "reducible", "periodic",
+                                 "near-singular", "rates"]),
+           ref=st.sampled_from(["uniform", "e1", "signed"]))
+    def test_outcomes(self, seed, n, kind, ref):
+        rng = np.random.default_rng(seed)
+        if kind == "rates":
+            source = random_generator_matrix(rng, n)
+        elif kind == "periodic":
+            source = random_periodic_chain(n)
+        else:
+            source = random_chain(rng, n)
+            if kind == "reducible":  # state 0 absorbing
+                raw = np.array(source.matrix)
+                raw[0] = np.eye(n)[0]
+                source = validate_stochastic(raw)
+        r = {"uniform": None, "e1": np.eye(n)[0],
+             "signed": random_reference(rng, n)}[ref]
+        if kind == "near-singular":
+            r = random_reference(rng, n)
+            r[-1] -= r.sum() - 2e-12
+        f = rng.random(n)
+        cfg = Tolerances()
+
+        def solves(source, allow_unchecked):
+            if isinstance(source, GeneratorMatrix):
+                return (
+                    lambda: (ctmc_potentials(source, f, r,
+                                             allow_unchecked=allow_unchecked).g,),
+                    lambda: (ctmc_stationary(source, r,
+                                             allow_unchecked=allow_unchecked).pi,))
+            return (
+                lambda: (potentials(source, f, r,
+                                    allow_unchecked=allow_unchecked).g,),
+                lambda: (stationary(source, r,
+                                    allow_unchecked=allow_unchecked).pi,),
+                lambda: (fundamental_matrix(source, r,
+                                            allow_unchecked=allow_unchecked).Z,))
+
+        kind_of = type(source)
+        for k, gated in enumerate(solves(kind_of(source.matrix), False)):
+            serial = kind_of(source.matrix)
+
+            def gate_then_inline():
+                _require_irreducible(serial, cfg)
+                return solves(serial, True)[k]()
+
+            assert self._outcome(gated) == self._outcome(gate_then_inline), k

@@ -22,7 +22,7 @@ from gfmarkov import (
 from gfmarkov import _linalg, gfm
 from gfmarkov import qfactors as qf
 from gfmarkov.config import DEFAULT
-from gfmarkov.errors import NearSingularError
+from gfmarkov.errors import DimensionMismatchError, NearSingularError
 from gfmarkov.model import MdpModel, StochasticMatrix
 from gfmarkov.modelio import load_model
 from gfmarkov.qfactors import _pair_distribution, action_transition_matrix
@@ -77,6 +77,15 @@ def assert_matches_oracle(q, ref, exact: bool):
 def single_state_two_action():
     # both actions stay in the single state; policy always takes the first
     return validate_mdp(np.ones((1, 2, 1)), [[1.0, 0.0]], [[1.0, 0.0]])
+
+
+def overflowing_average_mdp() -> MdpModel:
+    """S=2, A=3, every reward the largest float; state 1's policy average
+    of the rewards overflows to inf."""
+    return validate_mdp(
+        np.full((2, 3, 2), 0.5), np.full((2, 3), np.finfo(float).max),
+        [[1 / 3] * 3,
+         [0.5332105630672446, 0.4652278496369079, 0.0015615872958476093]])
 
 
 class TestPolicyMatrix:
@@ -174,6 +183,14 @@ class TestQfactorsSolve:
             assert abs(q1.eta - q2.eta) <= 1e-8
             diff = q1.q - q2.q
             assert diff.max() - diff.min() <= 1e-8
+
+    def test_overflowing_policy_average_is_refused(self):
+        # finite rewards whose policy average rounds past the largest float
+        m = overflowing_average_mdp()
+        with np.errstate(over="ignore"):
+            assert np.isinf((m.policy * m.rewards).sum(axis=1)).any()
+        with pytest.raises(DimensionMismatchError, match="must be finite"):
+            qfactors_solve(m)
 
     def test_induced_g_solves_state_poisson_up_to_constant(self):
         rng = np.random.default_rng(149)
