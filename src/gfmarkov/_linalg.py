@@ -5,11 +5,18 @@ chain, A = B for a rate matrix): :func:`shifted_matrix` alone forms it
 and :func:`shifted_system` alone factors it, into a ``ShiftedSystem``
 that checks the pivots and serves g, pi and the explicit inverse from
 one LU of M^T, kept on the validated matrix for later calls with the
-same r. A caller that passes the structural gate to
-:func:`shifted_system` has M factored on one daemon worker thread while
-the gate runs on its own: the worker starts at the first such LU miss,
-so a process that never factors starts no thread; a busy worker means
-the call gates and factors inline; a fork child gets a worker of its own.
+same r. Every LU miss is factored on one daemon worker thread, and a
+gated one runs the structural gate on the caller's thread meanwhile:
+the worker starts at the first miss, so a process that never factors
+starts no thread; a busy worker means the call gates and factors
+inline; a fork child gets a worker of its own. The worker is kept for
+two reasons. It overlaps the gate with the LU, and the LU's n x n
+buffers come from its own malloc arena, not the caller's: in loops
+over the benchmark's solve ops (2-vCPU host), factoring every LU on the
+caller's thread took 1186-1264 minor page faults per solve-dense op and
+1374 per solve-sparse op, against 0-593 and 0 with the worker.
+Factoring inline, gating first and then handing the LU off, and a fresh
+thread per miss were each measured slower.
 The LU comes from LAPACK's dgetrf and dgetrs (Anderson et al., *LAPACK
 Users' Guide*, 3rd ed., 1999), called through :func:`getrf` and
 :func:`getrs` on scipy's f2py extension ``scipy.linalg._flapack``. That
@@ -34,8 +41,9 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .errors import NearSingularError
-from .model import GeneratorMatrix, StochasticMatrix, _memoized
+from .config import Tolerances
+from .errors import NearSingularError, NumericalError
+from .model import GeneratorMatrix, StochasticMatrix, _require_irreducible
 
 OMEGA = complex(-0.5, 0.5 * 3.0 ** 0.5)  # primitive cube root of unity
 
@@ -122,7 +130,8 @@ class ShiftedSystem:
     :meth:`solve` is then the transposed :func:`getrs`. The first
     factorization in a process loads the LAPACK module. A NaN or
     infinite pivot is refused, and so is a smallest |U_ii| at or below
-    pivot_tol * max(1, largest |U_ii|).
+    pivot_tol * max(1, largest |U_ii|). A solve that overflows, a
+    non-finite x from finite M and b, is a NumericalError.
     """
 
     def __init__(self, M: np.ndarray, pivot_tol: float):
@@ -146,7 +155,12 @@ class ShiftedSystem:
         # memoized system must not share that array, or the shifts stack
         # and rows are swapped out of bounds
         lu, piv = self._lu_piv
-        return getrs(lu, piv.copy(), b, trans)
+        x = getrs(lu, piv.copy(), b, trans)
+        if not np.isfinite(x).all():
+            raise NumericalError("overflow in the solve: a finite shifted "
+                                 "matrix and right-hand side gave a "
+                                 "non-finite solution")
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with M x = b."""
@@ -175,26 +189,29 @@ def shifted_matrix(source: StochasticMatrix | GeneratorMatrix,
 
 
 class _Worker:
-    """The one thread that factors a shifted matrix while its caller gates it.
+    """The one thread that factors every shifted matrix an LU miss needs.
 
-    Started as a daemon at the first :meth:`submit` and fed one job at a
+    Started as a daemon at the first :meth:`run` and fed one job at a
     time through a ``queue.SimpleQueue``. ``idle`` is held from a hand-off
-    until the worker has run that job, so a second caller meanwhile gets
-    None and factors on its own thread. Each result, or the exception the
-    job raised, goes to the job's own queue; a caller that stops waiting
-    (its gate refused the matrix, or it was interrupted) only leaves it
-    unread, and the worker serves the next job.
+    until the worker has run that job, so a second caller meanwhile runs
+    its job inline. Each result, or the exception the job raised, goes to
+    the job's own queue; a caller that stops waiting (its gate refused the
+    matrix, or it was interrupted) only leaves it unread, and the worker
+    serves the next job.
     """
 
     def __init__(self):
         self.idle = threading.Lock()
         self.jobs = None
 
-    def submit(self, job):
-        """The queue that will get job()'s value or exception, or None if
-        the worker is busy."""
+    def run(self, job, meanwhile):
+        """job()'s value, computed on the worker while meanwhile() runs on
+        this thread; a busy worker means meanwhile(), then job(), here.
+        meanwhile's exception wins, and job's is raised only after
+        meanwhile has returned."""
         if not self.idle.acquire(blocking=False):
-            return None
+            meanwhile()
+            return job()
         import queue  # here, so a process that never factors skips it
         try:
             if self.jobs is None:
@@ -207,7 +224,11 @@ class _Worker:
         except BaseException:
             self.idle.release()
             raise
-        return done
+        meanwhile()
+        result = done.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     def _serve(self, jobs) -> None:
         while True:
@@ -234,41 +255,35 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
 
 
-def _value(result):
-    """result, or raised if it is the exception a worker job raised."""
-    if isinstance(result, BaseException):
-        raise result
-    return result
-
-
 def shifted_system(source: StochasticMatrix | GeneratorMatrix, r: np.ndarray,
-                   pivot_tol: float, gate=None) -> ShiftedSystem:
-    """The factored I - P + e r of a chain, or B + e r of a rate matrix.
+                   cfg: Tolerances, gated: bool) -> ShiftedSystem:
+    """The factored I - P + e r of a chain, or B + e r of a rate matrix,
+    behind the structural gate of `source` if `gated`.
 
     Read from the memo on `source` when its last factorization had the
-    same r and pivot_tol, else factored and stored there. A NearSingular
-    factorization is not stored, so every call with it raises again.
-
-    A `gate` (the structural gate of `source`) is called on this thread
-    before the LU is returned; on a memo miss the worker factors
-    meanwhile, or this thread does after the gate if the worker is busy.
-    The gate's exception wins and the LU is dropped, so a refused matrix
-    keeps no LU; the worker's NearSingular is raised only once the gate
-    has passed.
+    same r and cfg.pivot_tol, else factored on the worker and stored
+    there. A gated miss runs the gate on this thread while the worker
+    factors, unless `source` already holds a verdict for cfg.edge_tol:
+    that verdict is read first, so a stored refusal costs no LU. The
+    gate's exception wins and a refused matrix keeps no LU; a
+    NearSingular factorization is not stored, so every call with it
+    raises again, and only once the gate has passed.
     """
-    key = (r.tobytes(), pivot_tol)
-
-    def factor() -> ShiftedSystem:
-        return ShiftedSystem(shifted_matrix(source, r), pivot_tol)
-
-    if gate is None:
-        return _memoized(source, "lu", key, factor)
+    key = (r.tobytes(), cfg.pivot_tol)
     hit = source._memo.get("lu")
-    done = None if hit is not None and hit[0] == key else _worker.submit(factor)
-    gate()
-    if done is None:  # a memo hit, or a busy worker
-        return _memoized(source, "lu", key, factor)
-    return _memoized(source, "lu", key, lambda: _value(done.get()))
+    hit = hit[1] if hit is not None and hit[0] == key else None
+    verdict = source._memo.get("gate")
+    if gated and (hit is not None
+                  or verdict is not None and verdict[0] == cfg.edge_tol):
+        _require_irreducible(source, cfg)
+        gated = False
+    if hit is not None:
+        return hit
+    system = _worker.run(
+        lambda: ShiftedSystem(shifted_matrix(source, r), cfg.pivot_tol),
+        lambda: _require_irreducible(source, cfg) if gated else None)
+    source._memo["lu"] = (key, system)  # one store: readers see old or new
+    return system
 
 
 def _polish_root(x: complex, coeffs: tuple[float, ...]) -> complex:

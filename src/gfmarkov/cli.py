@@ -27,6 +27,7 @@ from . import gfm
 from .config import DEFAULT, Tolerances
 from .errors import GfmError, ModelFormatError, NumericalError
 from .model import (
+    _require_irreducible,
     diagnose_chain,
     e1_reference,
     min_uniformization_rate,
@@ -183,7 +184,7 @@ def _load(args, cfg: Tolerances, kind: str | None,
             f"command {args.command!r} needs a {kind!r} model, got {loaded.kind!r}",
             expected=kind, got=loaded.kind)
     if loaded.kind != "mdp":
-        gfm._require_irreducible(_matrix(loaded), cfg, need_aperiodic)
+        _require_irreducible(_matrix(loaded), cfg, need_aperiodic)
     _refuse_csv(args)
     return loaded
 

@@ -59,7 +59,7 @@ def _ctmc_solves(B, f, r, allow_unchecked: bool, cfg: Tolerances
     r = _as_reference(r, B.size, cfg)
     f = reward_vector(f, B.size)
     pi = _stationary_from(B, r, allow_unchecked, cfg)
-    g = _linalg.shifted_system(B, r.values, cfg.pivot_tol).solve(-f.values)
+    g = _linalg.shifted_system(B, r.values, cfg, False).solve(-f.values)
     eta = float(pi.pi @ f.values)
     return PotentialSolution(g, eta, r, NORM_MINUS_ETA), pi
 

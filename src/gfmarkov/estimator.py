@@ -40,9 +40,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import EstimateDivergentError, ScheduleInvalidError
-from .gfm import _as_reference, _require_irreducible
-from .model import (RewardVector, StochasticMatrix, _integer, reward_vector,
-                    validate_stochastic)
+from .gfm import _as_reference
+from .model import (RewardVector, StochasticMatrix, _integer,
+                    _require_irreducible, reward_vector, validate_stochastic)
 from .modelio import format_csv
 
 __all__ = [

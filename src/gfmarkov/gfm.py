@@ -29,9 +29,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DimensionMismatchError,
     NearSingularError,
-    NotAperiodicError,
-    NotErgodicError,
-    NotIrreducibleError,
     ReferenceNotDistributionLikeError,
     SeriesDivergentError,
 )
@@ -40,7 +37,7 @@ from .model import (
     ReferenceVector,
     StochasticMatrix,
     _integer,
-    diagnose_chain,
+    _require_irreducible,
     reference_vector,
     reward_vector,
     uniform_reference,
@@ -138,30 +135,6 @@ def _as_reference(r, n: int, cfg: Tolerances) -> ReferenceVector:
     return r
 
 
-def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
-                         need_aperiodic: bool = False) -> None:
-    """The structural gate of a chain, or of a rate matrix (NotErgodic)."""
-    diag = diagnose_chain(P, cfg=cfg)
-    if not diag.irreducible:
-        error, what = ((NotErgodicError, "generator is not ergodic")
-                       if isinstance(P, GeneratorMatrix)
-                       else (NotIrreducibleError, "chain is not irreducible"))
-        raise error(f"{what} ({diag.num_closed_classes} closed class(es))",
-                    num_closed_classes=diag.num_closed_classes)
-    if need_aperiodic and not diag.aperiodic:
-        raise NotAperiodicError(
-            f"chain is periodic with period {diag.period}", period=diag.period)
-
-
-def _factored(source: StochasticMatrix | GeneratorMatrix, r: ReferenceVector,
-              allow_unchecked: bool, cfg: Tolerances) -> _linalg.ShiftedSystem:
-    """The LU of source's shifted matrix at r, behind the structural gate
-    unless allow_unchecked; on an LU miss the gate runs while the worker of
-    ``_linalg.shifted_system`` factors."""
-    gate = None if allow_unchecked else lambda: _require_irreducible(source, cfg)
-    return _linalg.shifted_system(source, r.values, cfg.pivot_tol, gate)
-
-
 def _stationary_from(source: StochasticMatrix | GeneratorMatrix, r,
                      allow_unchecked: bool, cfg: Tolerances) -> StationaryDistribution:
     """pi from pi (A + e r) = r, on the LU that ``_linalg.shifted_system``
@@ -173,7 +146,8 @@ def _stationary_from(source: StochasticMatrix | GeneratorMatrix, r,
     renormalized; anything more negative signals numerical failure.
     """
     r = _as_reference(r, source.size, cfg)
-    pi = _factored(source, r, allow_unchecked, cfg).solve_row(r.values)
+    pi = _linalg.shifted_system(source, r.values, cfg,
+                                not allow_unchecked).solve_row(r.values)
     low = float(pi.min(initial=0.0))
     if low < -cfg.solve_tol_for(pi.shape[0]):
         what = "process" if isinstance(source, GeneratorMatrix) else "chain"
@@ -193,7 +167,7 @@ def fundamental_matrix(P, r=None, *, allow_unchecked: bool = False,
     """
     P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
-    Z = _factored(P, r, allow_unchecked, cfg).inverse()
+    Z = _linalg.shifted_system(P, r.values, cfg, not allow_unchecked).inverse()
     # the LU overwrote its own copy of M
     norm = np.abs(_linalg.shifted_matrix(P, r.values)).sum(axis=0).max()
     cond = float(norm * np.abs(Z).sum(axis=0).max())
@@ -225,7 +199,7 @@ def potentials(P, f, r=None, *, allow_unchecked: bool = False,
     P = validate_stochastic(P, cfg=cfg)
     r = _as_reference(r, P.size, cfg)
     f = reward_vector(f, P.size)
-    g = _factored(P, r, allow_unchecked, cfg).solve(f.values)
+    g = _linalg.shifted_system(P, r.values, cfg, not allow_unchecked).solve(f.values)
     eta = float(r.values @ g)
     low, high = float(f.values.min()), float(f.values.max())
     slack = cfg.solve_tol_for(P.size) * _reward_scale(f.values)

@@ -15,13 +15,10 @@ or gate with the same reference and tolerances reuses them; an
 MdpModel's memo keeps its policy chain P_pi, a StochasticMatrix. A memo
 costs at most one n x n array per matrix and never changes a result;
 concurrent first calls may each compute an entry, with identical bits.
-A gated solve stores the LU only after the gate has passed: on an LU
-miss ``_linalg.shifted_system`` factors on its one daemon worker thread
-while the gate runs on the caller's (inline when the worker is busy; a
-fork child gets its own), and a refused matrix keeps no LU.
 
 :func:`diagnose_chain` is the one structural gate, for chains and rate
-matrices alike. It decides every irreducible support, its period
+matrices alike, and ``_require_irreducible`` the one helper that raises
+on its verdict. It decides every irreducible support, its period
 included, by numpy alone, with no scipy loaded; only a reducible support
 takes the csgraph route, which imports ``scipy.sparse`` at each call,
 not with the package, to count the closed classes.
@@ -41,6 +38,9 @@ from .errors import (
     NegativeEntryError,
     NegativeOffDiagonalError,
     NonSquareError,
+    NotAperiodicError,
+    NotErgodicError,
+    NotIrreducibleError,
     ReferenceDegenerateError,
     RowSumViolationError,
 )
@@ -253,6 +253,13 @@ def _validate_distribution_rows(a: np.ndarray, tol: float,
     return out, max(0.0, -float(low), moved)
 
 
+def _refuse_other_type(raw, expected: type) -> None:
+    """TypeError if raw is a validated matrix of the type other than expected."""
+    if isinstance(raw, _ValidatedMatrix):
+        raise TypeError(f"expected a {expected.__name__} or a raw array, got "
+                        f"a {type(raw).__name__}")
+
+
 def validate_stochastic(raw, row_tol: float | None = None, *,
                         cfg: Tolerances = DEFAULT) -> StochasticMatrix:
     """Validate and renormalize a transition matrix.
@@ -262,10 +269,12 @@ def validate_stochastic(raw, row_tol: float | None = None, *,
     so downstream algebra sees machine-consistent stochasticity. Validating
     the output again returns it unchanged, bit for bit. A NaN or +inf entry
     fails its row's sum (RowSumViolation); a -inf entry is a NegativeEntry.
-    A StochasticMatrix is returned unchanged, whatever row_tol and cfg say.
+    A StochasticMatrix is returned unchanged, whatever row_tol and cfg say;
+    a GeneratorMatrix is a TypeError.
     """
     if isinstance(raw, StochasticMatrix):
         return raw
+    _refuse_other_type(raw, StochasticMatrix)
     tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "transition matrix")
     out, correction = _validate_distribution_rows(a, tol, "transition matrix")
@@ -280,10 +289,12 @@ def validate_generator(raw, row_tol: float | None = None, *,
     must lie within row_tol of 0 and the diagonal is then set to minus the
     off-diagonal sum, which also guarantees a nonpositive diagonal. A -inf
     rate is a NegativeOffDiagonal, any other non-finite entry a RowSumViolation.
-    A GeneratorMatrix is returned unchanged, whatever row_tol and cfg say.
+    A GeneratorMatrix is returned unchanged, whatever row_tol and cfg say;
+    a StochasticMatrix is a TypeError.
     """
     if isinstance(raw, GeneratorMatrix):
         return raw
+    _refuse_other_type(raw, GeneratorMatrix)
     tol = _row_tol(row_tol, cfg)
     a = _require_square(raw, "generator matrix")
     off = a.copy()
@@ -517,6 +528,21 @@ def diagnose_chain(P: StochasticMatrix | GeneratorMatrix, *,
         np.fill_diagonal(adj, True)
         return _support_diagnostics(adj)
     return _memoized(P, "gate", cfg.edge_tol, gate)
+
+
+def _require_irreducible(P: StochasticMatrix | GeneratorMatrix, cfg: Tolerances,
+                         need_aperiodic: bool = False) -> None:
+    """The structural gate of a chain, or of a rate matrix (NotErgodic)."""
+    diag = diagnose_chain(P, cfg=cfg)
+    if not diag.irreducible:
+        error, what = ((NotErgodicError, "generator is not ergodic")
+                       if isinstance(P, GeneratorMatrix)
+                       else (NotIrreducibleError, "chain is not irreducible"))
+        raise error(f"{what} ({diag.num_closed_classes} closed class(es))",
+                    num_closed_classes=diag.num_closed_classes)
+    if need_aperiodic and not diag.aperiodic:
+        raise NotAperiodicError(
+            f"chain is periodic with period {diag.period}", period=diag.period)
 
 
 def min_uniformization_rate(B) -> float:

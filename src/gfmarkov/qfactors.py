@@ -33,6 +33,7 @@ import numpy as np
 
 from . import gfm
 from .config import DEFAULT, Tolerances
+from .errors import NumericalError
 from .model import (MdpModel, ReferenceVector, StochasticMatrix, _freeze,
                     _memoized, reward_vector)
 from .report import VerificationReport, _residual_check, _reward_scale
@@ -161,7 +162,8 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
     Only simplicity of the chain's unit eigenvalue is required: P_pi is
     not gated, and r_S, made from validated fields, is not validated
     again. f_pi is: a policy average of finite rewards that overflows is
-    a DimensionMismatch, as a non-finite f is in ``gfm.potentials``.
+    a DimensionMismatch, as a non-finite f is in ``gfm.potentials``. A g
+    or a Q that overflows from finite rewards is a NumericalError.
     Actions the policy never takes keep their rows and get a warning,
     since they can make the state-action chain reducible even when the
     induced state chain is fine.
@@ -181,12 +183,16 @@ def qfactors_solve(m: MdpModel, r=None, *, cfg: Tolerances = DEFAULT) -> QSoluti
                          allow_unchecked=True, cfg=cfg)
     # Q = f - eta e + P_sa g, written as g plus the advantage so that the
     # advantage vanishes exactly when A = 1
-    adv = ((m.rewards - f_pi.values[:, None]).reshape(-1)
-           + m.transitions.reshape(S * A, S) @ sol.g
-           - np.repeat(P_pi.matrix @ sol.g, A))
-    q = np.repeat(sol.g, A) + adv
-    q += (sol.eta - float(r.values @ q)) / r.dot_with_ones
-    induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        adv = ((m.rewards - f_pi.values[:, None]).reshape(-1)
+               + m.transitions.reshape(S * A, S) @ sol.g
+               - np.repeat(P_pi.matrix @ sol.g, A))
+        q = np.repeat(sol.g, A) + adv
+        q += (sol.eta - float(r.values @ q)) / r.dot_with_ones
+        induced_g = (m.policy * q.reshape(S, A)).sum(axis=1)
+    if not (np.isfinite(q).all() and np.isfinite(induced_g).all()):
+        raise NumericalError("overflow in the Q-factors: finite rewards and "
+                             "potentials gave a non-finite Q")
     return QSolution(q, sol.eta, r, induced_g)
 
 

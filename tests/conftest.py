@@ -53,7 +53,6 @@ from gfmarkov.gfm import (
     FundamentalMatrix,
     PotentialSolution,
     _as_reference,
-    _require_irreducible,
     potentials,
     stationary,
 )
@@ -61,6 +60,7 @@ from gfmarkov.model import (
     _ROW_SUM_EXACT,
     _checked_gamma,
     _freeze,
+    _require_irreducible,
     _settle_row_sums,
     reference_vector,
     reward_vector,
@@ -699,7 +699,7 @@ def reference_ctmc_potentials_classic(B, f, *, allow_unchecked: bool = False,
     B = validate_generator(B, cfg=cfg)
     f = reward_vector(f, B.size)
     pi = ctmc_stationary(B, None, allow_unchecked=allow_unchecked, cfg=cfg)
-    g = _linalg.shifted_system(B, -pi.pi, cfg.pivot_tol).solve(-f.values)
+    g = _linalg.shifted_system(B, -pi.pi, cfg, False).solve(-f.values)
     eta = float(pi.pi @ f.values)
     r_pi = reference_vector(pi.pi, cfg=cfg)
     return PotentialSolution(g, eta, r_pi, NORM_ETA)

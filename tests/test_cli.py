@@ -157,6 +157,26 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "DimensionMismatch"
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, doc", [
+        ("potentials", {"kind": "dtmc", "states": 2,
+                        "P": [[0.9, 0.1], [0.2, 0.8]],
+                        "f": [np.finfo(float).max, 0.0]}),
+        ("ctmc-potentials", {"kind": "ctmc", "states": 2,
+                             "B": [[-1.0, 1.0], [2.0, -2.0]],
+                             "f": [np.finfo(float).max] * 2}),
+    ], ids=["dtmc", "ctmc"])
+    def test_overflowing_solve_exits_3(self, capsys, tmp_path, command, doc):
+        # finite rewards whose potentials overflow: not a singular matrix
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 3
+        assert out.count("\n") == 1
+        fault = json.loads(out)
+        assert fault["error"] == "NumericalError"
+        assert "overflow" in fault["message"]
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_eta_outside_reward_range_exits_3(self, capsys, tmp_path):
         # r.e ~ 7.1e-12: the LU passes its pivot check, but r.g = 1.0000030
         # is no average of f = (1, 0)

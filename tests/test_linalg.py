@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +24,13 @@ from gfmarkov import (
 )
 from gfmarkov import _linalg, model
 from gfmarkov._linalg import ShiftedSystem, shifted_system
-from gfmarkov.config import Tolerances
-from gfmarkov.errors import (NearSingularError, NotErgodicError,
-                             NotIrreducibleError)
-from gfmarkov.gfm import _require_irreducible
-from gfmarkov.model import (GeneratorMatrix, StochasticMatrix, validate_generator,
+from gfmarkov.config import DEFAULT, Tolerances
+from gfmarkov.errors import (DimensionMismatchError, NearSingularError,
+                             NotErgodicError, NotIrreducibleError,
+                             NumericalError)
+from gfmarkov.model import (GeneratorMatrix, StochasticMatrix,
+                            _require_irreducible, diagnose_chain,
+                            validate_generator, validate_mdp,
                             validate_stochastic)
 from gfmarkov.modelio import load_model
 
@@ -65,11 +68,11 @@ def _random_system(seed, n, density, zero_r, rates):
     if rates:
         np.fill_diagonal(W, 0.0)
         A = W - np.diag(W.sum(axis=1))
-        system = shifted_system(GeneratorMatrix(A), r, 1e-12)
+        system = shifted_system(GeneratorMatrix(A), r, DEFAULT, False)
     else:
         P = W / W.sum(axis=1, keepdims=True)
         A = np.eye(n) - P
-        system = shifted_system(StochasticMatrix(P), r, 1e-12)
+        system = shifted_system(StochasticMatrix(P), r, DEFAULT, False)
     return A, r, system, rng
 
 
@@ -148,7 +151,7 @@ class TestForwardErrorAgainstExactSolve:
         r = np.eye(n)[0] if e1 else random_reference(rng, n)
         f = rng.normal(size=n)
         g = potentials(P, f, r, allow_unchecked=True).g
-        pi = shifted_system(chain, r, 1e-12).solve_row(r)
+        pi = shifted_system(chain, r, DEFAULT, False).solve_row(r)
 
         M = np.eye(n) - P + r
         for ours, true, cond in (
@@ -189,6 +192,54 @@ class TestNonFiniteShiftedMatrix:
         m = load_model(models_dir / "mdp_two_state.json").mdp
         with pytest.raises(NearSingularError, match="not finite"):
             qfactors_solve(m, [-1e308, 0.0, 1e308, 1e308])
+
+
+class TestOverflowIsNotSingularity:
+    """Finite inputs whose g, pi or Q overflows are a NumericalError that
+    names the overflow: not NearSingular, not a non-finite result, and no
+    numpy warning on the way."""
+
+    HUGE = np.finfo(float).max
+
+    @staticmethod
+    def _outcome(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return call()
+            except Exception as e:
+                return e
+
+    def test_chain_potentials(self):
+        e = self._outcome(lambda: potentials([[0.9, 0.1], [0.2, 0.8]],
+                                             [self.HUGE, 0.0]))
+        assert type(e) is NumericalError and "overflow" in str(e)
+
+    def test_rate_matrix_potentials(self):
+        e = self._outcome(lambda: ctmc_potentials([[-1.0, 1.0], [2.0, -2.0]],
+                                                  [self.HUGE] * 2))
+        assert type(e) is NumericalError and "overflow" in str(e)
+
+    def test_qfactors_at_the_float_maximum(self):
+        rng = np.random.default_rng(0)
+        refused = set()
+        for _ in range(200):
+            p = rng.random((2, 3, 2)) + 0.05
+            pol = rng.random((2, 3)) + 0.05
+            m = validate_mdp(p / p.sum(axis=2, keepdims=True),
+                             np.full((2, 3), self.HUGE),
+                             pol / pol.sum(axis=1, keepdims=True))
+            out = self._outcome(lambda: qfactors_solve(m))
+            if isinstance(out, DimensionMismatchError):  # f_pi overflows
+                continue
+            if isinstance(out, Exception):
+                assert type(out) is NumericalError, out
+                assert "overflow" in str(out)
+                refused.add(str(out))
+            else:
+                assert np.isfinite(out.q).all() and np.isfinite(out.eta)
+        # the solve of g and the Q-factors after it each overflowed somewhere
+        assert len(refused) == 2
 
 
 def test_closed_form_eigenvalues_refuse_4x4():
@@ -290,10 +341,10 @@ def _same_bits(a: tuple, b: tuple) -> bool:
 
 
 class TestFactorWorker:
-    """A gated LU miss is factored on the worker thread while the gate
-    runs on the caller's; a busy worker means the caller factors inline.
-    The gate's exception wins, a refused matrix keeps no LU, and the
-    bits are those of the inline factorization."""
+    """Every LU miss is factored on the worker thread, a gated one while
+    the gate runs on the caller's; a busy worker means the caller factors
+    inline. The gate's exception wins, a refused matrix keeps no LU, and
+    the bits are those of the inline factorization."""
 
     def setup_method(self):
         _worker_idle()
@@ -305,11 +356,46 @@ class TestFactorWorker:
         got = _solve_all(P, f)
         assert names == [WORKER]
         assert sum(t.name == WORKER for t in threading.enumerate()) == 1
-        inline = _fresh(P)
-        g = potentials(inline, f, allow_unchecked=True)
-        assert names == [WORKER, threading.current_thread().name]
+        unchecked = _fresh(P)
+        g = potentials(unchecked, f, allow_unchecked=True)
+        assert names == [WORKER, WORKER]
         assert np.array_equal(got[0], g.g) and got[1] == g.eta
         assert _same_bits(got, _solve_all(_fresh(P), f))
+
+    @pytest.mark.parametrize("solve", [
+        lambda rng: potentials(random_chain(rng, 12), rng.random(12),
+                               allow_unchecked=True),
+        lambda rng: fundamental_matrix(random_chain(rng, 12),
+                                       allow_unchecked=True),
+        lambda rng: qfactors_solve(random_mdp(rng, 6, 3)),
+    ], ids=["potentials", "fundamental_matrix", "policy_chain"])
+    def test_unchecked_miss_factors_on_the_worker(self, monkeypatch, solve):
+        gates = count_calls(monkeypatch, model, "_support_diagnostics")
+        names = _factoring_threads(monkeypatch)
+        solve(np.random.default_rng(72))
+        assert names == [WORKER] and gates == []
+
+    def test_stored_refusal_costs_no_lu(self, monkeypatch):
+        P = validate_stochastic([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(NotIrreducibleError):
+            potentials(P, [1.0, 0.0])
+        _worker_idle()
+        names = _factoring_threads(monkeypatch)
+        for solve in (lambda: potentials(P, [1.0, 0.0]),
+                      lambda: stationary(P), lambda: fundamental_matrix(P)):
+            with pytest.raises(NotIrreducibleError):
+                solve()
+        _worker_idle()
+        assert names == []
+
+    def test_verdict_stored_by_diagnose_chain_is_read_first(self, monkeypatch):
+        P = validate_stochastic([[1.0, 0.0], [0.5, 0.5]])
+        diagnose_chain(P)  # as a CLI command's load does
+        names = _factoring_threads(monkeypatch)
+        with pytest.raises(NotIrreducibleError):
+            potentials(P, [1.0, 0.0])
+        _worker_idle()
+        assert names == []
 
     def test_busy_worker_means_an_inline_solve(self, monkeypatch):
         rng = np.random.default_rng(73)
@@ -361,16 +447,18 @@ class TestFactorWorker:
         assert len(gates) == 1 and "lu" not in P._memo
 
     @pytest.mark.parametrize("singular", [False, True])
-    def test_gate_error_wins_after_the_worker_is_done(self, singular):
+    def test_gate_error_wins_after_the_worker_is_done(self, monkeypatch,
+                                                      singular):
         P = validate_stochastic(np.eye(2) if singular else [[0.5, 0.5],
                                                              [0.5, 0.5]])
 
-        def gate():
+        def gate(source, cfg):
             _worker_idle()  # the worker has stored nothing, and is done
             raise ValueError("refused")
 
+        monkeypatch.setattr(_linalg, "_require_irreducible", gate)
         with pytest.raises(ValueError, match="refused"):
-            shifted_system(P, np.full(2, 0.5), 1e-12, gate)
+            shifted_system(P, np.full(2, 0.5), DEFAULT, True)
         assert "lu" not in P._memo
 
     @pytest.mark.skipif(not hasattr(signal, "setitimer"),
@@ -468,7 +556,7 @@ class TestFactorWorker:
 
 class TestGatedSolvesMatchGateThenInline:
     """Every public gated solve returns, or raises, what the serial order
-    returns or raises: the gate, then an inline factorization on a fresh
+    returns or raises: the gate, then an unchecked solve on a fresh
     object. Chains are irreducible, reducible, periodic or near-singular
     (an r.e just above re_tol), at uniform, e1 and signed r."""
 

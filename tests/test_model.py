@@ -830,6 +830,25 @@ class TestValidatorsReturnTheirOwnType:
         assert validate_generator(B) is B
         assert validate_generator(B, 1e-15) is B
 
+    @pytest.mark.parametrize("call, given", [
+        (validate_stochastic, "rates"),
+        (lambda X: potentials(X, [1.0, 0.0]), "rates"),
+        (stationary, "rates"),
+        (fundamental_matrix, "rates"),
+        (validate_generator, "chain"),
+        (ctmc_stationary, "chain"),
+        (lambda X: ctmc_potentials(X, [1.0, 0.0]), "chain"),
+    ], ids=["validate_stochastic", "potentials", "stationary",
+            "fundamental_matrix", "validate_generator", "ctmc_stationary",
+            "ctmc_potentials"])
+    def test_the_other_validated_type_is_a_type_error(self, call, given):
+        X = (validate_generator([[-1.0, 1.0], [2.0, -2.0]]) if given == "rates"
+             else validate_stochastic([[0.5, 0.5], [0.2, 0.8]]))
+        with pytest.raises(TypeError) as exc:
+            call(X)
+        assert "StochasticMatrix" in str(exc.value)
+        assert "GeneratorMatrix" in str(exc.value)
+
     def test_reward(self):
         f = reward_vector([1.0, 2.0])
         assert reward_vector(f) is f
