@@ -56,10 +56,13 @@ def _ranged(convert, low, strict: bool = False):
 
 
 def _seed_list(text: str) -> list[int]:
-    """argparse type: comma-separated seeds, each an int >= 0, at least one."""
+    """argparse type: comma-separated seeds, each an int >= 0 given once,
+    at least one; a repeated seed would only print the same run again."""
     seeds = [_ranged(int, 0)(s) for s in text.split(",") if s.strip()]
     if not seeds:
         raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"a seed is repeated in {text!r}")
     return seeds
 
 

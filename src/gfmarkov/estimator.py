@@ -13,13 +13,18 @@ statistical, never per-seed guaranteed.
 Because one component moves per step, sum_i r(i) ghat(i) is carried as
 a running sum (each step adds r(s) alpha_t z_t), so a step costs O(1),
 not O(n). The sum is recomputed exactly at the first step of every
-check interval, which bounds its rounding drift. The loop runs on plain
-Python ints and floats, one check interval at a time: each chunk draws
-its own uniforms, walks its own stretch of the path from the last state
-(or takes that stretch of a given path) and turns only its own slice of
-the step sizes into a list, then zips the two, since list indexing per
-step costs more than iteration. So a run holds the step-size array and
-one chunk, not the whole path, and samples nothing past an early stop.
+check interval, by a left fold, which bounds its rounding drift. The
+loop runs on plain Python ints and floats, one check interval at a
+time: each chunk draws its own uniforms (or takes its stretch of a
+given path as a list) and zips them with its own slice of the step
+sizes. The draws and step sizes are read through memoryviews, which
+make each Python float as its step takes it; a list would make the
+whole chunk's first. Each step of a walked run picks its next state by
+inverse CDF inside the update, from the cumulative row that it reads,
+with the state's reward and reference weight, from one per-state tuple;
+no list of states is built. So a run holds the step-size array and one
+chunk's draws, not the whole path, and samples nothing past an early
+stop.
 
 A run whose estimate ends non-finite (a step size too large for the
 chain makes the update overflow) raises ``EstimateDivergentError``
@@ -34,6 +39,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Callable
 
 import numpy as np
@@ -41,7 +49,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import EstimateDivergentError, ScheduleInvalidError
 from .gfm import _as_reference
-from .model import (RewardVector, StochasticMatrix, _integer,
+from .model import (RewardVector, _ValidatedMatrix, _integer,
                     _require_irreducible, reward_vector, validate_stochastic)
 from .modelio import format_csv
 
@@ -220,9 +228,10 @@ def _walk(rows: list, s: int, u: list) -> list[int]:
     probability exceeds its draw, in stored row order; a draw past every
     cumulative sum but the last picks the last state. Returns the
     `len(u) + 1` visited states, s first, as a list of ints. PCG64 draws
-    taken in chunks form the same stream as one long draw, so walking a
-    path chunk by chunk, each chunk from the last state of the one
-    before, gives the states of one walk.
+    taken in chunks form the same stream as one long draw, so
+    :func:`online_potentials`, which draws chunk by chunk and makes the
+    same bisection inside its update, visits the states this walks from
+    the same seed.
     """
     return [s] + [s := bisect_right(rows[s], x) for x in u]
 
@@ -282,17 +291,19 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
 
     ``source`` is either a chain, validated under ``tolerances`` if raw
     (a path of up to cfg.max_steps transitions is walked with cfg.seed
-    from s0), or a precomputed state path of integers (a float path or
-    s0 is a ValueError, not truncated). Every step updates the single
-    component ghat(s) and adds r(s) alpha_t z_t to a running sum_i r(i)
-    ghat(i), so a step is O(1). The steps run in chunks of
-    cfg.check_interval: a chunk draws its uniforms and walks its stretch
-    of the path from the last state (or takes its slice of the given
-    path), and takes its slice of the step sizes, so neither the path
-    nor its draws are ever held whole. The first step of a chunk records the sample row and
-    resets the running sum to the exact O(n) value, so its rounding drift
-    never spans more than one chunk; the end of a full chunk records the
-    history delta and tests the stopping rule.
+    from s0; a rate matrix is a TypeError), or a precomputed state path
+    of integers, which starts at its own first state (a float path or
+    s0 is a ValueError, not truncated, on both routes). Every step
+    updates the single component ghat(s) and adds r(s) alpha_t z_t to a
+    running sum_i r(i) ghat(i), so a step is O(1). The steps run in
+    chunks of cfg.check_interval: a chunk draws its uniforms (or takes
+    its slice of the given path) and takes its slice of the step sizes,
+    and a walked step draws its next state inside the update, so neither
+    the path nor its draws are ever held whole. The first step of a
+    chunk records the sample row and resets the running sum to the exact
+    O(n) value, a left fold over the states in order, so its rounding
+    drift never spans more than one chunk; the end of a full chunk
+    records the history delta and tests the stopping rule.
 
     Stops when the max-abs change of ghat over a check interval falls
     below cfg.epsilon, or at cfg.max_steps; nothing is sampled past the
@@ -304,11 +315,11 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     schedule = schedule or DEFAULT_SCHEDULE
     cfg = cfg or SimulationConfig()
 
-    if isinstance(source, StochasticMatrix) or np.ndim(source) == 2:
+    if isinstance(source, _ValidatedMatrix) or np.ndim(source) == 2:
         source = validate_stochastic(source, cfg=tolerances)
         if not allow_unchecked:
             _require_irreducible(source, tolerances, need_aperiodic=True)
-        rows, last, rng = _walker(np.asarray(source.matrix), s0, cfg.seed)
+        rows, s, rng = _walker(np.asarray(source.matrix), s0, cfg.seed)
         states = None
         n = source.size
         steps = cfg.max_steps
@@ -323,15 +334,20 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
         if states.min() < 0 or states.max() >= n:
             raise ValueError("state path entries out of range for the rewards")
         steps = states.shape[0] - 1
+        _integer("s0", s0)
+        s = int(states[0])
+        rows = repeat(None, n)
 
     f = reward_vector(f, n)
     r = _as_reference(r, n, tolerances)
     alphas = schedule.alphas(steps)
 
-    # hot loop on plain python lists (each chunk's path and step sizes
-    # too); numpy scalar indexing is slower here
+    # hot loop on plain python lists and floats; numpy scalar indexing is
+    # slower here. info[s] holds state s's reward, reference weight and
+    # cumulative row (None on a given path), one lookup per step
     fv = f.values.tolist()
     rv = r.values.tolist()
+    info = list(zip(fv, rv, rows))
     g = [0.0] * n if g0 is None else [float(x) for x in np.asarray(g0).reshape(-1)]
     if len(g) != n:
         raise ValueError(f"g0 must have length {n}")
@@ -350,40 +366,54 @@ def online_potentials(source, f, r=None, schedule: StepSchedule | None = None,
     # rdot is the running r.ghat; the first step of a chunk is the sample
     # row and resets it to the exact sum, by a left-to-right fold (sum()
     # of floats is compensated from Python 3.12 on)
-    rdot = 0.0
-    for ri, gi in zip(rv, g):
-        rdot += ri * gi
+    rdot = reduce(add, map(mul, rv, g), 0.0)
     for start in range(0, steps, interval):
         end = min(start + interval, steps)
-        # st holds the chunk's states t = start .. end, al its alpha_t
+        # each step of the chunk takes its draw (or next state) and alpha_t
+        al = memoryview(alphas[start:end])
         if states is None:
-            st = _walk(rows, last, rng.random(end - start).tolist())
-            last = st[-1]
+            chunk = zip(memoryview(rng.random(end - start)), al)
         else:
-            st = states[start:end + 1].tolist()
-        al = alphas[start:end].tolist()
-        s = st[0]
-        z = fv[s] - rdot + g[st[1]] - g[s]
-        g[s] += al[0] * z
-        rdot = 0.0
-        for ri, gi in zip(rv, g):
-            rdot += ri * gi
-        samples.append((start, s, fv[s], z, rdot))
+            chunk = zip(states[start + 1:end + 1].tolist(), al)
+        x, a = next(chunk)
+        fs, rs, row = info[s]
+        s2 = x if row is None else bisect_right(row, x)
+        z = fs - rdot + g[s2] - g[s]
+        g[s] += a * z
+        rdot = reduce(add, map(mul, rv, g), 0.0)
+        samples.append((start, s, fs, z, rdot))
         if track_residuals:
             zc += 1
             zs += z
             zss += z * z
-        for s, s2, a in zip(st[1:-1], st[2:], al[1:]):
-            z = fv[s] - rdot + g[s2] - g[s]
-            dz = a * z
-            g[s] += dz
-            rdot += rv[s] * dz
-            if track_residuals:
-                zc += 1
-                zs += z
-                zss += z * z
+        s = s2
+        if states is None:
+            for x, a in chunk:
+                fs, rs, row = info[s]
+                s2 = bisect_right(row, x)
+                z = fs - rdot + g[s2] - g[s]
+                dz = a * z
+                g[s] += dz
+                rdot += rs * dz
+                if track_residuals:
+                    zc += 1
+                    zs += z
+                    zss += z * z
+                s = s2
+        else:
+            for s2, a in chunk:
+                fs, rs, _ = info[s]
+                z = fs - rdot + g[s2] - g[s]
+                dz = a * z
+                g[s] += dz
+                rdot += rs * dz
+                if track_residuals:
+                    zc += 1
+                    zs += z
+                    zss += z * z
+                s = s2
         if end - start == interval:
-            delta = max(abs(a - b) for a, b in zip(g, snapshot))
+            delta = max(map(abs, map(sub, g, snapshot)))
             history.append((end, delta))
             if delta < eps:
                 converged = True

@@ -288,6 +288,7 @@ class TestExitCodes:
                      ["check", "--reference", "e1"], ["estimate", "--seed", "-1"],
                      ["estimate", "--seeds", "1,x"],
                      ["estimate", "--seeds", "-2"],
+                     ["estimate", "--seeds", "3,2,03"],
                      ["estimate", "--seed", "1", "--seeds", "2,3"],
                      ["check", "--poisson-tol", "-1"],
                      ["potentials", "--row-tol", "-1"],

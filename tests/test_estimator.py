@@ -1,5 +1,8 @@
 import io
+import math
 import tracemalloc
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from gfmarkov import (
     simulate_chain,
     spectral_radius_estimate,
     truncated_accumulated_reward,
+    validate_generator,
     validate_stochastic,
     write_trace_csv,
 )
@@ -28,7 +32,6 @@ from gfmarkov import estimator
 from gfmarkov.estimator import _sample_states
 
 from conftest import (
-    count_calls,
     random_chain,
     random_periodic_chain,
     random_reference,
@@ -287,6 +290,21 @@ class TestOnlinePotentials:
             from_path = online_potentials(states, f, E1, None, cfg)
             assert np.array_equal(from_path.g_hat, from_chain.g_hat)
             assert from_path.samples == from_chain.samples
+        # a path starts at its own first state, whatever s0 says
+        from_s0 = online_potentials(states, F, E1, None, cfg, s0=1)
+        assert from_s0.samples == from_chain.samples
+
+    def test_chunk_reset_is_a_left_fold(self):
+        # the step moves g[1] to about 1.2, and 1e16 + 1.2 rounds to
+        # 1e16 + 2, so the left fold of r * g over the states in order
+        # reads 2.0 where the exact sum is about 1.2
+        r = [1.0, 1.0, 1.0]
+        tr = online_potentials(np.array([1, 1]), [0.0, 2.0, 0.0], r,
+                               g0=[1e16, 1.0, -1e16])
+        terms = list(map(mul, r, tr.g_hat.tolist()))
+        left = reduce(add, terms, 0.0)
+        assert left != math.fsum(terms)
+        assert tr.samples[0][4] == left
 
     def test_history_records_checkpoints(self):
         cfg = SimulationConfig(seed=2, max_steps=5000, epsilon=1e-12,
@@ -338,14 +356,29 @@ class TestStreamedRun:
     """A run walks and holds one check interval of its path at a time."""
 
     def test_early_stop_samples_no_further(self, monkeypatch):
-        walks = count_calls(monkeypatch, estimator, "_walk")
+        # count the uniforms drawn from the generator _walker hands out
+        draws = []
+        walker = estimator._walker
+
+        class CountedRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                draws.append(size)
+                return self.rng.random(size)
+
+        def counted_walker(*args):
+            rows, s, rng = walker(*args)
+            return rows, s, CountedRng(rng)
+
+        monkeypatch.setattr(estimator, "_walker", counted_walker)
         cfg = SimulationConfig(seed=6, max_steps=200_000, epsilon=1e-4,
                                check_interval=1000)
         tr = online_potentials(SYM, F, E1, None, cfg)
         assert tr.converged and tr.steps_run < cfg.max_steps
-        draws = sum(len(u) for (_, _, u), _ in walks)
-        chunks = -(-tr.steps_run // cfg.check_interval)
-        assert draws <= chunks * cfg.check_interval
+        # the stop ends a full chunk: one draw per step run, none past it
+        assert sum(draws) == tr.steps_run
 
     def test_peak_memory_per_step(self):
         # the float64 step sizes take 8 B/step, also at the peak, as they
@@ -481,6 +514,12 @@ class TestRefusedInputs:
          "state path must hold integers, got dtype float64"),
         (lambda: online_potentials(SYM, F, g0=[0.0]), ValueError,
          "g0 must have length 2"),
+        # np.ndim of a validated matrix is 0; it is no sample path
+        (lambda: online_potentials(validate_generator([[-1, 1], [1, -1]]), F),
+         TypeError,
+         "expected a StochasticMatrix or a raw array, got a GeneratorMatrix"),
+        (lambda: online_potentials([0, 1, 0], F, s0=1.5), ValueError,
+         r"s0 must be an integer, got 1\.5"),
         (lambda: StepSchedule("custom"), ScheduleInvalidError,
          "custom schedule needs a callable"),
         (lambda: StepSchedule("bogus"), ScheduleInvalidError,
@@ -498,7 +537,8 @@ class TestRefusedInputs:
          r"seed must be an integer, got 2\.7"),
     ], ids=["s0-high", "s0-negative", "s0-float", "s0-float-online",
             "steps", "horizon", "path-short", "path-range", "path-float",
-            "g0-length", "custom-no-callable", "unknown-kind", "terms",
+            "g0-length", "rate-matrix-online", "s0-float-path",
+            "custom-no-callable", "unknown-kind", "terms",
             "reference-horizon", "iters", "seed-float", "seed-float-spectral"])
     def test_raises(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
